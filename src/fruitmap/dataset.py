@@ -176,20 +176,29 @@ def _load_pose(values, where: str) -> RigidTransform:
 
 def load_ground_truth(path: Path) -> GroundTruth:
     doc = _read_json(path)
-    if "fruitlets" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("fruitlets"), list):
         raise DatasetError(f"{path}: missing 'fruitlets' list")
     fruitlets = []
-    for entry in doc["fruitlets"]:
-        fruitlets.append(
-            GroundTruthFruitlet(
-                id=int(entry["id"]),
-                center=tuple(float(x) for x in entry["center"]),
-                diameter=float(entry["diameter"]),
+    for index, entry in enumerate(doc["fruitlets"]):
+        try:
+            center = tuple(float(x) for x in entry["center"])
+            if len(center) != 3:
+                raise ValueError(f"center needs 3 coordinates, got {len(center)}")
+            fruitlets.append(
+                GroundTruthFruitlet(
+                    id=int(entry["id"]), center=center, diameter=float(entry["diameter"])
+                )
             )
-        )
+        except KeyError as exc:
+            raise DatasetError(f"{path}: fruitlet entry {index}: missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"{path}: fruitlet entry {index}: {exc}") from exc
     visibility: dict[str, dict[int, int]] = {}
-    for side, counts in doc.get("visibility", {}).items():
-        visibility[side] = {int(k): int(v) for k, v in counts.items()}
+    try:
+        for side, counts in doc.get("visibility", {}).items():
+            visibility[side] = {int(k): int(v) for k, v in counts.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DatasetError(f"{path}: invalid 'visibility': {exc}") from exc
     return GroundTruth(fruitlets=tuple(fruitlets), visibility=visibility)
 
 
@@ -367,16 +376,23 @@ def extract_instance_clouds(
     A pixel contributes when its mask id is positive and its depth is finite
     and positive. Instances with fewer contributing pixels than min_points are
     dropped.
+
+    One pass finds every contributing pixel; a stable sort on instance id then
+    groups them, so each instance's pixels keep their row-major order.
     """
-    depth = frame.depth.astype(float)
-    valid = np.isfinite(depth) & (depth > 0) & (frame.masks > 0)
+    depth = frame.depth
+    rows, cols = np.nonzero(np.isfinite(depth) & (depth > 0) & (frame.masks > 0))
+    ids = frame.masks[rows, cols]
+    order = np.argsort(ids, kind="stable")
+    rows, cols, ids = rows[order], cols[order], ids[order]
+    instance_ids, starts = np.unique(ids, return_index=True)
     out: list[tuple[int, np.ndarray]] = []
-    for instance_id in np.unique(frame.masks[valid]):
-        rows, cols = np.nonzero(valid & (frame.masks == instance_id))
-        if len(rows) < min_points:
+    for instance_id, start, stop in zip(instance_ids, starts, [*starts[1:], len(ids)]):
+        if stop - start < min_points:
             continue
+        r, c = rows[start:stop], cols[start:stop]
         cam_pts = backproject(
-            frame.intrinsics, cols.astype(float), rows.astype(float), depth[rows, cols]
+            frame.intrinsics, c.astype(float), r.astype(float), depth[r, c].astype(float)
         )
         out.append((int(instance_id), frame.pose.apply(cam_pts)))
     return out

@@ -158,6 +158,11 @@ class RigidTransform:
     def __setattr__(self, name, value):  # immutable by construction
         raise AttributeError("RigidTransform is immutable")
 
+    def __reduce__(self):
+        # The default reduce sets slots through the blocked __setattr__; rebuild
+        # through __init__ instead, which also re-runs the rotation checks.
+        return (type(self), (self.rotation, self.translation))
+
     def __repr__(self) -> str:
         return f"RigidTransform(rotation={self.rotation.tolist()}, translation={self.translation.tolist()})"
 

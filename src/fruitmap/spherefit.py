@@ -10,6 +10,9 @@ with a three-clause predicate:
   3. depth window:   p.z <= min_cloud_z + min(2r, d_max)   (background_reject)
                      p.z >= min_cloud_z                    (literal, vacuous)
 
+`_inlier_mask` is the predicate's one implementation: it scores all hypotheses
+in one batch, and the refined sphere as a batch of one.
+
 Clause 3 exists because instance masks bleed onto whatever sits behind the
 fruitlet; those pixels land a leaf-or-trunk distance deeper than the fruit
 surface and would otherwise drag the fit backwards. The window is capped at the
@@ -27,6 +30,8 @@ to first order. The linear solution only serves as its starting point.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +94,18 @@ class FitConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("max_points", "ransac_iterations", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("inlier_tolerance", "min_inlier_fraction", "d_min", "d_max"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.max_points < 4:
             raise ValueError("max_points must be at least 4")
         if self.ransac_iterations < 1:
@@ -221,28 +238,29 @@ def _geometric_refine(
 
 def _inlier_mask(
     pts: np.ndarray,
-    center: np.ndarray,
-    radius: float,
+    centers: np.ndarray,
+    radii: np.ndarray,
     min_cloud_z: float,
     cfg: FitConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Three-clause inlier predicate. Returns (mask, |surface residuals|)."""
-    dist = np.linalg.norm(pts - center, axis=1)
-    resid = np.abs(dist - radius)
+    """The three-clause inlier predicate for k hypotheses at once.
+
+    pts is (n, 3), centers (k, 3) and radii (k,). Returns the (k, n) inlier
+    mask and the (k, n) absolute surface residuals.
+    """
+    dx, dy, dz = (pts[:, j] - centers[:, j, None] for j in range(3))
+    # Summed as (x^2 + y^2) + z^2, the order np.linalg.norm(..., axis=-1) uses,
+    # so distances are bit-equal to it; x^2 + (y^2 + z^2) would not be.
+    dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    r = radii[:, None]
+    resid = np.abs(dist - r)
     mask = resid <= cfg.inlier_tolerance
-    mask &= dist <= radius + cfg.inlier_tolerance
+    mask &= dist <= r + cfg.inlier_tolerance
     if cfg.z_rule == "background_reject":
-        window = min(2.0 * radius, cfg.d_max)
-        mask &= pts[:, 2] <= min_cloud_z + window
+        mask &= pts[:, 2] <= min_cloud_z + np.minimum(2.0 * r, cfg.d_max)
     else:  # literal reading: nothing sits below the cloud minimum, so this keeps all
         mask &= pts[:, 2] >= min_cloud_z
     return mask, resid
-
-
-def _score(mask: np.ndarray, resid: np.ndarray) -> tuple[int, float]:
-    count = int(mask.sum())
-    mean_resid = float(resid[mask].mean()) if count else float("inf")
-    return count, mean_resid
 
 
 def ransac_sphere_fit(points: np.ndarray, config: FitConfig) -> FitReport:
@@ -309,36 +327,20 @@ def ransac_sphere_fit(points: np.ndarray, config: FitConfig) -> FitReport:
             f"no usable hypothesis: {degenerate}/{config.ransac_iterations} samples degenerate"
         )
 
-    # Vectorized three-clause predicate over all hypotheses at once.
-    dist = np.linalg.norm(pts[None, :, :] - cand_centers[:, None, :], axis=2)
-    resid = np.abs(dist - cand_radii[:, None])
-    mask = resid <= config.inlier_tolerance
-    mask &= dist <= cand_radii[:, None] + config.inlier_tolerance
-    if config.z_rule == "background_reject":
-        window = np.minimum(2.0 * cand_radii, config.d_max)
-        mask &= pts[None, :, 2] <= min_cloud_z + window[:, None]
-    else:
-        mask &= pts[None, :, 2] >= min_cloud_z
+    mask, resid = _inlier_mask(pts, cand_centers, cand_radii, min_cloud_z, config)
     counts = mask.sum(axis=1)
     resid_sums = np.where(mask, resid, 0.0).sum(axis=1)
-
-    best_idx = -1
-    best_count = 0
-    best_resid = float("inf")
-    for k in range(len(cand_radii)):
-        count = int(counts[k])
-        if count == 0:
-            continue
-        mean_resid = float(resid_sums[k]) / count
-        if count > best_count or (count == best_count and mean_resid < best_resid):
-            best_idx, best_count, best_resid = k, count, mean_resid
-    if best_idx < 0:
+    # Most inliers wins, then the lowest mean residual, then the earliest index
+    # (lexsort is stable); hypotheses without inliers never win.
+    live = np.flatnonzero(counts)
+    if len(live) == 0:
         raise DegenerateSampleError(
             f"no usable hypothesis: {degenerate}/{config.ransac_iterations} samples degenerate"
         )
+    best_idx = live[np.lexsort((resid_sums[live] / counts[live], -counts[live]))[0]]
 
     center, radius = cand_centers[best_idx], float(cand_radii[best_idx])
-    mask, _ = _inlier_mask(pts, center, radius, min_cloud_z, config)
+    (mask,), _ = _inlier_mask(pts, center[None], np.array([radius]), min_cloud_z, config)
     if int(mask.sum()) >= 4:
         try:
             center, radius = _solve_sphere(pts[mask], exact=False)
@@ -349,8 +351,9 @@ def ransac_sphere_fit(points: np.ndarray, config: FitConfig) -> FitReport:
                 center, radius = _geometric_refine(pts[mask], center, radius)
             except DegenerateSampleError:
                 log.warning("orthogonal refinement failed; keeping the linear fit")
-    mask, resid = _inlier_mask(pts, center, radius, min_cloud_z, config)
-    count, mean_resid = _score(mask, resid)
+    (mask,), (resid,) = _inlier_mask(pts, center[None], np.array([radius]), min_cloud_z, config)
+    count = int(mask.sum())
+    mean_resid = float(resid[mask].mean()) if count else float("inf")
 
     model = SphereModel(center=tuple(center), diameter=2.0 * radius)
     accepted = (

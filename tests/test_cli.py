@@ -1,9 +1,14 @@
 """End-to-end and contract tests for the command-line pipeline."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fruitmap
 from fruitmap.cli import main
 
 SIM_CONFIG = {
@@ -167,6 +172,47 @@ class TestExitCodes:
         code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "ds")])
         assert code == 1
         capsys.readouterr()
+
+
+def run_cli(argv):
+    """Run the CLI in a fresh interpreter, so an escaped exception shows as a traceback."""
+    src = str(Path(fruitmap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "fruitmap", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def assert_one_line_validation_error(proc, *needles):
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    for needle in needles:
+        assert needle in proc.stderr
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("missing", ["id", "center", "diameter"])
+    def test_truth_entry_missing_field(self, pipeline, tmp_path, missing):
+        truth = json.loads((pipeline["dataset"] / "ground_truth.json").read_text())
+        del truth["fruitlets"][1][missing]
+        bad = tmp_path / "truth.json"
+        bad.write_text(json.dumps(truth))
+        proc = run_cli(["eval", "--map", str(pipeline["map_a"]), "--truth", str(bad),
+                        "--out", str(tmp_path / "r.json")])
+        assert_one_line_validation_error(proc, str(bad), "entry 1", missing)
+
+    @pytest.mark.parametrize(
+        "section",
+        [{"max_points": "abc"}, {"rng_seed": 1.5}, {"inlier_tolerance": float("nan")}],
+        ids=["string-int", "float-int", "nan-float"],
+    )
+    def test_mistyped_fit_option(self, pipeline, tmp_path, section):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"fit": section}))  # json writes NaN as a bare token
+        proc = run_cli(["map", "--config", str(bad), "--dataset", str(pipeline["dataset"]),
+                        "--side", "A", "--out", str(tmp_path / "a.json")])
+        assert_one_line_validation_error(proc, *section)
 
 
 class TestPrecedence:

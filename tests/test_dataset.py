@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fruitmap.dataset import (
+    DEFAULT_MIN_POINTS,
     DatasetError,
     FiducialObservation,
     FrameRecord,
@@ -14,13 +15,15 @@ from fruitmap.dataset import (
     ScanDataset,
     extract_instance_clouds,
     load_dataset,
+    load_ground_truth,
     read_depth_raster,
     read_mask_raster,
     write_dataset,
     write_depth_raster,
     write_mask_raster,
 )
-from fruitmap.geometry import CameraIntrinsics, RigidTransform, rotation_about_axis
+from fruitmap.geometry import CameraIntrinsics, RigidTransform, backproject, rotation_about_axis
+from fruitmap.simulator import OrchardSpec, simulate_dataset
 
 
 def small_intrinsics(width=32, height=24) -> CameraIntrinsics:
@@ -214,6 +217,23 @@ class TestValidation:
         with pytest.raises(DatasetError, match="format_version"):
             load_dataset(root)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "'fruitlets' list"),
+            ({"fruitlets": {"id": 0}}, "'fruitlets' list"),
+            ({"fruitlets": ["x"]}, "entry 0"),
+            ({"fruitlets": [{"id": 0, "center": [0, 0], "diameter": 0.01}]}, "3 coordinates"),
+            ({"fruitlets": [{"id": 0, "center": [0, 0, 0], "diameter": "big"}]}, "entry 0"),
+            ({"fruitlets": [], "visibility": {"A": [1, 2]}}, "visibility"),
+        ],
+    )
+    def test_malformed_ground_truth(self, tmp_path, doc, message):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match=message):
+            load_ground_truth(path)
+
 
 class TestExtraction:
     def test_constant_depth_patch(self):
@@ -273,3 +293,76 @@ class TestExtraction:
                 depth=np.zeros((10, 10), dtype=np.float32),
                 masks=np.zeros((10, 10), dtype=np.uint16),
             )
+
+
+def reference_extract(frame, min_points):
+    """The per-instance full-frame implementation extraction must reproduce."""
+    depth = frame.depth.astype(float)
+    valid = np.isfinite(depth) & (depth > 0) & (frame.masks > 0)
+    out = []
+    for instance_id in np.unique(frame.masks[valid]):
+        rows, cols = np.nonzero(valid & (frame.masks == instance_id))
+        if len(rows) < min_points:
+            continue
+        cam_pts = backproject(
+            frame.intrinsics, cols.astype(float), rows.astype(float), depth[rows, cols]
+        )
+        out.append((int(instance_id), frame.pose.apply(cam_pts)))
+    return out
+
+
+def assert_same_clouds(got, want):
+    assert [iid for iid, _ in got] == [iid for iid, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert type(a) is type(b) and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def simulated_frames():
+    # occluders cut instances apart; dilation bleeds masks onto what lies behind
+    spec = OrchardSpec(cluster_count=3, occluder_count=4, mask_dilate_px=2, rng_seed=5)
+    dataset = simulate_dataset(spec)
+    return [f for side in dataset.sides for f in dataset.frames[side][::9]]
+
+
+class TestExtractionOracle:
+    def test_simulated_frames_match_reference(self, simulated_frames):
+        clouds = 0
+        for frame in simulated_frames:
+            got = extract_instance_clouds(frame)
+            assert_same_clouds(got, reference_extract(frame, DEFAULT_MIN_POINTS))
+            clouds += len(got)
+        assert clouds > 0
+
+    def test_min_points_boundary(self, simulated_frames):
+        frame = max(simulated_frames, key=lambda f: len(np.unique(f.masks)))
+        valid = np.isfinite(frame.depth) & (frame.depth > 0) & (frame.masks > 0)
+        _, sizes = np.unique(frame.masks[valid], return_counts=True)
+        for min_points in (1, *sizes, *(sizes + 1)):
+            assert_same_clouds(
+                extract_instance_clouds(frame, min_points=int(min_points)),
+                reference_extract(frame, int(min_points)),
+            )
+
+    def test_masked_pixels_with_invalid_depth(self, simulated_frames):
+        frame = simulated_frames[0]
+        depth = frame.depth.copy()
+        masked = np.flatnonzero(frame.masks > 0)
+        depth.flat[masked[::3]] = np.nan
+        depth.flat[masked[1::5]] = -0.2
+        depth.flat[masked[2::7]] = 0.0
+        frame2 = FrameRecord(frame.frame_index, frame.pose, frame.intrinsics, depth, frame.masks)
+        for min_points in (1, DEFAULT_MIN_POINTS):
+            assert_same_clouds(
+                extract_instance_clouds(frame2, min_points=min_points),
+                reference_extract(frame2, min_points),
+            )
+
+    def test_all_background_frame(self, simulated_frames):
+        frame = simulated_frames[0]
+        blank = FrameRecord(frame.frame_index, frame.pose, frame.intrinsics, frame.depth,
+                            np.zeros_like(frame.masks))
+        for min_points in (0, 1):
+            assert extract_instance_clouds(blank, min_points=min_points) == []
+            assert reference_extract(blank, min_points) == []

@@ -1,5 +1,8 @@
 """Stereo depth relations, projection round trips, and rigid transform algebra."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -165,3 +168,19 @@ class TestRigidTransform:
             T.translation = np.ones(3)
         with pytest.raises((ValueError, RuntimeError)):
             T.rotation[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_copy_and_pickle_round_trip(self, clone):
+        T = RigidTransform(rotation_about_axis([1, 2, 3], 0.7), [0.1, -0.2, 0.3])
+        T2 = clone(T)
+        assert type(T2) is RigidTransform
+        assert np.array_equal(T2.rotation, T.rotation)
+        assert np.array_equal(T2.translation, T.translation)
+        with pytest.raises(AttributeError):
+            T2.translation = np.ones(3)
+        with pytest.raises((ValueError, RuntimeError)):
+            T2.rotation[0, 0] = 5.0

@@ -9,6 +9,7 @@ from cloudgen import add_depth_noise, cap_cloud, contaminated_cap_cloud, sphere_
 from fruitmap.spherefit import (
     DegenerateSampleError,
     FitConfig,
+    FitReport,
     InsufficientPointsError,
     SphereModel,
     derive_observation_seed,
@@ -17,6 +18,7 @@ from fruitmap.spherefit import (
     initial_estimate,
     ransac_sphere_fit,
 )
+from fruitmap.spherefit import _geometric_refine, _solve_sphere
 
 
 class TestDownsample:
@@ -205,6 +207,25 @@ class TestRansac:
         with pytest.raises(ValueError):
             FitConfig(z_rule="sideways")
 
+    @pytest.mark.parametrize("field_name", ["max_points", "ransac_iterations", "rng_seed"])
+    @pytest.mark.parametrize("value", ["abc", 500.0, True, None])
+    def test_config_requires_integers(self, field_name, value):
+        with pytest.raises(ValueError, match=field_name):
+            FitConfig(**{field_name: value})
+
+    @pytest.mark.parametrize(
+        "field_name", ["inlier_tolerance", "min_inlier_fraction", "d_min", "d_max"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.002", True])
+    def test_config_requires_finite_reals(self, field_name, value):
+        with pytest.raises(ValueError, match=field_name):
+            FitConfig(**{field_name: value})
+
+    def test_config_accepts_numpy_and_int_values(self):
+        cfg = FitConfig(max_points=np.int64(64), rng_seed=np.uint64(2**63),
+                        d_min=np.float64(0.005), inlier_tolerance=1)
+        assert cfg.max_points == 64
+
     def test_z_rule_modes_agree_on_clean_clouds(self):
         rng = np.random.default_rng(18)
         cloud = add_depth_noise(cap_cloud([0, 0, 0.4], 0.011, 400, rng), 0.0011,
@@ -233,3 +254,97 @@ class TestObservationSeeds:
         others = {derive_observation_seed(42, f, i) for f in range(10) for i in range(10)}
         assert len(others) == 100
         assert derive_observation_seed(43, 3, 7) != s1
+
+
+# ------------------------------------------------------------------ oracle
+
+def reference_inliers(pts, center, radius, min_cloud_z, cfg):
+    dist = np.linalg.norm(pts - center, axis=1)
+    resid = np.abs(dist - radius)
+    mask = resid <= cfg.inlier_tolerance
+    mask &= dist <= radius + cfg.inlier_tolerance
+    if cfg.z_rule == "background_reject":
+        mask &= pts[:, 2] <= min_cloud_z + min(2.0 * radius, cfg.d_max)
+    else:
+        mask &= pts[:, 2] >= min_cloud_z
+    return mask, resid
+
+
+def reference_fit(points, config):
+    """Norm-based scoring and a Python-loop pick: the fit must match it bit for bit.
+
+    Returns the report and every hypothesis's inlier count.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    rng = np.random.default_rng(config.rng_seed)
+    min_cloud_z = float(pts[:, 2].min())
+    seed = initial_estimate(pts)
+    samples = np.stack(
+        [rng.choice(n, size=4, replace=False) for _ in range(config.ransac_iterations)]
+    )
+    quads = pts[samples]
+    lhs = np.concatenate([2.0 * quads, np.ones((len(samples), 4, 1))], axis=2)
+    rhs = np.sum(quads * quads, axis=2)[..., None]
+    solutions = np.linalg.solve(lhs, rhs)[..., 0]
+    sample_centers = solutions[:, :3]
+    r_sq = solutions[:, 3] + np.einsum("ij,ij->i", sample_centers, sample_centers)
+    with np.errstate(invalid="ignore"):
+        sample_radii = np.sqrt(r_sq)
+    usable = (
+        np.all(np.isfinite(sample_centers), axis=1)
+        & np.isfinite(sample_radii) & (r_sq > 0) & (sample_radii <= 1e6)
+    )
+    cand_centers = np.concatenate([[seed.center_array()], sample_centers[usable]])
+    cand_radii = np.concatenate([[seed.radius], sample_radii[usable]])
+
+    best_idx, best_count, best_resid = -1, 0, float("inf")
+    counts = []
+    for k in range(len(cand_radii)):
+        mask, resid = reference_inliers(pts, cand_centers[k], cand_radii[k], min_cloud_z,
+                                        config)
+        count = int(mask.sum())
+        counts.append(count)
+        if count == 0:
+            continue
+        mean_resid = float(np.where(mask, resid, 0.0).sum()) / count
+        if count > best_count or (count == best_count and mean_resid < best_resid):
+            best_idx, best_count, best_resid = k, count, mean_resid
+
+    center, radius = cand_centers[best_idx], float(cand_radii[best_idx])
+    mask, _ = reference_inliers(pts, center, radius, min_cloud_z, config)
+    center, radius = _solve_sphere(pts[mask], exact=False)
+    center, radius = _geometric_refine(pts[mask], center, radius)
+    mask, resid = reference_inliers(pts, center, radius, min_cloud_z, config)
+    count = int(mask.sum())
+    model = SphereModel(center=tuple(center), diameter=2.0 * radius)
+    report = FitReport(
+        model=model,
+        inlier_count=count,
+        iterations_used=config.ransac_iterations,
+        accepted=(count / n >= config.min_inlier_fraction
+                  and config.d_min <= model.diameter <= config.d_max),
+        mean_abs_residual=float(resid[mask].mean()),
+    )
+    return report, counts
+
+
+class TestFitOracle:
+    @pytest.mark.parametrize("z_rule", ["background_reject", "literal"])
+    def test_seeded_clouds_match_reference(self, z_rule):
+        rng = np.random.default_rng(30)
+        clouds = [
+            sphere_cloud([0.0, 0.01, 0.35], 0.011, 400, rng),
+            add_depth_noise(cap_cloud([0, 0, 0.4], 0.009, 300, rng), 0.0011, rng),
+            add_depth_noise(cap_cloud([0.02, 0, 0.3], 0.006, 120, rng, 0.3), 0.0011, rng),
+            contaminated_cap_cloud([0, 0, 0.35], 0.010, 500, rng),
+            sphere_cloud([0, 0, 0.4], 0.035, 300, rng),  # outside the diameter band
+        ]
+        for i, cloud in enumerate(clouds):
+            cfg = FitConfig(rng_seed=derive_observation_seed(3, i, 1), z_rule=z_rule)
+            report, counts = reference_fit(cloud, cfg)
+            assert ransac_sphere_fit(cloud, cfg) == report
+            if i == 0:
+                # noiseless: many hypotheses hold every point, so the pick
+                # falls to the mean-residual and index tie rules
+                assert counts.count(len(cloud)) > 1
