@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import GroundTruth
+from ._checks import is_finite_real, is_int
+from .dataset import DatasetError, GroundTruth
 from .mapping import BranchMap
 
 __all__ = [
@@ -194,12 +195,39 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+_REPORT_INTEGERS = ("tp", "fp", "fn")
+_REPORT_REALS = ("precision", "recall", "f1", "count_accuracy_pct")
+
+
 def report_from_json(text: str) -> EvalReport:
+    """Parse report_to_json output; a missing or mistyped field raises DatasetError.
+
+    Keys that are not report fields, such as provenance, are ignored.
+    """
     doc = json.loads(text)
-    known = {f for f in EvalReport.__dataclass_fields__}
-    kwargs = {k: v for k, v in doc.items() if k in known}
-    kwargs["size_pairs"] = tuple(tuple(p) for p in kwargs.get("size_pairs", ()))
-    return EvalReport(**kwargs)
+    if not isinstance(doc, dict):
+        raise DatasetError(
+            f"evaluation report must be a JSON object, got {type(doc).__name__}"
+        )
+    required = (*_REPORT_INTEGERS, *_REPORT_REALS, "size_rmse_pct")
+    missing = [name for name in required if name not in doc]
+    if missing:
+        raise DatasetError(f"evaluation report is missing field(s): {', '.join(missing)}")
+    wrong = [name for name in _REPORT_INTEGERS if not is_int(doc[name])]
+    wrong += [name for name in _REPORT_REALS if not is_finite_real(doc[name])]
+    if doc["size_rmse_pct"] is not None and not is_finite_real(doc["size_rmse_pct"]):
+        wrong.append("size_rmse_pct")
+    pairs = doc.get("size_pairs", [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(map(is_finite_real, p)) for p in pairs
+    ):
+        wrong.append("size_pairs")
+    if wrong:
+        raise DatasetError(f"evaluation report has mistyped field(s): {', '.join(wrong)}")
+    return EvalReport(
+        **{name: doc[name] for name in required},
+        size_pairs=tuple(tuple(p) for p in pairs),
+    )
 
 
 _CSV_COLUMNS = ("ground_truth", "calculated", "accuracy", "precision", "recall", "f1")

@@ -25,17 +25,22 @@ The orthogonal-distance stage matters: the linearized solve minimizes an
 algebraic residual that shrinks the radius on partial caps under depth noise
 (several percent at fruitlet scale), while the geometric minimum is unbiased
 to first order. The linear solution only serves as its starting point.
+
+All minimal samples are drawn in one batch (`_draw_quads`) that reproduces,
+bit for bit, the indices of one `Generator.choice(n, 4, replace=False)` call
+per sample. It reads only PCG64's `random_raw` output, so a fit's result is a
+function of the cloud and `rng_seed` alone; oracle tests pin the batch to
+`Generator.choice` of the installed numpy.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
+
+from ._checks import check_types
 
 __all__ = [
     "SphereModel",
@@ -94,18 +99,11 @@ class FitConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("max_points", "ransac_iterations", "rng_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("inlier_tolerance", "min_inlier_fraction", "d_min", "d_max"):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-            ):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        check_types(
+            self,
+            integers=("max_points", "ransac_iterations", "rng_seed"),
+            reals=("inlier_tolerance", "min_inlier_fraction", "d_min", "d_max"),
+        )
         if self.max_points < 4:
             raise ValueError("max_points must be at least 4")
         if self.ransac_iterations < 1:
@@ -203,6 +201,7 @@ def _geometric_refine(
     pts: np.ndarray, center: np.ndarray, radius: float
 ) -> tuple[np.ndarray, float]:
     """Minimize the true surface distances sum(||p - c|| - r)^2 from a linear start."""
+    from scipy.optimize import leastsq  # deferred: the import costs CLI calls ~0.3 s
 
     def residuals(x: np.ndarray) -> np.ndarray:
         return np.linalg.norm(pts - x[:3], axis=1) - x[3]
@@ -215,18 +214,21 @@ def _geometric_refine(
         out[:, 3] = -1.0
         return out
 
-    result = least_squares(
+    # MINPACK's lmder with automatic scaling (diag=None) and factor 100: the
+    # call least_squares(method="lm") makes from scipy 1.16 on, without its
+    # wrapper cost. full_output keeps the maxfev RuntimeWarning off stderr.
+    x, *_ = leastsq(
         residuals,
         np.array([*center, radius], dtype=float),
-        jac=jacobian,
-        method="lm",
+        Dfun=jacobian,
+        full_output=True,
         xtol=1e-12,
         ftol=1e-12,
         gtol=1e-12,
-        max_nfev=100,
+        maxfev=100,
     )
-    refined_center = result.x[:3]
-    refined_radius = float(result.x[3])
+    refined_center = x[:3]
+    refined_radius = float(x[3])
     if not (
         np.all(np.isfinite(refined_center))
         and np.isfinite(refined_radius)
@@ -234,6 +236,48 @@ def _geometric_refine(
     ):
         raise DegenerateSampleError("orthogonal-distance refinement diverged")
     return refined_center, refined_radius
+
+
+def _draw_quads(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """k minimal samples, equal to k successive rng.choice(n, 4, replace=False) rows.
+
+    `Generator.choice(n, 4, replace=False)` runs Floyd's algorithm: for
+    j = n-4, ..., n-1 it draws v in [0, j] and keeps v, or j itself if v was
+    already picked. It then shuffles the four picks in place (Fisher-Yates,
+    swap i with a draw in [0, i] for i = 3, 2, 1). Each draw in [0, b] maps
+    one 32-bit word w to (w * (b+1)) >> 32 (Lemire 2019); b = 0 takes no word.
+    PCG64 serves 32-bit words as the low then the high half of each 64-bit
+    output, and keeps the unused half across calls, so k samples read the
+    first 7k halves (6k when n == 4) of one random_raw batch.
+
+    Lemire's method rejects a word, and draws another, when the low 32 bits
+    of w * (b+1) fall below (2**32 - 1 - b) % (b+1); that shifts every later
+    draw. It happens about once in 10**4 fits of 500 points, and then the
+    generator state is restored and the samples are drawn one call at a time.
+    """
+    bounds = np.array([n - 4, n - 3, n - 2, n - 1, 3, 2, 1], dtype=np.uint64)
+    drawn = bounds > 0
+    per_sample = int(drawn.sum())
+    state = rng.bit_generator.state
+    raw = rng.bit_generator.random_raw(-(-per_sample * k // 2))
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+    words = np.zeros((k, len(bounds)), dtype=np.uint64)
+    words[:, drawn] = halves[: per_sample * k].reshape(k, per_sample)
+    scaled = words * (bounds + 1)
+    if np.any((scaled & 0xFFFFFFFF) < (0xFFFFFFFF - bounds) % (bounds + 1)):
+        rng.bit_generator.state = state
+        return np.stack([rng.choice(n, size=4, replace=False) for _ in range(k)])
+    draws = (scaled >> 32).astype(np.int64)
+    picks = draws[:, :4].copy()
+    for t in range(1, 4):
+        repeat = (picks[:, :t] == picks[:, t, None]).any(axis=1)
+        picks[:, t] = np.where(repeat, n - 4 + t, picks[:, t])
+    rows = np.arange(k)
+    for i, j in zip((3, 2, 1), draws[:, 4:].T):
+        swapped = picks[rows, j]
+        picks[rows, j] = picks[:, i]
+        picks[:, i] = swapped
+    return picks
 
 
 def _inlier_mask(
@@ -248,12 +292,19 @@ def _inlier_mask(
     pts is (n, 3), centers (k, 3) and radii (k,). Returns the (k, n) inlier
     mask and the (k, n) absolute surface residuals.
     """
-    dx, dy, dz = (pts[:, j] - centers[:, j, None] for j in range(3))
     # Summed as (x^2 + y^2) + z^2, the order np.linalg.norm(..., axis=-1) uses,
     # so distances are bit-equal to it; x^2 + (y^2 + z^2) would not be.
-    dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    dist = np.subtract(pts[:, 0], centers[:, 0, None])
+    dist *= dist
+    buf = np.subtract(pts[:, 1], centers[:, 1, None])
+    buf *= buf
+    dist += buf
+    np.subtract(pts[:, 2], centers[:, 2, None], out=buf)
+    buf *= buf
+    dist += buf
+    np.sqrt(dist, out=dist)
     r = radii[:, None]
-    resid = np.abs(dist - r)
+    resid = np.abs(np.subtract(dist, r, out=buf), out=buf)
     mask = resid <= cfg.inlier_tolerance
     mask &= dist <= r + cfg.inlier_tolerance
     if cfg.z_rule == "background_reject":
@@ -287,11 +338,9 @@ def ransac_sphere_fit(points: np.ndarray, config: FitConfig) -> FitReport:
     except (DegenerateSampleError, InsufficientPointsError):
         pass
 
-    # Minimal samples are drawn one by one (the draw order is part of the
-    # determinism contract) but solved and scored as one batch.
-    samples = np.stack(
-        [rng.choice(n, size=4, replace=False) for _ in range(config.ransac_iterations)]
-    )
+    # The samples are exactly those of one rng.choice(n, 4, replace=False) call
+    # per iteration, in order; they are solved and scored as one batch.
+    samples = _draw_quads(rng, n, config.ransac_iterations)
     quads = pts[samples]
     lhs = np.concatenate(
         [2.0 * quads, np.ones((len(samples), 4, 1))], axis=2
@@ -329,7 +378,8 @@ def ransac_sphere_fit(points: np.ndarray, config: FitConfig) -> FitReport:
 
     mask, resid = _inlier_mask(pts, cand_centers, cand_radii, min_cloud_z, config)
     counts = mask.sum(axis=1)
-    resid_sums = np.where(mask, resid, 0.0).sum(axis=1)
+    np.copyto(resid, 0.0, where=~mask)
+    resid_sums = resid.sum(axis=1)
     # Most inliers wins, then the lowest mean residual, then the earliest index
     # (lexsort is stable); hypotheses without inliers never win.
     live = np.flatnonzero(counts)

@@ -214,6 +214,40 @@ class TestMalformedInputs:
                         "--side", "A", "--out", str(tmp_path / "a.json")])
         assert_one_line_validation_error(proc, *section)
 
+    @pytest.mark.parametrize(
+        "text, needles",
+        [
+            ('{"tp": 1}', ("missing", "fp", "size_rmse_pct")),
+            ("[1, 2]", ("JSON object",)),
+        ],
+        ids=["missing-fields", "not-an-object"],
+    )
+    def test_malformed_report(self, tmp_path, text, needles):
+        bad = tmp_path / "r.json"
+        bad.write_text(text)
+        proc = run_cli(["report", "--eval", str(bad), "--format", "csv",
+                        "--out", str(tmp_path / "t.csv")])
+        assert_one_line_validation_error(proc, *needles)
+
+    def test_nan_spec_value(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"simulate": {"depth_noise_sigma": NaN}}')
+        proc = run_cli(["simulate", "--config", str(bad), "--out", str(tmp_path / "ds")])
+        assert_one_line_validation_error(proc, "depth_noise_sigma")
+        assert not (tmp_path / "ds").exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize and scipy.ndimage cost every CLI call ~0.7 s to import;
+    # only the fit polish and mask dilation need them, and they import lazily.
+    src = str(Path(fruitmap.__file__).resolve().parents[1])
+    code = ("import sys, fruitmap, fruitmap.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
 
 class TestPrecedence:
     def test_cli_seed_beats_config_seed(self, tmp_path):

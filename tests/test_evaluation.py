@@ -1,11 +1,12 @@
 """Tests for matching, count/size metrics, and report emission."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from fruitmap.dataset import GroundTruth, GroundTruthFruitlet
+from fruitmap.dataset import DatasetError, GroundTruth, GroundTruthFruitlet
 from fruitmap.evaluation import (
     EvalReport,
     MatchResult,
@@ -279,6 +280,37 @@ class TestReporting:
         doc = json.loads(report_to_json(sample_report()))
         doc["provenance"] = {"seed": 0}
         assert report_from_json(json.dumps(doc)) == sample_report()
+
+    def test_json_accepts_unsized_report(self):
+        report = dataclasses.replace(sample_report(), size_rmse_pct=None, size_pairs=())
+        assert report_from_json(report_to_json(report)) == report
+
+    @pytest.mark.parametrize(
+        "drop, edit, needles",
+        [
+            (("fp", "size_rmse_pct"), {}, ("missing", "fp", "size_rmse_pct")),
+            ((), {"tp": "48"}, ("mistyped", "tp")),
+            ((), {"fn": True}, ("mistyped", "fn")),
+            ((), {"f1": float("nan"), "recall": None}, ("mistyped", "recall", "f1")),
+            ((), {"size_rmse_pct": "5.9"}, ("mistyped", "size_rmse_pct")),
+            ((), {"size_pairs": [[0.01]]}, ("mistyped", "size_pairs")),
+            ((), {"size_pairs": {"a": 1}}, ("mistyped", "size_pairs")),
+        ],
+    )
+    def test_json_rejects_missing_or_mistyped_fields(self, drop, edit, needles):
+        doc = json.loads(report_to_json(sample_report()))
+        for name in drop:
+            del doc[name]
+        doc.update(edit)
+        with pytest.raises(DatasetError) as info:
+            report_from_json(json.dumps(doc))
+        for needle in needles:
+            assert needle in str(info.value)
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"report"', "null"])
+    def test_json_rejects_non_objects(self, text):
+        with pytest.raises(DatasetError, match="JSON object"):
+            report_from_json(text)
 
     def test_csv_carries_reference_accuracy_cell(self, tmp_path):
         path = emit_report(sample_report(), tmp_path / "table.csv", fmt="csv")

@@ -168,6 +168,16 @@ class TestGenerateScene:
             {"depth_noise_sigma": -1e-4},
             {"min_separation": 0.0},
             {"mask_dilate_px": -1},
+            # NaN and bool pass every range comparison, so types are checked first
+            {"depth_noise_sigma": float("nan")},
+            {"branch_length": float("inf")},
+            {"cluster_count": True},
+            {"occluder_count": 2.0},
+            {"rng_seed": "5"},
+            {"fruitlets_per_cluster": 3},
+            {"fruitlets_per_cluster": (1, 2.5)},
+            {"diameter_range": (0.01, float("nan"))},
+            {"diameter_range": (0.01, 0.02, 0.03)},
         ],
     )
     def test_spec_validation(self, kwargs):
