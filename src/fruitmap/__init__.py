@@ -9,118 +9,21 @@ provides synthetic datasets with exact ground truth for verification.
 """
 
 from .alignment import cross_side_transform, merge_maps, transform_map
-from .dataset import (
-    DatasetError,
-    FiducialObservation,
-    FrameRecord,
-    GroundTruth,
-    GroundTruthFruitlet,
-    ScanDataset,
-    extract_instance_clouds,
-    load_dataset,
-    load_ground_truth,
-    write_dataset,
-)
-from .evaluation import (
-    EvalReport,
-    MatchResult,
-    count_accuracy,
-    emit_report,
-    evaluate_map,
-    match_fruitlets,
-    precision_recall_f1,
-    size_rmse_percent,
-)
-from .geometry import (
-    CameraIntrinsics,
-    RigidTransform,
-    StereoRig,
-    backproject,
-    depth_resolution,
-    disparity_to_depth,
-    project,
-)
-from .mapping import (
-    BranchMap,
-    FruitletTrack,
-    MergeConfig,
-    build_side_map,
-    integrate_observation,
-    load_branch_map,
-    save_branch_map,
-)
-from .simulator import (
-    OrchardSpec,
-    Scene,
-    SceneGenerationError,
-    export_dataset,
-    generate_scene,
-    plan_trajectory,
-    render_frame,
-    simulate_dataset,
-)
-from .spherefit import (
-    DegenerateSampleError,
-    FitConfig,
-    FitReport,
-    SphereModel,
-    downsample_points,
-    fit_sphere_exact,
-    ransac_sphere_fit,
-)
+from .evaluation import evaluate_map
+from .mapping import build_side_map
+from .simulator import OrchardSpec, simulate_dataset
 
 __version__ = "0.1.0"
 
+# Exactly the names the README's "Library use" section imports; everything
+# else is reached through its module (fruitmap.spherefit, fruitmap.dataset, ...).
 __all__ = [
     "__version__",
-    "BranchMap",
-    "CameraIntrinsics",
-    "DatasetError",
-    "DegenerateSampleError",
-    "EvalReport",
-    "FiducialObservation",
-    "FitConfig",
-    "FitReport",
-    "FrameRecord",
-    "FruitletTrack",
-    "GroundTruth",
-    "GroundTruthFruitlet",
-    "MatchResult",
-    "MergeConfig",
     "OrchardSpec",
-    "RigidTransform",
-    "ScanDataset",
-    "Scene",
-    "SceneGenerationError",
-    "SphereModel",
-    "StereoRig",
-    "backproject",
-    "build_side_map",
-    "count_accuracy",
-    "cross_side_transform",
-    "depth_resolution",
-    "disparity_to_depth",
-    "downsample_points",
-    "emit_report",
-    "evaluate_map",
-    "export_dataset",
-    "extract_instance_clouds",
-    "fit_sphere_exact",
-    "generate_scene",
-    "integrate_observation",
-    "load_branch_map",
-    "load_dataset",
-    "load_ground_truth",
-    "match_fruitlets",
-    "merge_maps",
-    "plan_trajectory",
-    "precision_recall_f1",
-    "project",
-    "ransac_sphere_fit",
-    "render_frame",
-    "save_branch_map",
     "simulate_dataset",
-    "size_rmse_percent",
+    "build_side_map",
+    "cross_side_transform",
     "transform_map",
-    "write_dataset",
+    "merge_maps",
+    "evaluate_map",
 ]

@@ -15,18 +15,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import logging
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import __version__
 from .alignment import cross_side_transform, merge_maps, transform_map
-from .dataset import DatasetError, load_dataset, load_ground_truth
+from .dataset import DatasetError, json_digest, load_dataset, load_ground_truth
 from .evaluation import (
     MATCH_TOLERANCE,
+    SIZE_MODES,
     emit_report,
     evaluate_map,
     report_from_json,
@@ -49,52 +49,42 @@ __all__ = ["main"]
 
 logger = logging.getLogger("fruitmap.cli")
 
-_CONFIG_SECTIONS = ("simulate", "fit", "merge", "eval")
+# The one table of config sections and the keys each one allows.
+_CONFIG_KEYS = {
+    "simulate": tuple(f.name for f in dataclasses.fields(OrchardSpec)),
+    "fit": tuple(f.name for f in dataclasses.fields(FitConfig)),
+    "merge": ("within_radius", "cross_radius", "averaging"),
+    "eval": ("tolerance", "size_mode"),
+}
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+def _load_config(path: str | None) -> dict[str, dict]:
+    """Every section of the config file, checked against _CONFIG_KEYS.
+
+    Absent sections come back empty, and JSON lists become tuples. Values are
+    not coerced: the constructors that receive them check their types.
+    """
+    doc = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"config {path}: top level must be a JSON object")
     for key, section in doc.items():
-        if key not in _CONFIG_SECTIONS:
+        if key not in _CONFIG_KEYS:
             raise ValueError(
                 f"config {path}: unknown section {key!r} "
-                f"(expected one of {', '.join(_CONFIG_SECTIONS)})"
+                f"(expected one of {', '.join(_CONFIG_KEYS)})"
             )
         if not isinstance(section, dict):
             raise ValueError(f"config {path}: section {key!r} must be an object")
-    return doc
-
-
-def _dataclass_kwargs(section: Mapping[str, object], cls: type, where: str) -> dict:
-    """Config section to constructor kwargs; JSON lists become tuples."""
-    known = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in section.items():
-        if key not in known:
-            raise ValueError(f"unknown {where} option {key!r}")
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
-    return kwargs
-
-
-def _merge_config(section: Mapping[str, object], radius_key: str, default: float) -> MergeConfig:
-    allowed = {"within_radius", "cross_radius", "averaging"}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ValueError(f"unknown merge option(s): {', '.join(sorted(unknown))}")
-    return MergeConfig(
-        merge_radius=float(section.get(radius_key, default)),
-        averaging=str(section.get("averaging", "pairwise")),
-    )
-
-
-def _doc_digest(doc: object) -> str:
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+        unknown = sorted(set(section) - set(_CONFIG_KEYS[key]))
+        if unknown:
+            raise ValueError(f"config {path}: unknown {key} option(s): {', '.join(unknown)}")
+    return {
+        name: {
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in doc.get(name, {}).items()
+        }
+        for name in _CONFIG_KEYS
+    }
 
 
 def _provenance(digest: str, seed: int | None) -> dict:
@@ -109,7 +99,7 @@ def _write_json(path: Path | str, doc: dict) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    kwargs = _dataclass_kwargs(config.get("simulate", {}), OrchardSpec, "simulate")
+    kwargs = config["simulate"]
     if args.seed is not None:
         kwargs["rng_seed"] = args.seed
     spec = OrchardSpec(**kwargs)
@@ -129,11 +119,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    fit_kwargs = _dataclass_kwargs(config.get("fit", {}), FitConfig, "fit")
+    fit_kwargs = config["fit"]
     if args.seed is not None:
         fit_kwargs["rng_seed"] = args.seed
     fit_cfg = FitConfig(**fit_kwargs)
-    merge_cfg = _merge_config(config.get("merge", {}), "within_radius", WITHIN_SIDE_RADIUS)
+    merge = config["merge"]
+    merge_cfg = MergeConfig(
+        merge_radius=merge.get("within_radius", WITHIN_SIDE_RADIUS),
+        averaging=merge.get("averaging", "pairwise"),
+    )
     dataset = load_dataset(args.dataset)
     branch_map = build_side_map(dataset, args.side, fit_cfg, merge_cfg)
     branch_map = dataclasses.replace(
@@ -147,7 +141,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_align(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    merge_cfg = _merge_config(config.get("merge", {}), "cross_radius", CROSS_SIDE_RADIUS)
+    merge = config["merge"]
+    merge_cfg = MergeConfig(
+        merge_radius=merge.get("cross_radius", CROSS_SIDE_RADIUS),
+        averaging=merge.get("averaging", "pairwise"),
+    )
     map_a = load_branch_map(args.map_a)
     map_b = load_branch_map(args.map_b)
     dataset = load_dataset(args.dataset)
@@ -178,22 +176,19 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    section = config.get("eval", {})
-    unknown = set(section) - {"tolerance", "size_mode"}
-    if unknown:
-        raise ValueError(f"unknown eval option(s): {', '.join(sorted(unknown))}")
-    tolerance = args.tolerance if args.tolerance is not None else float(
-        section.get("tolerance", MATCH_TOLERANCE)
+    section = config["eval"]
+    tolerance = args.tolerance if args.tolerance is not None else section.get(
+        "tolerance", MATCH_TOLERANCE
     )
-    size_mode = args.size_mode if args.size_mode is not None else str(
-        section.get("size_mode", "relative")
+    size_mode = args.size_mode if args.size_mode is not None else section.get(
+        "size_mode", "relative"
     )
     branch_map = load_branch_map(args.map)
     truth = load_ground_truth(Path(args.truth))
     report = evaluate_map(branch_map, truth, tolerance=tolerance, size_mode=size_mode)
     doc = json.loads(report_to_json(report))
     doc["provenance"] = _provenance(
-        _doc_digest({"tolerance": tolerance, "size_mode": size_mode}), args.seed
+        json_digest({"tolerance": tolerance, "size_mode": size_mode}), args.seed
     )
     _write_json(args.out, doc)
     logger.info(
@@ -209,7 +204,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         emit_report(report, args.out, fmt="csv")
     else:
         doc = json.loads(report_to_json(report))
-        doc["provenance"] = _provenance(_doc_digest({"format": "json"}), args.seed)
+        doc["provenance"] = _provenance(json_digest({"format": "json"}), args.seed)
         _write_json(args.out, doc)
     if args.scatter is not None:
         write_scatter(report, args.scatter)
@@ -258,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="ground truth JSON")
     p.add_argument("--tolerance", type=float, default=None, help="match radius in meters")
     p.add_argument(
-        "--size-mode", choices=("relative", "mean_normalized"), default=None,
+        "--size-mode", choices=SIZE_MODES, default=None,
         help="size RMSE normalization",
     )
     p.add_argument("--out", required=True, help="evaluation report JSON to write")

@@ -18,6 +18,7 @@ offending file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
@@ -46,6 +47,7 @@ __all__ = [
     "write_ground_truth",
     "extract_instance_clouds",
     "DEFAULT_MIN_POINTS",
+    "json_digest",
 ]
 
 log = logging.getLogger(__name__)
@@ -56,6 +58,11 @@ FORMAT_VERSION = "1"
 
 class DatasetError(ValueError):
     """A scan dataset failed validation."""
+
+
+def json_digest(doc: object) -> str:
+    """sha256 hex digest of doc's sorted-key JSON; the one provenance hash."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

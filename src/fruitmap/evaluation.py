@@ -22,6 +22,7 @@ from .mapping import BranchMap
 
 __all__ = [
     "MATCH_TOLERANCE",
+    "SIZE_MODES",
     "MatchResult",
     "EvalReport",
     "match_fruitlets",
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 MATCH_TOLERANCE = 0.025  # m, center-to-center
+SIZE_MODES = ("relative", "mean_normalized")
 
 
 @dataclass(frozen=True)
@@ -161,8 +163,13 @@ def evaluate_map(
     """Match and roll every metric into one report.
 
     tp + fp always equals the map's track count and tp + fn the truth count.
-    size_rmse_pct is None when nothing matched.
+    size_rmse_pct is None when nothing matched. Both options are checked up
+    front, so a bad size_mode fails even when nothing matches.
     """
+    if not (is_finite_real(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
+    if size_mode not in SIZE_MODES:
+        raise ValueError(f"size_mode must be one of {', '.join(SIZE_MODES)}, got {size_mode!r}")
     result = match_fruitlets(branch_map, truth, tolerance)
     tp = len(result.pairs)
     fp = len(result.unmatched_tracks)

@@ -27,7 +27,6 @@ rather than from shared generator state.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
@@ -36,7 +35,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .dataset import DatasetError, ScanDataset, extract_instance_clouds
+from ._checks import check_types
+from .dataset import DatasetError, ScanDataset, extract_instance_clouds, json_digest
 from .spherefit import (
     DegenerateSampleError,
     FitConfig,
@@ -76,7 +76,8 @@ class MergeConfig:
     averaging: str = "pairwise"  # or "weighted"
 
     def __post_init__(self) -> None:
-        if not (self.merge_radius > 0):
+        check_types(self, integers=(), reals=("merge_radius",))
+        if self.merge_radius <= 0:
             raise ValueError(f"merge_radius must be positive, got {self.merge_radius}")
         if self.averaging not in ("pairwise", "weighted"):
             raise ValueError(f"unknown averaging mode {self.averaging!r}")
@@ -136,10 +137,7 @@ class BranchMap:
 
 def config_digest(*configs: object) -> str:
     """sha256 over the sorted-key JSON of the given config dataclasses."""
-    payload = [asdict(cfg) for cfg in configs]  # type: ignore[call-overload]
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    return json_digest([asdict(cfg) for cfg in configs])  # type: ignore[call-overload]
 
 
 def _blend(

@@ -29,7 +29,7 @@ fruitlet's cloud.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -43,6 +43,7 @@ from .dataset import (
     GroundTruth,
     GroundTruthFruitlet,
     ScanDataset,
+    json_digest,
     write_dataset,
 )
 from .geometry import CameraIntrinsics, RigidTransform, rotation_about_axis
@@ -183,15 +184,6 @@ class Scene:
     dataset_id: str
 
 
-def _spec_dataset_id(spec: OrchardSpec) -> str:
-    import hashlib
-    import json
-    from dataclasses import asdict
-
-    payload = json.dumps(asdict(spec), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-
-
 def _draw_occluder(child_seed: np.random.SeedSequence, spec: OrchardSpec) -> LeafOccluder:
     rng = np.random.default_rng(child_seed)
     mid = spec.branch_length / 2.0
@@ -296,7 +288,7 @@ def generate_scene(spec: OrchardSpec) -> tuple[Scene, GroundTruth]:
         depth_noise_sigma=spec.depth_noise_sigma,
         mask_dilate_px=spec.mask_dilate_px,
         rng_seed=spec.rng_seed,
-        dataset_id=_spec_dataset_id(spec),
+        dataset_id=json_digest(asdict(spec))[:12],
     )
     truth = GroundTruth(fruitlets=fruitlets, visibility={side: {} for side in SIDES})
     return scene, truth

@@ -50,7 +50,6 @@ __all__ = [
     "InsufficientPointsError",
     "downsample_points",
     "initial_estimate",
-    "fit_sphere_exact",
     "ransac_sphere_fit",
     "derive_observation_seed",
 ]
@@ -165,19 +164,13 @@ def initial_estimate(points: np.ndarray) -> SphereModel:
     return SphereModel(center=tuple(center), diameter=2.0 * mean_dist)
 
 
-def _solve_sphere(pts: np.ndarray, exact: bool) -> tuple[np.ndarray, float]:
-    """Sphere through points via |p|^2 = 2 c.p + (r^2 - |c|^2), exact or least squares."""
+def _solve_sphere(pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares sphere through points via |p|^2 = 2 c.p + (r^2 - |c|^2)."""
     A = np.concatenate([2.0 * pts, np.ones((len(pts), 1))], axis=1)
     b = np.sum(pts * pts, axis=1)
-    if exact:
-        try:
-            sol = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateSampleError(f"minimal sample is degenerate: {exc}") from exc
-    else:
-        sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-        if rank < 4:
-            raise DegenerateSampleError("point set is rank deficient; sphere is undetermined")
+    sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank < 4:
+        raise DegenerateSampleError("point set is rank deficient; sphere is undetermined")
     center = sol[:3]
     r_sq = sol[3] + center @ center
     if not np.isfinite(r_sq) or r_sq <= 0 or not np.all(np.isfinite(center)):
@@ -185,16 +178,36 @@ def _solve_sphere(pts: np.ndarray, exact: bool) -> tuple[np.ndarray, float]:
     return center, float(np.sqrt(r_sq))
 
 
-def fit_sphere_exact(points: np.ndarray) -> SphereModel:
-    """Sphere through exactly 4 points. Raises DegenerateSampleError if coplanar."""
-    pts = _as_cloud(points)
-    if len(pts) != 4:
-        raise ValueError(f"exact fit takes exactly 4 points, got {len(pts)}")
-    center, r = _solve_sphere(pts, exact=True)
-    # Guard against numerically absurd spheres from near-coplanar samples.
-    if not np.isfinite(r) or r > 1e6:
-        raise DegenerateSampleError("near-coplanar sample produced an unbounded sphere")
-    return SphereModel(center=tuple(center), diameter=2.0 * r)
+def _solve_quads(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact spheres through k 4-point samples, (k, 4, 3), solved as one batch.
+
+    Returns (k, 3) centers, (k,) radii and a (k,) mask of usable solutions. A
+    coplanar or coincident sample, or a near-coplanar one whose radius exceeds
+    1e6, is not usable.
+    """
+    k = len(quads)
+    lhs = np.concatenate([2.0 * quads, np.ones((k, 4, 1))], axis=2)
+    rhs = np.sum(quads * quads, axis=2)[..., None]
+    try:
+        solutions = np.linalg.solve(lhs, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        solutions = np.full((k, 4), np.nan)
+        for i in range(k):
+            try:
+                solutions[i] = np.linalg.solve(lhs[i], rhs[i])[..., 0]
+            except np.linalg.LinAlgError:
+                pass  # stays NaN and is not usable
+    centers = solutions[:, :3]
+    r_sq = solutions[:, 3] + np.einsum("ij,ij->i", centers, centers)
+    with np.errstate(invalid="ignore"):
+        radii = np.sqrt(r_sq)
+    usable = (
+        np.all(np.isfinite(centers), axis=1)
+        & np.isfinite(radii)
+        & (r_sq > 0)
+        & (radii <= 1e6)  # near-coplanar samples give unbounded spheres
+    )
+    return centers, radii, usable
 
 
 def _geometric_refine(
@@ -341,30 +354,7 @@ def ransac_sphere_fit(points: np.ndarray, config: FitConfig) -> FitReport:
     # The samples are exactly those of one rng.choice(n, 4, replace=False) call
     # per iteration, in order; they are solved and scored as one batch.
     samples = _draw_quads(rng, n, config.ransac_iterations)
-    quads = pts[samples]
-    lhs = np.concatenate(
-        [2.0 * quads, np.ones((len(samples), 4, 1))], axis=2
-    )
-    rhs = np.sum(quads * quads, axis=2)[..., None]
-    try:
-        solutions = np.linalg.solve(lhs, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        solutions = np.full((len(samples), 4), np.nan)
-        for k in range(len(samples)):
-            try:
-                solutions[k] = np.linalg.solve(lhs[k], rhs[k])[..., 0]
-            except np.linalg.LinAlgError:
-                pass  # stays NaN and is dropped below
-    sample_centers = solutions[:, :3]
-    r_sq = solutions[:, 3] + np.einsum("ij,ij->i", sample_centers, sample_centers)
-    with np.errstate(invalid="ignore"):
-        sample_radii = np.sqrt(r_sq)
-    usable = (
-        np.all(np.isfinite(sample_centers), axis=1)
-        & np.isfinite(sample_radii)
-        & (r_sq > 0)
-        & (sample_radii <= 1e6)  # same near-coplanar guard as fit_sphere_exact
-    )
+    sample_centers, sample_radii, usable = _solve_quads(pts[samples])
     degenerate = int(len(samples) - usable.sum())
 
     cand_centers = np.concatenate([np.asarray(centers), sample_centers[usable]])
@@ -393,7 +383,7 @@ def ransac_sphere_fit(points: np.ndarray, config: FitConfig) -> FitReport:
     (mask,), _ = _inlier_mask(pts, center[None], np.array([radius]), min_cloud_z, config)
     if int(mask.sum()) >= 4:
         try:
-            center, radius = _solve_sphere(pts[mask], exact=False)
+            center, radius = _solve_sphere(pts[mask])
         except DegenerateSampleError:
             log.warning("least-squares refinement failed; keeping the raw best hypothesis")
         else:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,10 @@ class TestPipeline:
         assert doc["tp"] + doc["fp"] == len(merged["tracks"])
         assert doc["tp"] + doc["fn"] == len(truth["fruitlets"])
         assert doc["provenance"]["tool_version"]
+        # the hash of {"tolerance": 0.025, "size_mode": "relative"}, the defaults
+        assert doc["provenance"]["config_digest"] == (
+            "d1e5156902ebdfb72432f597d402e0cf9a972efd1e67d5a5829ba27e6b0d75ac"
+        )
 
     def test_csv_table_shape(self, pipeline):
         lines = pipeline["table"].read_text().strip().splitlines()
@@ -215,6 +220,44 @@ class TestMalformedInputs:
         assert_one_line_validation_error(proc, *section)
 
     @pytest.mark.parametrize(
+        "command, config, flags, needles",
+        [
+            ("map", {"merge": {"within_radius": None}}, [], ("merge_radius", "None")),
+            ("map", {"merge": {"within_radius": True}}, [], ("merge_radius", "True")),
+            ("align", {"merge": {"cross_radius": [0.02]}}, [], ("merge_radius", "0.02")),
+            ("align", {"merge": {"cross_radius": "0.02"}}, [], ("merge_radius", "'0.02'")),
+            ("eval", {"eval": {"tolerance": None}}, [], ("tolerance", "None")),
+            ("eval", {"eval": {"tolerance": {}}}, [], ("tolerance", "{}")),
+            ("eval", {"eval": {"tolerance": float("nan")}}, [], ("tolerance", "nan")),
+            ("eval", {"eval": {"tolerance": True}}, [], ("tolerance", "True")),
+            ("eval", {}, ["--tolerance", "nan"], ("tolerance", "nan")),
+            ("eval", {"eval": {"tolerance": 1e-9, "size_mode": "bogus"}}, [],
+             ("size_mode", "bogus")),
+            ("simulate", {"eval": {"tolerances": 0.02}}, [], ("eval", "tolerances")),
+        ],
+        ids=["null-within", "bool-within", "list-cross", "string-cross", "null-tolerance",
+             "object-tolerance", "nan-tolerance", "bool-tolerance", "nan-tolerance-flag",
+             "bogus-size-mode", "unknown-key-other-stage"],
+    )
+    def test_mistyped_stage_option(self, pipeline, tmp_path, command, config, flags, needles):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))  # json writes NaN as a bare token
+        out = tmp_path / "out.json"
+        argv = {
+            "simulate": ["--out", str(tmp_path / "ds")],
+            "map": ["--dataset", str(pipeline["dataset"]), "--side", "A", "--out", str(out)],
+            "align": ["--map-a", str(pipeline["map_a"]), "--map-b", str(pipeline["map_b"]),
+                      "--dataset", str(pipeline["dataset"]), "--out", str(out)],
+            "eval": ["--map", str(pipeline["merged"]),
+                     "--truth", str(pipeline["dataset"] / "ground_truth.json"),
+                     "--out", str(out)],
+        }[command]
+        proc = run_cli([command, "--config", str(bad), *argv, *flags])
+        assert_one_line_validation_error(proc, *needles)
+        assert not out.exists()
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize(
         "text, needles",
         [
             ('{"tp": 1}', ("missing", "fp", "size_rmse_pct")),
@@ -247,6 +290,17 @@ def test_import_leaves_scipy_unloaded():
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_public_api_is_the_readme_import():
+    # The README's "Library use" import is the whole top-level API.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"from fruitmap import \((.*?)\)", readme, re.S)
+    assert block is not None, "README lost its 'from fruitmap import (...)' block"
+    names = {name.strip() for name in block.group(1).split(",") if name.strip()}
+    assert names == set(fruitmap.__all__) - {"__version__"}
+    for name in fruitmap.__all__:
+        assert getattr(fruitmap, name) is not None, name
 
 
 class TestPrecedence:

@@ -257,6 +257,26 @@ class TestEvaluateMap:
         normalized = evaluate_map(branch_map, truth, size_mode="mean_normalized")
         assert relative.size_rmse_pct != pytest.approx(normalized.size_rmse_pct)
 
+    @pytest.mark.parametrize(
+        "options, needle",
+        [
+            ({"tolerance": None}, "tolerance"),
+            ({"tolerance": {}}, "tolerance"),
+            ({"tolerance": True}, "tolerance"),
+            ({"tolerance": "0.025"}, "tolerance"),
+            ({"tolerance": float("nan")}, "tolerance"),
+            ({"tolerance": 0.0}, "tolerance"),
+            ({"tolerance": 1e-9, "size_mode": "bogus"}, "bogus"),
+        ],
+        ids=["null", "object", "bool", "string", "nan", "zero", "mode-without-match"],
+    )
+    def test_options_checked_before_matching(self, options, needle):
+        # A nanometer tolerance matches nothing, so the size mode is never
+        # used; it is rejected all the same.
+        branch_map, truth = self.build()
+        with pytest.raises(ValueError, match=needle):
+            evaluate_map(branch_map, truth, **options)
+
 
 # ------------------------------------------------------------------ reporting
 

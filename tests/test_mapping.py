@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from fruitmap.dataset import json_digest
+from fruitmap.evaluation import MATCH_TOLERANCE
 from fruitmap.mapping import (
+    CROSS_SIDE_RADIUS,
     BranchMap,
     FruitletTrack,
     MergeConfig,
@@ -17,6 +20,7 @@ from fruitmap.mapping import (
     map_to_json,
     save_branch_map,
 )
+from fruitmap.simulator import OrchardSpec, generate_scene
 from fruitmap.spherefit import FitConfig, SphereModel
 
 
@@ -190,13 +194,35 @@ class TestTypes:
         with pytest.raises(ValueError):
             MergeConfig(averaging="median")
 
-    def test_config_digest_stable_and_sensitive(self):
-        a = config_digest(FitConfig(), MergeConfig())
-        b = config_digest(FitConfig(), MergeConfig())
-        c = config_digest(FitConfig(rng_seed=1), MergeConfig())
-        assert a == b
-        assert a != c
-        assert len(a) == 64
+    @pytest.mark.parametrize(
+        "value",
+        [None, True, "0.02", (0.02,), float("nan"), float("inf")],
+        ids=["null", "bool", "string", "list", "nan", "inf"],
+    )
+    def test_merge_radius_must_be_a_finite_number(self, value):
+        with pytest.raises(ValueError, match="merge_radius"):
+            MergeConfig(merge_radius=value)
+
+    def test_provenance_digests_golden(self):
+        # Every provenance hash in the artifacts, pinned to its released value:
+        # a change to a hashed payload or to the hashing moves one of these.
+        assert config_digest(FitConfig(), MergeConfig()) == (
+            "eeecd2eb0e25235828fe253bbf0fa64d77cfb44e018e4b2c06090de262fb67c0"
+        )
+        assert config_digest(MergeConfig(merge_radius=CROSS_SIDE_RADIUS)) == (
+            "40f44c3a4d8d9bd9a3731430c47cc852a8470844f3e47461a22b2a0219c4f2ea"
+        )
+        assert config_digest(OrchardSpec(rng_seed=17)) == (
+            "8f83cf2f760ad7746dc25022ded5d734d319db3bfd0b4663e1b89ea02654bd89"
+        )
+        assert generate_scene(OrchardSpec(rng_seed=17))[0].dataset_id == "3a0dd38f777f"
+        assert json_digest({"tolerance": MATCH_TOLERANCE, "size_mode": "relative"}) == (
+            "d1e5156902ebdfb72432f597d402e0cf9a972efd1e67d5a5829ba27e6b0d75ac"
+        )
+        # ...and still sensitive to every field
+        assert config_digest(FitConfig(rng_seed=1), MergeConfig()) != config_digest(
+            FitConfig(), MergeConfig()
+        )
 
 
 class TestSerialization:

@@ -15,12 +15,17 @@ from fruitmap.spherefit import (
     SphereModel,
     derive_observation_seed,
     downsample_points,
-    fit_sphere_exact,
     initial_estimate,
     ransac_sphere_fit,
 )
 from fruitmap import spherefit
-from fruitmap.spherefit import _draw_quads, _geometric_refine, _inlier_mask, _solve_sphere
+from fruitmap.spherefit import (
+    _draw_quads,
+    _geometric_refine,
+    _inlier_mask,
+    _solve_quads,
+    _solve_sphere,
+)
 
 
 class TestDownsample:
@@ -84,14 +89,18 @@ class TestInitialEstimate:
 
 
 class TestExactSolver:
+    """_solve_quads: the batched 4-point solve every RANSAC hypothesis comes from."""
+
     def test_unit_sphere_hand_case(self):
         pts = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-        m = fit_sphere_exact(pts)
-        np.testing.assert_allclose(m.center_array(), [0, 0, 0], atol=1e-12)
-        assert m.diameter == pytest.approx(2.0, abs=1e-12)
+        (center,), (radius,), (usable,) = _solve_quads(pts[None])
+        assert usable
+        np.testing.assert_allclose(center, [0, 0, 0], atol=1e-12)
+        assert 2.0 * radius == pytest.approx(2.0, abs=1e-12)
 
     def test_random_spheres_recovered(self):
         rng = np.random.default_rng(3)
+        quads, centers, radii = [], [], []
         for _ in range(300):
             c = rng.uniform(-0.1, 0.1, 3)
             r = rng.uniform(0.004, 0.03)
@@ -99,18 +108,47 @@ class TestExactSolver:
             # reject nearly-coplanar draws so the tolerance claim is meaningful
             if abs(np.linalg.det(pts[1:] - pts[0])) < 1e-9:
                 continue
-            m = fit_sphere_exact(pts)
-            assert np.linalg.norm(m.center_array() - c) < 1e-9 * max(1.0, r)
-            assert abs(m.radius - r) < 1e-9 * r
+            quads.append(pts)
+            centers.append(c)
+            radii.append(r)
+        got_centers, got_radii, usable = _solve_quads(np.array(quads))
+        radii = np.array(radii)
+        assert usable.all()
+        center_err = np.linalg.norm(got_centers - np.array(centers), axis=1)
+        assert np.all(center_err < 1e-9 * np.maximum(1.0, radii))
+        assert np.all(np.abs(got_radii - radii) < 1e-9 * radii)
 
-    def test_coplanar_raises(self):
+    def test_coplanar_unusable(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        with pytest.raises(DegenerateSampleError):
-            fit_sphere_exact(pts)
+        _, _, (usable,) = _solve_quads(pts[None])
+        assert not usable
 
-    def test_wrong_count(self):
-        with pytest.raises(ValueError):
-            fit_sphere_exact(np.zeros((5, 3)))
+    def test_near_coplanar_radius_guard(self):
+        # Solvable, but the sphere through these is ~2e8 m across.
+        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.3, 0.4, 1e-9]], dtype=float)
+        _, (radius,), (usable,) = _solve_quads(pts[None])
+        assert radius > 1e6
+        assert not usable
+
+    def test_singular_batch_falls_back_per_matrix(self):
+        # One coplanar quad makes the batched solve raise; the per-matrix
+        # fallback must drop only that quad and solve the rest bit-identically.
+        rng = np.random.default_rng(8)
+        good = np.stack([sphere_cloud(rng.uniform(-0.1, 0.1, 3), 0.01, 4, rng)
+                         for _ in range(5)])
+        coplanar = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
+        mixed = np.concatenate([good[:2], coplanar[None], good[2:]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(
+                np.concatenate([2.0 * mixed, np.ones((6, 4, 1))], axis=2),
+                np.sum(mixed * mixed, axis=2)[..., None],
+            )
+        centers, radii, usable = _solve_quads(mixed)
+        ref_centers, ref_radii, ref_usable = _solve_quads(good)
+        assert ref_usable.all()
+        np.testing.assert_array_equal(usable, [True, True, False, True, True, True])
+        np.testing.assert_array_equal(centers[usable], ref_centers)
+        np.testing.assert_array_equal(radii[usable], ref_radii)
 
 
 class TestRansac:
@@ -340,7 +378,7 @@ def reference_fit(points, config):
 
     center, radius = cand_centers[best_idx], float(cand_radii[best_idx])
     mask, _ = reference_inliers(pts, center, radius, min_cloud_z, config)
-    center, radius = _solve_sphere(pts[mask], exact=False)
+    center, radius = _solve_sphere(pts[mask])
     center, radius = reference_refine(pts[mask], center, radius)
     mask, resid = reference_inliers(pts, center, radius, min_cloud_z, config)
     count = int(mask.sum())
