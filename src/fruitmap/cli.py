@@ -128,7 +128,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         merge_radius=merge.get("within_radius", WITHIN_SIDE_RADIUS),
         averaging=merge.get("averaging", "pairwise"),
     )
-    dataset = load_dataset(args.dataset)
+    dataset = load_dataset(args.dataset, sides=(args.side,))
     branch_map = build_side_map(dataset, args.side, fit_cfg, merge_cfg)
     branch_map = dataclasses.replace(
         branch_map,
@@ -148,7 +148,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     )
     map_a = load_branch_map(args.map_a)
     map_b = load_branch_map(args.map_b)
-    dataset = load_dataset(args.dataset)
+    dataset = load_dataset(args.dataset, sides=())
     for label in (map_a.frame_label, map_b.frame_label):
         if label not in dataset.fiducials:
             raise DatasetError(

@@ -24,7 +24,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class ScanDataset:
     root: Path | None
     dataset_id: str
     sides: tuple[str, ...]
-    frames: dict[str, tuple[FrameRecord, ...]]
+    frames: dict[str, tuple[FrameRecord, ...]]  # the sides whose frames were loaded
     fiducials: dict[str, FiducialObservation]
     ground_truth: GroundTruth | None = None
 
@@ -209,8 +209,13 @@ def load_ground_truth(path: Path) -> GroundTruth:
     return GroundTruth(fruitlets=tuple(fruitlets), visibility=visibility)
 
 
-def load_dataset(root: Path | str) -> ScanDataset:
-    """Load and eagerly validate a scan dataset directory."""
+def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDataset:
+    """Load and eagerly validate a scan dataset directory.
+
+    Every side's fiducial is read. Frames are read only for the named sides,
+    or for every side when sides is None, so `sides=()` reads no raster. A
+    named side the manifest does not list raises DatasetError.
+    """
     root = Path(root)
     if not root.exists():
         raise FileNotFoundError(f"dataset root {root} does not exist")
@@ -225,13 +230,17 @@ def load_dataset(root: Path | str) -> ScanDataset:
         )
     if manifest.get("units") != "meters":
         raise DatasetError(f"{manifest_path}: units must be 'meters'")
-    sides = tuple(manifest.get("sides", []))
-    if not sides:
+    all_sides = tuple(manifest.get("sides", []))
+    if not all_sides:
         raise DatasetError(f"{manifest_path}: empty side list")
+    framed = all_sides if sides is None else tuple(sides)
+    for side in framed:
+        if side not in all_sides:
+            raise DatasetError(f"side {side!r} not in dataset (has {sorted(all_sides)})")
 
     frames: dict[str, tuple[FrameRecord, ...]] = {}
     fiducials: dict[str, FiducialObservation] = {}
-    for side in sides:
+    for side in all_sides:
         side_dir = root / "sides" / side
         fid_path = side_dir / "fiducial.json"
         if not fid_path.exists():
@@ -242,6 +251,8 @@ def load_dataset(root: Path | str) -> ScanDataset:
         fiducials[side] = FiducialObservation(
             side=side, pose=_load_pose(fid_doc["pose"], str(fid_path))
         )
+        if side not in framed:
+            continue
 
         frames_dir = side_dir / "frames"
         if not frames_dir.is_dir():
@@ -295,7 +306,7 @@ def load_dataset(root: Path | str) -> ScanDataset:
     return ScanDataset(
         root=root,
         dataset_id=str(manifest.get("dataset_id", "")),
-        sides=sides,
+        sides=all_sides,
         frames=frames,
         fiducials=fiducials,
         ground_truth=ground_truth,

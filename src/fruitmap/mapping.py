@@ -35,7 +35,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._checks import check_types
+from ._checks import check_types, is_finite_real, is_int
 from .dataset import DatasetError, ScanDataset, extract_instance_clouds, json_digest
 from .spherefit import (
     DegenerateSampleError,
@@ -310,24 +310,63 @@ def map_to_json(branch_map: BranchMap) -> dict:
     }
 
 
-def map_from_json(doc: Mapping) -> BranchMap:
+def _track_from_json(item: object) -> FruitletTrack:
+    if not isinstance(item, Mapping):
+        raise ValueError(f"expected an object, got {item!r}")
+    for key in ("id", "center", "diameter", "observations"):
+        if key not in item:
+            raise ValueError(f"missing {key!r}")
+    for key in ("id", "observations"):
+        if not is_int(item[key]):
+            raise ValueError(f"{key} must be an integer, got {item[key]!r}")
+    center = item["center"]
+    if not (
+        isinstance(center, list) and len(center) == 3 and all(map(is_finite_real, center))
+    ):
+        raise ValueError(f"center must be 3 finite numbers, got {center!r}")
+    if not is_finite_real(item["diameter"]):
+        raise ValueError(f"diameter must be a finite number, got {item['diameter']!r}")
+    sides = item.get("sides", [])
+    if not (isinstance(sides, list) and all(isinstance(side, str) for side in sides)):
+        raise ValueError(f"sides must be a list of strings, got {sides!r}")
+    return FruitletTrack(
+        id=item["id"],
+        center=tuple(float(c) for c in center),
+        diameter=float(item["diameter"]),
+        observations=item["observations"],
+        sides=frozenset(sides),
+    )
+
+
+def map_from_json(doc: object) -> BranchMap:
+    """The BranchMap a map_to_json document describes; DatasetError if malformed.
+
+    Values are checked, not coerced: ids and observation counts must be
+    integers, centers three finite numbers, diameters finite numbers, sides a
+    list of strings and frame_label a non-empty string.
+    """
+    if not isinstance(doc, Mapping) or not isinstance(doc.get("tracks"), list):
+        raise DatasetError(
+            "malformed branch map document: expected an object with a 'tracks' list"
+        )
+    label = doc.get("frame_label")
+    if not isinstance(label, str) or not label:
+        raise DatasetError(
+            f"malformed branch map document: frame_label must be a non-empty string, "
+            f"got {label!r}"
+        )
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, Mapping):
+        raise DatasetError("malformed branch map document: provenance must be an object")
+    tracks = []
+    for index, item in enumerate(doc["tracks"]):
+        try:
+            tracks.append(_track_from_json(item))
+        except ValueError as exc:
+            raise DatasetError(f"malformed branch map document: track {index}: {exc}") from exc
     try:
-        tracks = tuple(
-            FruitletTrack(
-                id=int(item["id"]),
-                center=tuple(float(c) for c in item["center"]),
-                diameter=float(item["diameter"]),
-                observations=int(item["observations"]),
-                sides=frozenset(item.get("sides", ())),
-            )
-            for item in doc["tracks"]
-        )
-        return BranchMap(
-            frame_label=str(doc["frame_label"]),
-            tracks=tracks,
-            provenance=dict(doc.get("provenance", {})),
-        )
-    except (KeyError, TypeError) as exc:
+        return BranchMap(frame_label=label, tracks=tuple(tracks), provenance=dict(provenance))
+    except ValueError as exc:
         raise DatasetError(f"malformed branch map document: {exc}") from exc
 
 
@@ -345,4 +384,7 @@ def load_branch_map(path: Path | str) -> BranchMap:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"malformed JSON in {path}: {exc}") from exc
-    return map_from_json(doc)
+    try:
+        return map_from_json(doc)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc

@@ -24,7 +24,12 @@ same inliers, and inliers are re-evaluated once against the refined sphere.
 The orthogonal-distance stage matters: the linearized solve minimizes an
 algebraic residual that shrinks the radius on partial caps under depth noise
 (several percent at fruitlet scale), while the geometric minimum is unbiased
-to first order. The linear solution only serves as its starting point.
+to first order. The linear solution only serves as its starting point. The
+polish (`_geometric_refine`) is a numpy Levenberg-Marquardt loop over the
+four parameters (c, r) that solves a 4x4 normal system per step; it reaches
+MINPACK's minimum cost to within rounding. Partial caps have flat cost
+valleys, so the diameter it stops at can differ from MINPACK's by up to
+~1e-6 relative at equal cost.
 
 All minimal samples are drawn in one batch (`_draw_quads`) that reproduces,
 bit for bit, the indices of one `Generator.choice(n, 4, replace=False)` call
@@ -178,6 +183,25 @@ def _solve_sphere(pts: np.ndarray) -> tuple[np.ndarray, float]:
     return center, float(np.sqrt(r_sq))
 
 
+def _solve_batch(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a (k, 4, 4) batch; a singular matrix's row is NaN.
+
+    A batch that raises is split in halves, recursively, so one singular
+    matrix costs about 2 log2(k) solves instead of k. Each matrix is solved on
+    its own inside a batched call, so the rows are bit-equal to per-matrix
+    solves.
+    """
+    try:
+        return np.linalg.solve(lhs, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        if len(lhs) == 1:
+            return np.full((1, 4), np.nan)
+        half = len(lhs) // 2
+        return np.concatenate(
+            [_solve_batch(lhs[:half], rhs[:half]), _solve_batch(lhs[half:], rhs[half:])]
+        )
+
+
 def _solve_quads(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact spheres through k 4-point samples, (k, 4, 3), solved as one batch.
 
@@ -188,15 +212,7 @@ def _solve_quads(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     k = len(quads)
     lhs = np.concatenate([2.0 * quads, np.ones((k, 4, 1))], axis=2)
     rhs = np.sum(quads * quads, axis=2)[..., None]
-    try:
-        solutions = np.linalg.solve(lhs, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        solutions = np.full((k, 4), np.nan)
-        for i in range(k):
-            try:
-                solutions[i] = np.linalg.solve(lhs[i], rhs[i])[..., 0]
-            except np.linalg.LinAlgError:
-                pass  # stays NaN and is not usable
+    solutions = _solve_batch(lhs, rhs)
     centers = solutions[:, :3]
     r_sq = solutions[:, 3] + np.einsum("ij,ij->i", centers, centers)
     with np.errstate(invalid="ignore"):
@@ -210,36 +226,59 @@ def _solve_quads(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return centers, radii, usable
 
 
+def _surface_residuals(
+    pts: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p - c, ||p - c||, ||p - c|| - r) for x = (c, r)."""
+    diff = pts - x[:3]
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return diff, dist, dist - x[3]
+
+
 def _geometric_refine(
     pts: np.ndarray, center: np.ndarray, radius: float
 ) -> tuple[np.ndarray, float]:
-    """Minimize the true surface distances sum(||p - c|| - r)^2 from a linear start."""
-    from scipy.optimize import leastsq  # deferred: the import costs CLI calls ~0.3 s
+    """Minimize the true surface distances sum(||p - c|| - r)^2 from a linear start.
 
-    def residuals(x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(pts - x[:3], axis=1) - x[3]
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        diff = pts - x[:3]
-        dist = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
-        out = np.empty((len(pts), 4))
-        out[:, :3] = -diff / dist[:, None]
-        out[:, 3] = -1.0
-        return out
-
-    # MINPACK's lmder with automatic scaling (diag=None) and factor 100: the
-    # call least_squares(method="lm") makes from scipy 1.16 on, without its
-    # wrapper cost. full_output keeps the maxfev RuntimeWarning off stderr.
-    x, *_ = leastsq(
-        residuals,
-        np.array([*center, radius], dtype=float),
-        Dfun=jacobian,
-        full_output=True,
-        xtol=1e-12,
-        ftol=1e-12,
-        gtol=1e-12,
-        maxfev=100,
-    )
+    Levenberg-Marquardt over x = (c, r) (Marquardt 1963). A residual's
+    gradient row is [-u, -1], u the unit vector from c to p, so the 4x4 normal
+    matrix [u, 1].T @ [u, 1] is [[u.T @ u, u.sum(0)], [u.sum(0), n]]. Its
+    diagonal is scaled by 1 + lam: lam starts at 0, a Gauss-Newton step,
+    falls tenfold after a step that lowers the cost and rises tenfold, to at
+    least 1e-6, after one that does not. The loop stops at a relative step or
+    a relative cost drop of at most 1e-12, after 100 residual evaluations, or
+    when the damped matrix is singular.
+    """
+    x = np.array([*center, radius], dtype=float)
+    diff, dist, resid = _surface_residuals(pts, x)
+    cost = resid @ resid
+    lam = 0.0
+    rows = np.ones((len(pts), 4))  # [u, 1], the negated Jacobian
+    for _ in range(99):  # each trial step costs one of the 100 evaluations
+        np.divide(diff, np.maximum(dist, 1e-12)[:, None], out=rows[:, :3])
+        damped = rows.T @ rows
+        damped.flat[::5] *= 1.0 + lam
+        try:
+            step = np.linalg.solve(damped, rows.T @ resid)
+        except np.linalg.LinAlgError:
+            if lam > 0:
+                break  # damping cannot help: [u, 1] has a zero column
+            lam = 1e-6
+            continue
+        trial = x + step
+        trial_diff, trial_dist, trial_resid = _surface_residuals(pts, trial)
+        trial_cost = trial_resid @ trial_resid
+        small_step = np.linalg.norm(step) <= 1e-12 * np.linalg.norm(trial)
+        if trial_cost < cost:
+            small_drop = cost - trial_cost <= 1e-12 * cost
+            x, diff, dist, resid, cost = trial, trial_diff, trial_dist, trial_resid, trial_cost
+            lam *= 0.1
+            if small_step or small_drop:
+                break
+        else:
+            lam = max(10.0 * lam, 1e-6)
+            if small_step:
+                break
     refined_center = x[:3]
     refined_radius = float(x[3])
     if not (

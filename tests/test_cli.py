@@ -1,5 +1,6 @@
 """End-to-end and contract tests for the command-line pipeline."""
 
+import ast
 import json
 import os
 import re
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import fruitmap
+from fruitmap import dataset as dataset_module
 from fruitmap.cli import main
+from fruitmap.dataset import read_mask_raster
 
 SIM_CONFIG = {
     "simulate": {
@@ -104,11 +107,32 @@ class TestPipeline:
         lines = pipeline["scatter"].read_text().strip().splitlines()
         assert len(lines) == 1 + len(doc["size_pairs"])
 
-    def test_map_rerun_is_byte_identical(self, pipeline, tmp_path):
+    def test_map_rerun_is_byte_identical(self, pipeline, tmp_path, monkeypatch):
+        # map reads only its own side's rasters
+        read = []
+
+        def recording_read(path):
+            read.append(path.relative_to(pipeline["dataset"]).parts[:2])
+            return read_mask_raster(path)
+
+        monkeypatch.setattr(dataset_module, "read_mask_raster", recording_read)
         out = tmp_path / "a2.json"
         assert main(["map", "--dataset", str(pipeline["dataset"]), "--side", "A",
                      "--out", str(out)]) == 0
         assert out.read_bytes() == pipeline["map_a"].read_bytes()
+        assert read and set(read) == {("sides", "A")}
+
+    def test_align_reads_no_raster(self, pipeline, tmp_path, monkeypatch):
+        def no_read(*args):
+            raise AssertionError("align read a raster")
+
+        monkeypatch.setattr(dataset_module, "read_mask_raster", no_read)
+        monkeypatch.setattr(dataset_module, "read_depth_raster", no_read)
+        out = tmp_path / "merged.json"
+        assert main(["align", "--map-a", str(pipeline["map_a"]),
+                     "--map-b", str(pipeline["map_b"]), "--dataset", str(pipeline["dataset"]),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == pipeline["merged"].read_bytes()
 
 
 class TestExitCodes:
@@ -258,6 +282,53 @@ class TestMalformedInputs:
         assert not (tmp_path / "ds").exists()
 
     @pytest.mark.parametrize(
+        "patch, needles",
+        [
+            ({"id": 1.7}, ("id", "1.7")),
+            ({"id": True}, ("id", "True")),
+            ({"observations": 2.9}, ("observations", "2.9")),
+            ({"center": ["0.1", 0, True]}, ("center", "'0.1'")),
+            ({"center": [0.1, 0.0]}, ("center", "3 finite")),
+            ({"center": [0.1, 0.0, float("nan")]}, ("center", "nan")),
+            ({"diameter": "0.01"}, ("diameter", "'0.01'")),
+            ({"sides": "AB"}, ("sides", "'AB'")),
+            ({"sides": [1]}, ("sides", "[1]")),
+            ({"observations": None}, ("observations", "None")),
+            ({"frame_label": ""}, ("frame_label", "''")),
+            ({"frame_label": 3}, ("frame_label", "3")),
+        ],
+        ids=["float-id", "bool-id", "float-observations", "mixed-center", "short-center",
+             "nan-center", "string-diameter", "string-sides", "int-sides",
+             "null-observations", "empty-label", "int-label"],
+    )
+    @pytest.mark.parametrize("command", ["align", "eval"])
+    def test_malformed_branch_map(self, pipeline, tmp_path, command, patch, needles):
+        doc = json.loads(pipeline["map_b"].read_text())
+        if "frame_label" in patch:
+            doc.update(patch)
+        else:
+            doc["tracks"][0].update(patch)
+            needles = ("track 0", *needles)
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps(doc))  # json writes NaN as a bare token
+        out = tmp_path / "out.json"
+        argv = {
+            "align": ["--map-a", str(pipeline["map_a"]), "--map-b", str(bad),
+                      "--dataset", str(pipeline["dataset"])],
+            "eval": ["--map", str(bad), "--truth", str(pipeline["dataset"] / "ground_truth.json")],
+        }[command]
+        proc = run_cli([command, *argv, "--out", str(out)])
+        assert_one_line_validation_error(proc, str(bad), *needles)
+        assert not out.exists()
+
+    def test_unknown_side(self, pipeline, tmp_path):
+        out = tmp_path / "c.json"
+        proc = run_cli(["map", "--dataset", str(pipeline["dataset"]), "--side", "C",
+                        "--out", str(out)])
+        assert_one_line_validation_error(proc, "'C'", "not in dataset", "['A', 'B']")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "text, needles",
         [
             ('{"tp": 1}', ("missing", "fp", "size_rmse_pct")),
@@ -280,16 +351,48 @@ class TestMalformedInputs:
         assert not (tmp_path / "ds").exists()
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy.optimize and scipy.ndimage cost every CLI call ~0.7 s to import;
-    # only the fit polish and mask dilation need them, and they import lazily.
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only: importing it costs every CLI call
+    # ~0.5 s. A simulate that dilates masks and a map (fit polish included)
+    # must run without loading any scipy module.
     src = str(Path(fruitmap.__file__).resolve().parents[1])
-    code = ("import sys, fruitmap, fruitmap.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"simulate": {"cluster_count": 3, "mask_dilate_px": 2}}))
+    ds, out = tmp_path / "ds", tmp_path / "a.json"
+    code = (
+        "import sys, fruitmap, fruitmap.cli\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy())\n"
+        f"assert fruitmap.cli.main(['simulate', '--config', {str(config)!r}, "
+        f"'--out', {str(ds)!r}]) == 0\n"
+        f"assert fruitmap.cli.main(['map', '--dataset', {str(ds)!r}, '--side', 'B', "
+        f"'--out', {str(out)!r}]) == 0\n"
+        "print(scipy())\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]
+    assert json.loads(out.read_text())["tracks"]
+
+
+def test_runtime_sources_do_not_import_scipy():
+    # The runtime needs numpy alone; scipy is in the test extra only.
+    package = Path(fruitmap.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 5
+    offenders = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} imports {name}"
+                          for name in names if name.split(".")[0] == "scipy"]
+    assert offenders == []
 
 
 def test_public_api_is_the_readme_import():

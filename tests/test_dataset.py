@@ -148,6 +148,27 @@ class TestDatasetRoundTrip:
         for rel in files_one:
             assert (tmp_path / "one" / rel).read_bytes() == (tmp_path / "two" / rel).read_bytes()
 
+    def test_side_filter_reads_only_named_frames(self, tmp_path):
+        ds = make_dataset()
+        root = write_dataset(ds, tmp_path / "scan")
+        for raster in [*root.glob("sides/B/depth/*"), *root.glob("sides/B/masks/*")]:
+            raster.unlink()  # side B's frames can no longer load
+        only_a = load_dataset(root, sides=("A",))
+        assert only_a.sides == ("A", "B") and set(only_a.frames) == {"A"}
+        assert set(only_a.fiducials) == {"A", "B"}
+        for got, want in zip(only_a.frames["A"], ds.frames["A"], strict=True):
+            np.testing.assert_array_equal(got.masks, want.masks)
+        no_frames = load_dataset(root, sides=())
+        assert no_frames.frames == {} and set(no_frames.fiducials) == {"A", "B"}
+        assert no_frames.ground_truth == ds.ground_truth
+        with pytest.raises(FileNotFoundError):
+            load_dataset(root)
+
+    def test_side_filter_rejects_unknown_side(self, tmp_path):
+        write_dataset(make_dataset(), tmp_path / "scan")
+        with pytest.raises(DatasetError, match=r"side 'C' not in dataset \(has \['A', 'B'\]\)"):
+            load_dataset(tmp_path / "scan", sides=("A", "C"))
+
     def test_ground_truth_optional(self, tmp_path):
         write_dataset(make_dataset(with_truth=False), tmp_path / "scan")
         back = load_dataset(tmp_path / "scan")

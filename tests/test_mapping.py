@@ -2,11 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from fruitmap.dataset import json_digest
+from fruitmap.dataset import DatasetError, json_digest
 from fruitmap.evaluation import MATCH_TOLERANCE
 from fruitmap.mapping import (
     CROSS_SIDE_RADIUS,
@@ -252,9 +253,43 @@ class TestSerialization:
         assert back.tracks[0].diameter == m.tracks[0].diameter
 
     def test_malformed_doc(self):
-        from fruitmap.dataset import DatasetError
         with pytest.raises(DatasetError, match="malformed"):
             map_from_json({"frame_label": "A"})
+
+    @pytest.mark.parametrize(
+        "doc, needle",
+        [
+            ([], "'tracks' list"),
+            ({"frame_label": "A", "tracks": {}}, "'tracks' list"),
+            ({"frame_label": "A", "tracks": [], "provenance": []}, "provenance"),
+            ({"frame_label": None, "tracks": []}, "frame_label"),
+            ({"frame_label": "A", "tracks": [{"id": 0, "center": [0, 0, 0.4],
+                                              "diameter": 0.01, "observations": 1}, 7]},
+             "track 1: expected an object"),
+            ({"frame_label": "A", "tracks": [{"id": 1.7, "center": ["0.1", 0, True],
+                                              "diameter": "0.01", "observations": 2.9,
+                                              "sides": "AB"}]},
+             "track 0: id must be an integer, got 1.7"),
+            ({"frame_label": "A", "tracks": [{"id": 0, "center": [0, 0, 0.4],
+                                              "observations": 1}]},
+             "track 0: missing 'diameter'"),
+            ({"frame_label": "A", "tracks": [{"id": -1, "center": [0, 0, 0.4],
+                                              "diameter": 0.01, "observations": 1}]},
+             "track 0: track id must be non-negative"),
+        ],
+        ids=["list-doc", "object-tracks", "list-provenance", "null-label", "int-track",
+             "coercible-fields", "missing-diameter", "negative-id"],
+    )
+    def test_fields_are_checked_not_coerced(self, doc, needle):
+        with pytest.raises(DatasetError, match=re.escape(needle)):
+            map_from_json(doc)
+
+    def test_integral_json_numbers_load_as_floats(self):
+        doc = {"frame_label": "A", "tracks": [{"id": 0, "center": [0, 1, 0], "diameter": 1,
+                                               "observations": 2, "sides": ["A", "B"]}]}
+        (track,) = map_from_json(doc).tracks
+        assert track == FruitletTrack(0, (0.0, 1.0, 0.0), 1.0, 2, frozenset("AB"))
+        assert all(type(c) is float for c in track.center) and type(track.diameter) is float
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

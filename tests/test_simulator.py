@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from fruitmap.dataset import (
     GroundTruthFruitlet,
@@ -24,6 +25,7 @@ from fruitmap.simulator import (
     render_frame,
     simulate_dataset,
 )
+from fruitmap.simulator import _dilate_labels
 
 SMALL_SPEC = OrchardSpec(cluster_count=3, occluder_count=0, rng_seed=5)
 
@@ -301,6 +303,54 @@ class TestRenderFrame:
         assert (masks0[grown] == 0).all()
         # grown pixels sit on the backdrop, far behind the fruit surface
         assert np.min(depth1[grown]) > np.max(depth1[masks0 == 1])
+
+
+def reference_dilation(masks, valid, dilate_px):
+    """The scipy.ndimage mask dilation: each id in turn, cross structure, border 0."""
+    masks = masks.copy()
+    claimable = valid & (masks == 0)
+    for instance_id in np.unique(masks[masks > 0]):
+        grown = ndimage.binary_dilation(masks == instance_id, iterations=dilate_px)
+        take = grown & claimable
+        masks[take] = instance_id
+        claimable &= ~take
+    return masks
+
+
+class TestDilationOracle:
+    @pytest.mark.parametrize("dilate_px", [1, 2, 3])
+    def test_hand_built_labels(self, dilate_px):
+        masks = np.zeros((12, 16), dtype=np.uint16)
+        masks[0, 0] = 3                  # a frame corner
+        masks[5:7, 14:16] = 5            # the right frame edge
+        masks[4:8, 2:4] = 1              # 1 and 2 compete for the column between them
+        masks[5:7, 5:7] = 2
+        masks[11, 6:9] = 4               # the bottom edge
+        valid = np.ones(masks.shape, dtype=bool)
+        valid[3, :] = False              # a row nothing may claim
+        valid[9:, 12:] = False
+        want = reference_dilation(masks, valid, dilate_px)
+        got = masks.copy()
+        _dilate_labels(got, valid & (masks == 0), dilate_px)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == np.uint16
+        # the contested column goes to the smaller id, which grows first
+        assert got[5, 4] == got[6, 4] == 1
+
+    @pytest.mark.parametrize("dilate_px", [1, 2, 3])
+    def test_rendered_frames(self, dilate_px):
+        # Side B sees the leaves behind the fruit, so masks grow onto them.
+        spec = OrchardSpec(cluster_count=3, occluder_count=12, occluder_size=0.16, rng_seed=5)
+        scene, _ = generate_scene(spec)
+        poses = plan_trajectory(spec)["B"][::4]
+        grew = 0
+        for pose in poses:
+            depth, masks = render_frame(scene, pose)
+            _, got = render_frame(scene, pose, dilate_px=dilate_px)
+            want = reference_dilation(masks, np.isfinite(depth), dilate_px)
+            assert got.tobytes() == want.tobytes()
+            grew += int((got != masks).sum())
+        assert grew > 0
 
 
 # ------------------------------------------------------------- full datasets

@@ -130,25 +130,48 @@ class TestExactSolver:
         assert radius > 1e6
         assert not usable
 
-    def test_singular_batch_falls_back_per_matrix(self):
-        # One coplanar quad makes the batched solve raise; the per-matrix
-        # fallback must drop only that quad and solve the rest bit-identically.
+    def test_singular_batch_falls_back_per_matrix(self, monkeypatch):
+        # Coplanar quads first, last and side by side make the batched solve
+        # raise; the bisecting fallback must drop only them, solve the rest
+        # bit-identically to a per-matrix loop, and not solve one at a time.
         rng = np.random.default_rng(8)
-        good = np.stack([sphere_cloud(rng.uniform(-0.1, 0.1, 3), 0.01, 4, rng)
-                         for _ in range(5)])
-        coplanar = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        mixed = np.concatenate([good[:2], coplanar[None], good[2:]])
+        quads = np.stack([sphere_cloud(rng.uniform(-0.1, 0.1, 3), 0.01, 4, rng)
+                          for _ in range(200)])
+        singular = [0, 97, 98, 199]
+        quads[singular] = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
+        lhs = np.concatenate([2.0 * quads, np.ones((200, 4, 1))], axis=2)
+        rhs = np.sum(quads * quads, axis=2)[..., None]
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(
-                np.concatenate([2.0 * mixed, np.ones((6, 4, 1))], axis=2),
-                np.sum(mixed * mixed, axis=2)[..., None],
-            )
-        centers, radii, usable = _solve_quads(mixed)
-        ref_centers, ref_radii, ref_usable = _solve_quads(good)
-        assert ref_usable.all()
-        np.testing.assert_array_equal(usable, [True, True, False, True, True, True])
-        np.testing.assert_array_equal(centers[usable], ref_centers)
-        np.testing.assert_array_equal(radii[usable], ref_radii)
+            np.linalg.solve(lhs, rhs)
+        ref = np.full((200, 4), np.nan)
+        for i in range(200):
+            try:
+                ref[i] = np.linalg.solve(lhs[i], rhs[i])[..., 0]
+            except np.linalg.LinAlgError:
+                pass
+        assert np.isnan(ref).all(axis=1).sum() == len(singular)
+
+        solve = np.linalg.solve
+        calls = []
+
+        def counting_solve(a, b):
+            calls.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        centers, radii, usable = _solve_quads(quads)
+        monkeypatch.undo()
+
+        assert not usable[singular].any() and usable.sum() == 200 - len(singular)
+        np.testing.assert_array_equal(centers[usable], ref[usable, :3])
+        ref_radii = np.sqrt(ref[:, 3] + np.einsum("ij,ij->i", ref[:, :3], ref[:, :3]))
+        np.testing.assert_array_equal(radii[usable], ref_radii[usable])
+        clean_centers, clean_radii, _ = _solve_quads(quads[usable])
+        np.testing.assert_array_equal(centers[usable], clean_centers)
+        np.testing.assert_array_equal(radii[usable], clean_radii)
+        # Bisection: each singular quad costs at most two solves per halving.
+        assert len(calls) <= 1 + 2 * len(singular) * int(np.ceil(np.log2(200)))
+        assert calls.count(1) <= 2 * len(singular)
 
 
 class TestRansac:
@@ -337,11 +360,33 @@ def reference_quads(seed, n, k):
     return np.stack([rng.choice(n, size=4, replace=False) for _ in range(k)])
 
 
+def polish_cost(pts, center, radius):
+    resid = np.linalg.norm(pts - center, axis=1) - radius
+    return float(resid @ resid)
+
+
+def assert_polish_agrees(pts, got, ref, d_min=FitConfig.d_min, d_max=FitConfig.d_max):
+    """The polish against the MINPACK oracle, judged on cost.
+
+    Partial caps have flat cost valleys: two minimizers can stop ~1e-7 apart
+    in diameter at equal cost, so bit equality is not the contract. The cost
+    must be no higher than the oracle's beyond rounding, and the diameter
+    must agree to 1e-6 wherever the oracle's lies in the plausible band.
+    """
+    (got_center, got_radius), (ref_center, ref_radius) = got, ref
+    ref_cost = polish_cost(pts, ref_center, ref_radius)
+    assert polish_cost(pts, got_center, got_radius) <= ref_cost * (1 + 1e-9) + 1e-24
+    if d_min <= 2.0 * ref_radius <= d_max:
+        assert abs(got_radius - ref_radius) <= 1e-6 * ref_radius
+
+
 def reference_fit(points, config):
     """Per-sample draws, norm-based scoring, a Python-loop pick and the
-    least_squares polish: the fit must match it bit for bit.
+    least_squares polish.
 
-    Returns the report and every hypothesis's inlier count.
+    Returns the report, every hypothesis's inlier count, and the polish's
+    inputs and result: everything up to the polish must match the fit bit for
+    bit, the polish itself by assert_polish_agrees.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -379,7 +424,8 @@ def reference_fit(points, config):
     center, radius = cand_centers[best_idx], float(cand_radii[best_idx])
     mask, _ = reference_inliers(pts, center, radius, min_cloud_z, config)
     center, radius = _solve_sphere(pts[mask])
-    center, radius = reference_refine(pts[mask], center, radius)
+    polish_in = (pts[mask], center, radius)
+    center, radius = reference_refine(*polish_in)
     mask, resid = reference_inliers(pts, center, radius, min_cloud_z, config)
     count = int(mask.sum())
     model = SphereModel(center=tuple(center), diameter=2.0 * radius)
@@ -391,12 +437,12 @@ def reference_fit(points, config):
                   and config.d_min <= model.diameter <= config.d_max),
         mean_abs_residual=float(resid[mask].mean()),
     )
-    return report, counts
+    return report, counts, polish_in, (center, radius)
 
 
 class TestFitOracle:
     @pytest.mark.parametrize("z_rule", ["background_reject", "literal"])
-    def test_seeded_clouds_match_reference(self, z_rule):
+    def test_seeded_clouds_match_reference(self, z_rule, monkeypatch):
         rng = np.random.default_rng(30)
         clouds = [
             sphere_cloud([0.0, 0.01, 0.35], 0.011, 400, rng),
@@ -405,10 +451,27 @@ class TestFitOracle:
             contaminated_cap_cloud([0, 0, 0.35], 0.010, 500, rng),
             sphere_cloud([0, 0, 0.4], 0.035, 300, rng),  # outside the diameter band
         ]
+        polishes = []
+
+        def capture(pts, center, radius):
+            polishes.append((pts, center, radius))
+            return _geometric_refine(pts, center, radius)
+
+        monkeypatch.setattr(spherefit, "_geometric_refine", capture)
         for i, cloud in enumerate(clouds):
             cfg = FitConfig(rng_seed=derive_observation_seed(3, i, 1), z_rule=z_rule)
-            report, counts = reference_fit(cloud, cfg)
-            assert ransac_sphere_fit(cloud, cfg) == report
+            report, counts, ref_in, ref_out = reference_fit(cloud, cfg)
+            polishes.clear()
+            got = ransac_sphere_fit(cloud, cfg)
+            # Draws, scoring, pick, inlier mask and linear solve: bit for bit.
+            ((pts, center, radius),) = polishes
+            np.testing.assert_array_equal(pts, ref_in[0])
+            np.testing.assert_array_equal(center, ref_in[1])
+            assert radius == ref_in[2]
+            assert_polish_agrees(pts, (got.model.center_array(), got.model.radius), ref_out)
+            assert got.inlier_count == report.inlier_count
+            assert got.accepted == report.accepted
+            assert got.iterations_used == report.iterations_used
             if i == 0:
                 # noiseless: many hypotheses hold every point, so the pick
                 # falls to the mean-residual and index tie rules
@@ -469,8 +532,7 @@ class TestDrawOracle:
 
 class TestPolishOracle:
     def test_matches_least_squares_lm(self):
-        # Perturbed starts on noisy caps of varied coverage; a polish with
-        # another MINPACK scaling (diag) differs from the reference on ~1 in 9.
+        # Perturbed starts on noisy caps of varied coverage, 4 to 299 points.
         for case in range(60):
             rng = np.random.default_rng(case)
             cap = cap_cloud([0, 0, 0.4], 0.01, int(rng.integers(4, 300)), rng,
@@ -478,10 +540,26 @@ class TestPolishOracle:
             pts = add_depth_noise(cap, float(rng.uniform(0.0, 0.003)), rng)
             center = np.array([0.0, 0.0, 0.4]) + rng.normal(0.0, 0.003, 3)
             radius = abs(0.01 + rng.normal(0.0, 0.002))
-            got_center, got_radius = _geometric_refine(pts, center, radius)
-            ref_center, ref_radius = reference_refine(pts, center, radius)
-            np.testing.assert_array_equal(got_center, ref_center)
-            assert got_radius == ref_radius
+            assert_polish_agrees(pts, _geometric_refine(pts, center, radius),
+                                 reference_refine(pts, center, radius))
+
+
+    def test_singular_normal_matrix_keeps_the_start(self, monkeypatch):
+        # Points on a circle in the plane x = c_x make every unit vector's x
+        # zero, so the normal matrix is singular with or without damping.
+        t = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        pts = np.stack([np.zeros_like(t), 0.01 * np.cos(t), 0.01 * np.sin(t)], axis=1)
+        solve, calls = np.linalg.solve, []
+
+        def counting_solve(a, b):
+            calls.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        center, radius = _geometric_refine(pts, np.zeros(3), 0.012)
+        np.testing.assert_array_equal(center, np.zeros(3))
+        assert radius == 0.012
+        assert len(calls) == 2  # undamped, then damped once
 
 
 class TestInlierMaskOracle:
