@@ -24,6 +24,11 @@ def is_finite_real(value: object) -> bool:
     )
 
 
+def is_finite_point(value: object) -> bool:
+    """A JSON list of three finite reals."""
+    return isinstance(value, list) and len(value) == 3 and all(map(is_finite_real, value))
+
+
 def check_types(obj: object, integers: tuple[str, ...], reals: tuple[str, ...]) -> None:
     """Raise ValueError naming the first listed attribute of obj of the wrong type."""
     for name in integers:

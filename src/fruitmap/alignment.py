@@ -48,13 +48,7 @@ def transform_map(
     branch_map: BranchMap, transform: RigidTransform, frame_label: str
 ) -> BranchMap:
     """Re-express every track center in a new frame; diameters are unchanged."""
-    if not branch_map.tracks:
-        return BranchMap(
-            frame_label=frame_label,
-            tracks=(),
-            provenance=dict(branch_map.provenance),
-        )
-    centers = np.array([t.center for t in branch_map.tracks])
+    centers = np.array([t.center for t in branch_map.tracks]).reshape(-1, 3)
     moved = transform.apply(centers)
     tracks = tuple(
         FruitletTrack(

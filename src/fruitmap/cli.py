@@ -201,7 +201,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     report = report_from_json(Path(args.eval).read_text(encoding="utf-8"))
     if args.format == "csv":
-        emit_report(report, args.out, fmt="csv")
+        emit_report(report, args.out)
     else:
         doc = json.loads(report_to_json(report))
         doc["provenance"] = _provenance(json_digest({"format": "json"}), args.seed)

@@ -28,6 +28,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from ._checks import is_finite_point, is_finite_real, is_int
 from .geometry import CameraIntrinsics, RigidTransform, backproject
 
 __all__ = [
@@ -105,9 +106,6 @@ class GroundTruth:
     fruitlets: tuple[GroundTruthFruitlet, ...]
     visibility: dict[str, dict[int, int]] = field(default_factory=dict)
 
-    def centers(self) -> np.ndarray:
-        return np.array([f.center for f in self.fruitlets], dtype=float).reshape(-1, 3)
-
 
 @dataclass(frozen=True)
 class ScanDataset:
@@ -167,46 +165,75 @@ def read_mask_raster(path: Path) -> np.ndarray:
 
 # ---------------------------------------------------------------- loading
 
-def _read_json(path: Path) -> dict:
+def _read_json(path: Path, expected: str = "a JSON object") -> dict:
+    """The JSON object in path; DatasetError if it is malformed or not an object."""
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DatasetError(f"{path}: expected {expected}, got {type(doc).__name__}")
+    return doc
 
 
 def _load_pose(values, where: str) -> RigidTransform:
+    if not (isinstance(values, list) and all(map(is_finite_real, values))):
+        raise DatasetError(f"{where}: pose must be a list of finite numbers")
     try:
         return RigidTransform.from_flat16(values)
     except ValueError as exc:
         raise DatasetError(f"{where}: invalid pose: {exc}") from exc
 
 
+def _fruitlet_from_json(entry: object) -> GroundTruthFruitlet:
+    if not isinstance(entry, dict):
+        raise ValueError(f"expected an object, got {entry!r}")
+    for key in ("id", "center", "diameter"):
+        if key not in entry:
+            raise ValueError(f"missing {key!r}")
+    if not is_int(entry["id"]):
+        raise ValueError(f"id must be an integer, got {entry['id']!r}")
+    center = entry["center"]
+    if not is_finite_point(center):
+        raise ValueError(f"center needs 3 coordinates, each a finite number, got {center!r}")
+    if not is_finite_real(entry["diameter"]):
+        raise ValueError(f"diameter must be a finite number, got {entry['diameter']!r}")
+    return GroundTruthFruitlet(
+        id=entry["id"],
+        center=tuple(float(c) for c in center),
+        diameter=float(entry["diameter"]),
+    )
+
+
 def load_ground_truth(path: Path) -> GroundTruth:
-    doc = _read_json(path)
-    if not isinstance(doc, dict) or not isinstance(doc.get("fruitlets"), list):
+    """Ground truth from its JSON file; values are checked, not coerced.
+
+    Ids must be distinct integers, visibility counts integers, centers three
+    finite numbers and diameters finite numbers. Visibility keys are fruitlet
+    ids written as decimal strings, as JSON object keys must be.
+    """
+    doc = _read_json(path, "an object with a 'fruitlets' list")
+    if not isinstance(doc.get("fruitlets"), list):
         raise DatasetError(f"{path}: missing 'fruitlets' list")
-    fruitlets = []
+    fruitlets: dict[int, GroundTruthFruitlet] = {}
     for index, entry in enumerate(doc["fruitlets"]):
         try:
-            center = tuple(float(x) for x in entry["center"])
-            if len(center) != 3:
-                raise ValueError(f"center needs 3 coordinates, got {len(center)}")
-            fruitlets.append(
-                GroundTruthFruitlet(
-                    id=int(entry["id"]), center=center, diameter=float(entry["diameter"])
-                )
-            )
-        except KeyError as exc:
-            raise DatasetError(f"{path}: fruitlet entry {index}: missing {exc}") from exc
-        except (TypeError, ValueError) as exc:
+            fruitlet = _fruitlet_from_json(entry)
+        except ValueError as exc:
             raise DatasetError(f"{path}: fruitlet entry {index}: {exc}") from exc
+        if fruitlet.id in fruitlets:
+            raise DatasetError(f"{path}: fruitlet entry {index}: duplicate id {fruitlet.id}")
+        fruitlets[fruitlet.id] = fruitlet
     visibility: dict[str, dict[int, int]] = {}
     try:
         for side, counts in doc.get("visibility", {}).items():
-            visibility[side] = {int(k): int(v) for k, v in counts.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
+            for count in counts.values():
+                if not is_int(count):
+                    raise ValueError(f"side {side}: count must be an integer, got {count!r}")
+            visibility[side] = {int(k): v for k, v in counts.items()}
+    except (AttributeError, ValueError) as exc:
         raise DatasetError(f"{path}: invalid 'visibility': {exc}") from exc
-    return GroundTruth(fruitlets=tuple(fruitlets), visibility=visibility)
+    return GroundTruth(fruitlets=tuple(fruitlets.values()), visibility=visibility)
 
 
 def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDataset:
@@ -230,9 +257,12 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
         )
     if manifest.get("units") != "meters":
         raise DatasetError(f"{manifest_path}: units must be 'meters'")
-    all_sides = tuple(manifest.get("sides", []))
+    all_sides = manifest.get("sides")
+    if not (isinstance(all_sides, list) and all(isinstance(side, str) for side in all_sides)):
+        raise DatasetError(f"{manifest_path}: sides must be a list of strings, got {all_sides!r}")
     if not all_sides:
         raise DatasetError(f"{manifest_path}: empty side list")
+    all_sides = tuple(all_sides)
     framed = all_sides if sides is None else tuple(sides)
     for side in framed:
         if side not in all_sides:
@@ -264,7 +294,12 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
             for key in ("frame_index", "pose", "intrinsics", "depth", "masks"):
                 if key not in doc:
                     raise DatasetError(f"{frame_path}: missing '{key}'")
-            idx = int(doc["frame_index"])
+            idx = doc["frame_index"]
+            if not is_int(idx):
+                raise DatasetError(f"{frame_path}: frame_index must be an integer, got {idx!r}")
+            for key in ("depth", "masks"):
+                if not isinstance(doc[key], str):
+                    raise DatasetError(f"{frame_path}: {key} must be a string, got {doc[key]!r}")
             if idx in seen:
                 raise DatasetError(f"{frame_path}: duplicate frame_index {idx} on side {side}")
             seen.add(idx)

@@ -251,28 +251,18 @@ def _csv_row(report: EvalReport) -> list[str]:
     ]
 
 
-def emit_report(
-    report: EvalReport | Sequence[EvalReport], path: Path | str, fmt: str = "json"
-) -> Path:
-    """Write a report (or several, for the CSV table) to disk.
+def emit_report(report: EvalReport | Sequence[EvalReport], path: Path | str) -> Path:
+    """Write the CSV count table: one row per report, values rounded to 2 places.
 
-    JSON keeps full precision and round-trips; CSV is the count-table surface,
-    one row per report, values rounded to 2 decimal places.
+    Report JSON comes from report_to_json, which keeps full precision.
     """
     path = Path(path)
     reports = [report] if isinstance(report, EvalReport) else list(report)
-    if fmt == "json":
-        if len(reports) != 1:
-            raise ValueError("JSON format takes exactly one report")
-        path.write_text(report_to_json(reports[0]), encoding="utf-8")
-    elif fmt == "csv":
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(_CSV_COLUMNS)
-            for rep in reports:
-                writer.writerow(_csv_row(rep))
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(_CSV_COLUMNS)
+        for rep in reports:
+            writer.writerow(_csv_row(rep))
     return path
 
 

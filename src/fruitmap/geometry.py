@@ -12,9 +12,12 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import check_types
 
 __all__ = [
     "CameraIntrinsics",
@@ -42,6 +45,7 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
+        check_types(self, integers=("width", "height"), reals=("fx", "fy", "cx", "cy"))
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if self.width <= 0 or self.height <= 0:
@@ -62,14 +66,12 @@ class CameraIntrinsics:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
+    def from_dict(cls, d: Mapping) -> "CameraIntrinsics":
+        """The inverse of as_dict; values are checked, not coerced."""
+        if not isinstance(d, Mapping):
+            raise ValueError(f"expected an object, got {d!r}")
         return cls(
-            fx=float(d["fx"]),
-            fy=float(d["fy"]),
-            cx=float(d["cx"]),
-            cy=float(d["cy"]),
-            width=int(d["width"]),
-            height=int(d["height"]),
+            fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"], width=d["width"], height=d["height"]
         )
 
 

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._checks import check_types, is_finite_real, is_int
+from ._checks import check_types, is_finite_point, is_finite_real, is_int
 from .dataset import DatasetError, ScanDataset, extract_instance_clouds, json_digest
 from .spherefit import (
     DegenerateSampleError,
@@ -320,9 +320,7 @@ def _track_from_json(item: object) -> FruitletTrack:
         if not is_int(item[key]):
             raise ValueError(f"{key} must be an integer, got {item[key]!r}")
     center = item["center"]
-    if not (
-        isinstance(center, list) and len(center) == 3 and all(map(is_finite_real, center))
-    ):
+    if not is_finite_point(center):
         raise ValueError(f"center must be 3 finite numbers, got {center!r}")
     if not is_finite_real(item["diameter"]):
         raise ValueError(f"diameter must be a finite number, got {item['diameter']!r}")

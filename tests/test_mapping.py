@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from fruitmap.alignment import cross_side_transform, merge_maps, transform_map
 from fruitmap.dataset import DatasetError, json_digest
 from fruitmap.evaluation import MATCH_TOLERANCE
 from fruitmap.mapping import (
@@ -14,6 +15,7 @@ from fruitmap.mapping import (
     BranchMap,
     FruitletTrack,
     MergeConfig,
+    build_side_map,
     config_digest,
     integrate_observation,
     load_branch_map,
@@ -21,7 +23,7 @@ from fruitmap.mapping import (
     map_to_json,
     save_branch_map,
 )
-from fruitmap.simulator import OrchardSpec, generate_scene
+from fruitmap.simulator import OrchardSpec, generate_scene, simulate_dataset
 from fruitmap.spherefit import FitConfig, SphereModel
 
 
@@ -300,3 +302,24 @@ class TestSerialization:
         save_branch_map(tmp_path / "a.json", m)
         save_branch_map(tmp_path / "b.json", m)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+# Pinned to the installed numpy: its random streams and floating-point kernels
+# make these bytes. A change that alters map output on purpose updates them and
+# says so in CHANGES.md.
+GOLDEN_MAP_DIGESTS = {
+    "A": "3dccbbda961412da504168c70780cbda8185d8a64499407dec68fb265e215416",
+    "B": "850659c30bd665df9bf3a5908e59601dedecf0a383d8fbed98bb6b4f7f30e299",
+    "merged": "a122d4e599603fb714fa396508c5a00c45f88bcf1c311bad9d15a2ee5d9177b8",
+}
+
+
+def test_golden_map_digests():
+    dataset = simulate_dataset(OrchardSpec(cluster_count=3, rng_seed=17))
+    map_a = build_side_map(dataset, "A")
+    map_b = build_side_map(dataset, "B")
+    b_to_a = cross_side_transform(dataset.fiducials["A"], dataset.fiducials["B"])
+    merged = merge_maps(map_a, transform_map(map_b, b_to_a, "A"))
+    digests = {label: json_digest(map_to_json(m))
+               for label, m in (("A", map_a), ("B", map_b), ("merged", merged))}
+    assert digests == GOLDEN_MAP_DIGESTS

@@ -1,4 +1,4 @@
-"""Sphere fitting: seed estimate, minimal solver, and the RANSAC loop."""
+"""Sphere fitting: minimal solver, RANSAC loop, polish and their oracles."""
 
 import dataclasses
 
@@ -15,7 +15,6 @@ from fruitmap.spherefit import (
     SphereModel,
     derive_observation_seed,
     downsample_points,
-    initial_estimate,
     ransac_sphere_fit,
 )
 from fruitmap import spherefit
@@ -54,38 +53,6 @@ class TestDownsample:
         np.testing.assert_array_equal(a, b)
         c = downsample_points(pts, 64, rng_seed=43)
         assert not np.array_equal(a, c)
-
-
-class TestInitialEstimate:
-    def test_full_sphere_unbiased(self):
-        # On a full sphere every sample sits exactly r from the true center, so
-        # with the centroid converging to the center the mean distance is r.
-        rng = np.random.default_rng(2)
-        cloud = sphere_cloud([0.01, -0.02, 0.40], 0.012, 10_000, rng)
-        est = initial_estimate(cloud)
-        np.testing.assert_allclose(est.center_array(), [0.01, -0.02, 0.40], atol=1e-3)
-        assert abs(est.diameter - 0.024) / 0.024 < 0.02
-
-    def test_partial_cap_underestimates_monotonically(self):
-        # Dense caps: error stays strictly negative and shrinks as more of the
-        # sphere becomes visible (probed values: -36%, -22%, -12%, -5%, -1.4%).
-        rng = np.random.default_rng(99)
-        r = 0.01
-        errs = []
-        for f in (0.25, 0.4, 0.55, 0.7, 0.85, 0.95):
-            cloud = cap_cloud([0, 0, 0.4], r, 40_000, rng, visible_fraction=f)
-            errs.append(initial_estimate(cloud).diameter - 2 * r)
-        assert all(e < 0 for e in errs)
-        mags = [abs(e) for e in errs]
-        assert all(a > b for a, b in zip(mags, mags[1:]))
-
-    def test_too_few_points(self):
-        with pytest.raises(InsufficientPointsError):
-            initial_estimate(np.zeros((3, 3)))
-
-    def test_coincident_points(self):
-        with pytest.raises(DegenerateSampleError):
-            initial_estimate(np.ones((8, 3)))
 
 
 class TestExactSolver:
@@ -258,9 +225,32 @@ class TestRansac:
             ransac_sphere_fit(np.zeros((3, 3)), FitConfig())
 
     def test_all_degenerate_raises(self):
-        # identical points defeat both the seed estimate and every minimal sample
-        with pytest.raises(DegenerateSampleError):
-            ransac_sphere_fit(np.full((10, 3), 0.2), FitConfig(rng_seed=1))
+        # Identical points, and an exactly planar disc, make every minimal
+        # sample degenerate; no hypothesis is left to fit.
+        clouds = [np.full((10, 3), 0.2)]
+        rng = np.random.default_rng(22)
+        for radius in (0.005, 0.008, 0.012):
+            rho = radius * np.sqrt(rng.uniform(0.0, 1.0, 300))
+            phi = rng.uniform(0.0, 2.0 * np.pi, 300)
+            clouds.append(np.stack([rho * np.cos(phi), rho * np.sin(phi),
+                                    np.full(300, 0.4)], axis=1))
+        for cloud in clouds:
+            with pytest.raises(DegenerateSampleError, match="no usable hypothesis"):
+                ransac_sphere_fit(cloud, FitConfig(rng_seed=1))
+
+    def test_scores_each_hypothesis_once(self, monkeypatch):
+        # One batch over every hypothesis, one call for the refined sphere.
+        calls = []
+
+        def counting_mask(pts, centers, radii, min_cloud_z, cfg):
+            calls.append(len(centers))
+            return _inlier_mask(pts, centers, radii, min_cloud_z, cfg)
+
+        monkeypatch.setattr(spherefit, "_inlier_mask", counting_mask)
+        rng = np.random.default_rng(23)
+        cloud = add_depth_noise(cap_cloud([0, 0, 0.4], 0.009, 300, rng), 0.0011, rng)
+        assert ransac_sphere_fit(cloud, FitConfig(rng_seed=24)).accepted
+        assert len(calls) == 2 and calls[1] == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -391,7 +381,11 @@ def reference_fit(points, config):
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     min_cloud_z = float(pts[:, 2].min())
-    seed = initial_estimate(pts)
+    # A centroid hypothesis (radius the mean distance to the centroid) ahead
+    # of the samples. The fit scores no such hypothesis; matching it here
+    # shows that the centroid never wins on these clouds.
+    seed_center = pts.mean(axis=0)
+    seed_radius = float(np.linalg.norm(pts - seed_center, axis=1).mean())
     samples = reference_quads(config.rng_seed, n, config.ransac_iterations)
     quads = pts[samples]
     lhs = np.concatenate([2.0 * quads, np.ones((len(samples), 4, 1))], axis=2)
@@ -405,8 +399,8 @@ def reference_fit(points, config):
         np.all(np.isfinite(sample_centers), axis=1)
         & np.isfinite(sample_radii) & (r_sq > 0) & (sample_radii <= 1e6)
     )
-    cand_centers = np.concatenate([[seed.center_array()], sample_centers[usable]])
-    cand_radii = np.concatenate([[seed.radius], sample_radii[usable]])
+    cand_centers = np.concatenate([[seed_center], sample_centers[usable]])
+    cand_radii = np.concatenate([[seed_radius], sample_radii[usable]])
 
     best_idx, best_count, best_resid = -1, 0, float("inf")
     counts = []
