@@ -6,29 +6,28 @@ the rigid transform taking side-B coordinates into side A: any point expressed
 relative to the fiducial lands on identical side-A coordinates through either
 chain.
 
-Merging is fixed as B-into-A: the merged map starts from side A's tracks and
-integrates each side-B track as a single observation whose weight is that
-track's observation tally. Under pairwise averaging this order matters (the
-B value gets half weight against the whole A history), which is why the
-direction is part of the contract rather than a free choice. The merged map
-keeps side A's coordinates and is labeled "merged".
+Merging is fixed as B-into-A: a mapping.TrackStore starts from side A's
+tracks, and each side-B track is integrated into it as a single observation
+whose weight is that track's observation tally. Under pairwise averaging this
+order matters (the B value gets half weight against the whole A history),
+which is why the direction is part of the contract rather than a free choice.
+The ids are renumbered before the store builds the merged map, which keeps
+side A's coordinates and is labeled "merged". transform_map moves a map's
+centers through the same store.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .dataset import FiducialObservation
 from .geometry import RigidTransform
 from .mapping import (
     CROSS_SIDE_RADIUS,
     BranchMap,
-    FruitletTrack,
     MergeConfig,
+    TrackStore,
     config_digest,
     integrate_observation,
 )
-from .spherefit import SphereModel
 
 __all__ = ["cross_side_transform", "transform_map", "merge_maps"]
 
@@ -48,21 +47,9 @@ def transform_map(
     branch_map: BranchMap, transform: RigidTransform, frame_label: str
 ) -> BranchMap:
     """Re-express every track center in a new frame; diameters are unchanged."""
-    centers = np.array([t.center for t in branch_map.tracks]).reshape(-1, 3)
-    moved = transform.apply(centers)
-    tracks = tuple(
-        FruitletTrack(
-            id=t.id,
-            center=tuple(moved[i]),
-            diameter=t.diameter,
-            observations=t.observations,
-            sides=t.sides,
-        )
-        for i, t in enumerate(branch_map.tracks)
-    )
-    return BranchMap(
-        frame_label=frame_label, tracks=tracks, provenance=dict(branch_map.provenance)
-    )
+    store = TrackStore(branch_map.tracks)
+    store.centers = transform.apply(store.centers)
+    return store.build(frame_label, branch_map.provenance)
 
 
 def merge_maps(
@@ -81,32 +68,21 @@ def merge_maps(
             f"{map_a.frame_label!r} vs {map_b_in_a.frame_label!r}"
         )
     cfg = cfg if cfg is not None else MergeConfig(merge_radius=CROSS_SIDE_RADIUS)
-    merged = BranchMap(
-        frame_label=map_a.frame_label,
-        tracks=map_a.tracks,
-        provenance={
-            "dataset_id": map_a.provenance.get("dataset_id", ""),
-            "config_digest": config_digest(cfg),
-        },
-    )
+    store = TrackStore(map_a.tracks)
     for track in map_b_in_a.tracks:
-        merged = integrate_observation(
-            merged,
-            SphereModel(center=track.center, diameter=track.diameter),
+        integrate_observation(
+            store,
+            track.center,
+            track.diameter,
             cfg,
             sides=track.sides,
             weight=track.observations,
         )
-    renumbered = tuple(
-        FruitletTrack(
-            id=index,
-            center=t.center,
-            diameter=t.diameter,
-            observations=t.observations,
-            sides=t.sides,
-        )
-        for index, t in enumerate(merged.tracks)
-    )
-    return BranchMap(
-        frame_label="merged", tracks=renumbered, provenance=merged.provenance
+    store.ids = list(range(len(store.ids)))
+    return store.build(
+        "merged",
+        {
+            "dataset_id": map_a.provenance.get("dataset_id", ""),
+            "config_digest": config_digest(cfg),
+        },
     )

@@ -262,6 +262,9 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
         raise DatasetError(f"{manifest_path}: sides must be a list of strings, got {all_sides!r}")
     if not all_sides:
         raise DatasetError(f"{manifest_path}: empty side list")
+    dataset_id = manifest.get("dataset_id", "")
+    if not isinstance(dataset_id, str):
+        raise DatasetError(f"{manifest_path}: dataset_id must be a string, got {dataset_id!r}")
     all_sides = tuple(all_sides)
     framed = all_sides if sides is None else tuple(sides)
     for side in framed:
@@ -340,7 +343,7 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
     ground_truth = load_ground_truth(gt_path) if gt_path.exists() else None
     return ScanDataset(
         root=root,
-        dataset_id=str(manifest.get("dataset_id", "")),
+        dataset_id=dataset_id,
         sides=all_sides,
         frames=frames,
         fiducials=fiducials,

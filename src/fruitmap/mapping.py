@@ -19,10 +19,13 @@ pair left closer than the radius, keeping the earlier-seen track's id. The
 separation invariant, no two track centers within the merge radius, therefore
 holds for every map this module produces.
 
-BranchMap values are immutable; integrate_observation returns a new map.
-Building is deterministic for a fixed dataset, config, and base seed because
-every observation's fit is seeded from (base seed, frame index, instance id)
-rather than from shared generator state.
+Tracks under construction live in a TrackStore, which integrate_observation
+updates in place; the store builds the frozen, validated BranchMap once, at
+the end, and BranchMap values stay immutable. The cross-side merge in
+alignment.py goes through the same store. Building is deterministic for a
+fixed dataset, config, and base seed because every observation's fit is
+seeded from (base seed, frame index, instance id) rather than from shared
+generator state.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .spherefit import (
     DegenerateSampleError,
     FitConfig,
     InsufficientPointsError,
-    SphereModel,
     derive_observation_seed,
     downsample_points,
     ransac_sphere_fit,
@@ -53,6 +55,7 @@ __all__ = [
     "MergeConfig",
     "FruitletTrack",
     "BranchMap",
+    "TrackStore",
     "config_digest",
     "integrate_observation",
     "build_side_map",
@@ -109,9 +112,6 @@ class FruitletTrack:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "sides", frozenset(self.sides))
 
-    def center_array(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
-
 
 @dataclass(frozen=True)
 class BranchMap:
@@ -140,69 +140,84 @@ def config_digest(*configs: object) -> str:
     return json_digest([asdict(cfg) for cfg in configs])  # type: ignore[call-overload]
 
 
-def _blend(
-    track: FruitletTrack,
-    center: np.ndarray,
-    diameter: float,
-    weight: int,
-    sides: frozenset[str],
-    cfg: MergeConfig,
-) -> FruitletTrack:
-    if cfg.averaging == "pairwise":
-        new_center = (track.center_array() + center) / 2.0
-        new_diameter = (track.diameter + diameter) / 2.0
-    else:
-        total = track.observations + weight
-        new_center = (
-            track.observations * track.center_array() + weight * center
-        ) / total
-        new_diameter = (track.observations * track.diameter + weight * diameter) / total
-    return FruitletTrack(
-        id=track.id,
-        center=tuple(new_center),
-        diameter=float(new_diameter),
-        observations=track.observations + weight,
-        sides=track.sides | sides,
-    )
+class TrackStore:
+    """The tracks of one map under construction, one row per track.
 
+    Rows are in first-seen order: ids, a (T, 3) center array, and lists of
+    diameters, observation counts and side sets. integrate_observation
+    updates them in place; build() turns them into a validated BranchMap.
+    """
 
-def _suppress_duplicates(
-    tracks: list[FruitletTrack], moved: int, cfg: MergeConfig
-) -> list[FruitletTrack]:
-    # A merge may have dragged tracks[moved] inside the radius of a neighbour.
-    # Collapse such pairs (earlier-seen track survives) until separation holds;
-    # each collapse removes a track, so this terminates.
-    while len(tracks) > 1:
-        centers = np.array([t.center for t in tracks])
-        dist = np.linalg.norm(centers - centers[moved], axis=1)
-        dist[moved] = np.inf
-        nearest = int(np.argmin(dist))
-        if dist[nearest] > cfg.merge_radius:
-            break
-        keep, drop = (moved, nearest) if moved < nearest else (nearest, moved)
-        absorbed = tracks[drop]
-        tracks[keep] = _blend(
-            tracks[keep],
-            absorbed.center_array(),
-            absorbed.diameter,
-            absorbed.observations,
-            absorbed.sides,
-            cfg,
+    def __init__(self, tracks: tuple[FruitletTrack, ...] = ()) -> None:
+        self.ids = [t.id for t in tracks]
+        self.centers = np.array([t.center for t in tracks], dtype=float).reshape(-1, 3)
+        self.diameters = [t.diameter for t in tracks]
+        self.counts = [t.observations for t in tracks]
+        self.sides = [t.sides for t in tracks]
+
+    def build(self, frame_label: str, provenance: Mapping[str, object]) -> BranchMap:
+        rows = zip(self.ids, self.centers.tolist(), self.diameters, self.counts, self.sides)
+        return BranchMap(
+            frame_label=frame_label,
+            tracks=tuple(FruitletTrack(*row) for row in rows),
+            provenance=dict(provenance),
         )
-        del tracks[drop]
-        moved = keep
-    return tracks
+
+    def _blend(
+        self,
+        row: int,
+        center: np.ndarray,
+        diameter: float,
+        weight: int,
+        sides: frozenset[str],
+        cfg: MergeConfig,
+    ) -> None:
+        count = self.counts[row]
+        if cfg.averaging == "pairwise":
+            self.centers[row] = (self.centers[row] + center) / 2.0
+            self.diameters[row] = (self.diameters[row] + diameter) / 2.0
+        else:
+            total = count + weight
+            self.centers[row] = (count * self.centers[row] + weight * center) / total
+            self.diameters[row] = (count * self.diameters[row] + weight * diameter) / total
+        self.counts[row] = count + weight
+        self.sides[row] = self.sides[row] | sides
+
+    def _collapse(self, moved: int, cfg: MergeConfig) -> None:
+        # A merge may have dragged row `moved` inside the radius of a
+        # neighbour. Collapse such pairs (earlier-seen track survives) until
+        # separation holds; each collapse removes a track, so this terminates.
+        while len(self.ids) > 1:
+            dist = np.linalg.norm(self.centers - self.centers[moved], axis=1)
+            dist[moved] = np.inf
+            nearest = int(np.argmin(dist))
+            if dist[nearest] > cfg.merge_radius:
+                break
+            keep, drop = sorted((moved, nearest))
+            self._blend(
+                keep,
+                self.centers[drop],
+                self.diameters[drop],
+                self.counts[drop],
+                self.sides[drop],
+                cfg,
+            )
+            self.centers = np.delete(self.centers, drop, axis=0)
+            for column in (self.ids, self.diameters, self.counts, self.sides):
+                del column[drop]
+            moved = keep
 
 
 def integrate_observation(
-    branch_map: BranchMap,
-    obs: SphereModel,
+    store: TrackStore,
+    center: Iterable[float],
+    diameter: float,
     cfg: MergeConfig,
     *,
     sides: Iterable[str] = (),
     weight: int = 1,
-) -> BranchMap:
-    """Merge one accepted sphere fit into the map, or open a new track.
+) -> None:
+    """Merge one accepted sphere fit into the store, or open a new track.
 
     The observation joins the nearest track when the center distance is at or
     below cfg.merge_radius; ties resolve to the earliest-seen track. weight > 1
@@ -211,24 +226,20 @@ def integrate_observation(
     """
     if weight < 1:
         raise ValueError("weight must be a positive observation count")
-    sides = frozenset(sides)
-    tracks = list(branch_map.tracks)
-    if not tracks:
-        first = FruitletTrack(0, obs.center, obs.diameter, weight, sides)
-        return replace(branch_map, tracks=(first,))
-
-    centers = np.array([t.center for t in tracks])
-    dist = np.linalg.norm(centers - obs.center_array(), axis=1)
-    nearest = int(np.argmin(dist))
-    if dist[nearest] <= cfg.merge_radius:
-        tracks[nearest] = _blend(
-            tracks[nearest], obs.center_array(), obs.diameter, weight, sides, cfg
-        )
-        tracks = _suppress_duplicates(tracks, nearest, cfg)
-    else:
-        next_id = max(t.id for t in tracks) + 1
-        tracks.append(FruitletTrack(next_id, obs.center, obs.diameter, weight, sides))
-    return replace(branch_map, tracks=tuple(tracks))
+    center = np.asarray(center, dtype=float)
+    diameter, sides = float(diameter), frozenset(sides)
+    if store.ids:
+        dist = np.linalg.norm(store.centers - center, axis=1)
+        nearest = int(np.argmin(dist))
+        if dist[nearest] <= cfg.merge_radius:
+            store._blend(nearest, center, diameter, weight, sides, cfg)
+            store._collapse(nearest, cfg)
+            return
+    store.ids.append(max(store.ids, default=-1) + 1)
+    store.centers = np.vstack([store.centers, center])
+    store.diameters.append(diameter)
+    store.counts.append(weight)
+    store.sides.append(sides)
 
 
 def build_side_map(
@@ -251,15 +262,7 @@ def build_side_map(
         raise DatasetError(
             f"side {side!r} not in dataset (has {sorted(dataset.frames)})"
         )
-    branch_map = BranchMap(
-        frame_label=side,
-        tracks=(),
-        provenance={
-            "dataset_id": dataset.dataset_id,
-            "config_digest": config_digest(fit_cfg, merge_cfg),
-            "seed": fit_cfg.rng_seed,
-        },
-    )
+    store = TrackStore()
     for frame in dataset.frames[side]:
         for instance_id, cloud in extract_instance_clouds(frame):
             seed = derive_observation_seed(
@@ -286,10 +289,17 @@ def build_side_map(
                     report.model.diameter,
                 )
                 continue
-            branch_map = integrate_observation(
-                branch_map, report.model, merge_cfg, sides=(side,)
+            integrate_observation(
+                store, report.model.center, report.model.diameter, merge_cfg, sides=(side,)
             )
-    return branch_map
+    return store.build(
+        side,
+        {
+            "dataset_id": dataset.dataset_id,
+            "config_digest": config_digest(fit_cfg, merge_cfg),
+            "seed": fit_cfg.rng_seed,
+        },
+    )
 
 
 def map_to_json(branch_map: BranchMap) -> dict:

@@ -175,7 +175,6 @@ class Scene:
 
     fruitlets: tuple[GroundTruthFruitlet, ...]
     occluders: tuple[LeafOccluder, ...]
-    branch_length: float
     side_from_scene: Mapping[str, RigidTransform]
     fiducial_to_scene: RigidTransform
     depth_noise_sigma: float
@@ -279,7 +278,6 @@ def generate_scene(spec: OrchardSpec) -> tuple[Scene, GroundTruth]:
     scene = Scene(
         fruitlets=fruitlets,
         occluders=occluders,
-        branch_length=spec.branch_length,
         side_from_scene={
             "A": RigidTransform.identity(),
             "B": _SIDE_B_FROM_SCENE,
@@ -385,7 +383,6 @@ def _ray_dirs(
 def render_frame(
     scene: Scene,
     pose: RigidTransform,
-    intrinsics: CameraIntrinsics | None = None,
     noise_sigma: float = 0.0,
     rng_seed: int = 0,
     dilate_px: int = 0,
@@ -397,19 +394,19 @@ def render_frame(
     id + 1 and occluder pixels stay 0. Gaussian noise of the given sigma is
     added to every valid depth, seeded by rng_seed alone.
     """
-    intr = intrinsics if intrinsics is not None else DEFAULT_INTRINSICS
     to_camera = pose.inverse()
-    depth = np.full((intr.height, intr.width), np.inf)
-    masks = np.zeros((intr.height, intr.width), dtype=np.uint16)
+    shape = (DEFAULT_INTRINSICS.height, DEFAULT_INTRINSICS.width)
+    depth = np.full(shape, np.inf)
+    masks = np.zeros(shape, dtype=np.uint16)
 
     for fruit in scene.fruitlets:
         radius = fruit.diameter / 2.0
         center = to_camera.apply(np.asarray(fruit.center))
         corners = center + radius * _AABB_CORNERS
-        box = _roi_from_points(corners, intr)
+        box = _roi_from_points(corners, DEFAULT_INTRINSICS)
         if box is None:
             continue
-        dirs = _ray_dirs(intr, box)
+        dirs = _ray_dirs(DEFAULT_INTRINSICS, box)
         dd = np.einsum("...k,...k->...", dirs, dirs)
         b = dirs @ center
         disc = b * b - dd * (center @ center - radius * radius)
@@ -433,10 +430,10 @@ def render_frame(
                 for sv in (-1, 1)
             ]
         )
-        box = _roi_from_points(corners, intr)
+        box = _roi_from_points(corners, DEFAULT_INTRINSICS)
         if box is None:
             continue
-        dirs = _ray_dirs(intr, box)
+        dirs = _ray_dirs(DEFAULT_INTRINSICS, box)
         normal = np.cross(axis_u, axis_v)
         denom = dirs @ normal
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -509,9 +506,7 @@ def _assemble_dataset(
     scene: Scene,
     trajectory: Mapping[str, tuple[RigidTransform, ...]],
     truth: GroundTruth,
-    intrinsics: CameraIntrinsics | None,
 ) -> ScanDataset:
-    intr = intrinsics if intrinsics is not None else DEFAULT_INTRINSICS
     frames: dict[str, tuple[FrameRecord, ...]] = {}
     fiducials: dict[str, FiducialObservation] = {}
     visibility: dict[str, dict[int, int]] = {}
@@ -523,7 +518,6 @@ def _assemble_dataset(
             depth, masks = render_frame(
                 scene,
                 pose_scene,
-                intr,
                 noise_sigma=scene.depth_noise_sigma,
                 rng_seed=_frame_noise_seed(scene.rng_seed, side_index, frame_index),
                 dilate_px=scene.mask_dilate_px,
@@ -536,7 +530,7 @@ def _assemble_dataset(
                 FrameRecord(
                     frame_index=frame_index,
                     pose=side_from_scene.compose(pose_scene),
-                    intrinsics=intr,
+                    intrinsics=DEFAULT_INTRINSICS,
                     depth=depth.astype(np.float32),
                     masks=masks,
                 )
@@ -556,13 +550,11 @@ def _assemble_dataset(
     )
 
 
-def simulate_dataset(
-    spec: OrchardSpec, intrinsics: CameraIntrinsics | None = None
-) -> ScanDataset:
+def simulate_dataset(spec: OrchardSpec) -> ScanDataset:
     """Generate, plan, and render a full two-side dataset in memory."""
     scene, truth = generate_scene(spec)
     trajectory = plan_trajectory(spec)
-    return _assemble_dataset(scene, trajectory, truth, intrinsics)
+    return _assemble_dataset(scene, trajectory, truth)
 
 
 def export_dataset(
@@ -570,10 +562,9 @@ def export_dataset(
     trajectory: Mapping[str, tuple[RigidTransform, ...]],
     truth: GroundTruth,
     root: Path | str,
-    intrinsics: CameraIntrinsics | None = None,
     extra_manifest: Mapping[str, object] | None = None,
 ) -> ScanDataset:
     """Render the scene along the trajectory and write the dataset layout."""
-    dataset = _assemble_dataset(scene, trajectory, truth, intrinsics)
+    dataset = _assemble_dataset(scene, trajectory, truth)
     written_root = write_dataset(dataset, root, extra_manifest)
     return replace(dataset, root=written_root)

@@ -10,9 +10,9 @@ from fruitmap.mapping import (
     BranchMap,
     FruitletTrack,
     MergeConfig,
+    TrackStore,
     integrate_observation,
 )
-from fruitmap.spherefit import SphereModel
 
 
 def fid(side, pose):
@@ -70,11 +70,10 @@ class TestTransformMap:
 
 class TestMergeMaps:
     def make_a(self, centers):
-        m = BranchMap("A")
+        store = TrackStore()
         for c in centers:
-            m = integrate_observation(m, SphereModel(center=c, diameter=0.01),
-                                      MergeConfig(), sides=("A",))
-        return m
+            integrate_observation(store, c, 0.01, MergeConfig(), sides=("A",))
+        return store.build("A", {})
 
     def make_b_in_a(self, centers, n=1):
         tracks = tuple(track(i, c, n=n, sides=("B",)) for i, c in enumerate(centers))

@@ -253,11 +253,14 @@ class TestMalformedInputs:
         "name, patch, needles",
         [
             ("manifest.json", None, ("manifest.json", "JSON object")),
+            ("manifest.json", {"dataset_id": 5}, ("manifest.json", "dataset_id", "5")),
             ("sides/A/frames/0.json", {"frame_index": 0.5}, ("frame_index", "0.5")),
-            ("sides/A/frames/0.json", {"fx": "362"}, ("intrinsics", "fx", "'362'")),
-            ("sides/A/frames/0.json", {"width": 616.9}, ("intrinsics", "width", "616.9")),
+            ("sides/A/frames/0.json", {"intrinsics": {"fx": "362"}},
+             ("intrinsics", "fx", "'362'")),
+            ("sides/A/frames/0.json", {"intrinsics": {"width": 616.9}},
+             ("intrinsics", "width", "616.9")),
         ],
-        ids=["list-manifest", "float-frame-index", "string-fx", "float-width"],
+        ids=["list-manifest", "int-dataset-id", "float-frame-index", "string-fx", "float-width"],
     )
     def test_malformed_dataset_json(self, pipeline, tmp_path, name, patch, needles):
         # The dataset's JSON files, with side A's frame 0 only: each failure
@@ -270,10 +273,8 @@ class TestMalformedInputs:
         doc = []
         if patch is not None:
             doc = json.loads((ds / name).read_text())
-            if "frame_index" in patch:
-                doc.update(patch)
-            else:
-                doc["intrinsics"].update(patch)
+            for key, value in patch.items():
+                doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
         (ds / name).write_text(json.dumps(doc))
         out = tmp_path / "a.json"
         proc = run_cli(["map", "--dataset", str(ds), "--side", "A", "--out", str(out)])

@@ -283,6 +283,7 @@ class TestValidation:
             ("manifest.json", [], "expected a JSON object, got list"),
             ("manifest.json", {"sides": "AB"}, "sides must be a list of strings"),
             ("manifest.json", {"sides": 5}, "sides must be a list of strings"),
+            ("manifest.json", {"dataset_id": 5}, "dataset_id must be a string, got 5"),
             ("sides/A/fiducial.json", ["pose"], "expected a JSON object"),
             ("sides/A/fiducial.json", {"pose": ["1"] * 16}, "pose must be a list"),
             ("sides/A/frames/0.json", {"frame_index": 0.5}, "frame_index must be an integer"),
@@ -292,9 +293,9 @@ class TestValidation:
             ("sides/A/frames/0.json", {"intrinsics": {"width": 32.5}}, "intrinsics: width"),
             ("sides/A/frames/0.json", {"intrinsics": []}, "intrinsics: expected an object"),
         ],
-        ids=["list-manifest", "string-sides", "int-sides", "list-fiducial", "string-pose",
-             "float-frame-index", "bool-frame-index", "int-depth-path", "string-fx",
-             "float-width", "list-intrinsics"],
+        ids=["list-manifest", "string-sides", "int-sides", "int-dataset-id", "list-fiducial",
+             "string-pose", "float-frame-index", "bool-frame-index", "int-depth-path",
+             "string-fx", "float-width", "list-intrinsics"],
     )
     def test_dataset_json_is_checked_not_coerced(self, tmp_path, file, edit, message):
         root = write_dataset(make_dataset(), tmp_path / "scan")

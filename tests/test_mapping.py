@@ -15,6 +15,7 @@ from fruitmap.mapping import (
     BranchMap,
     FruitletTrack,
     MergeConfig,
+    TrackStore,
     build_side_map,
     config_digest,
     integrate_observation,
@@ -24,22 +25,23 @@ from fruitmap.mapping import (
     save_branch_map,
 )
 from fruitmap.simulator import OrchardSpec, generate_scene, simulate_dataset
-from fruitmap.spherefit import FitConfig, SphereModel
+from fruitmap.spherefit import FitConfig
 
 
-def obs(x, y, z, d):
-    return SphereModel(center=(x, y, z), diameter=d)
+def integrate(branch_map, center, diameter, cfg, **kwargs):
+    """One integrate_observation into a store of branch_map's tracks; the map it builds."""
+    store = TrackStore(branch_map.tracks)
+    integrate_observation(store, center, diameter, cfg, **kwargs)
+    return store.build(branch_map.frame_label, branch_map.provenance)
 
 
 def one_track_map(center=(0.0, 0.0, 0.4), d=0.010, label="A"):
-    m = BranchMap(frame_label=label)
-    return integrate_observation(m, SphereModel(center=center, diameter=d),
-                                 MergeConfig(), sides=("A",))
+    return integrate(BranchMap(frame_label=label), center, d, MergeConfig(), sides=("A",))
 
 
 class TestIntegrate:
     def test_empty_map_opens_track(self):
-        m = integrate_observation(BranchMap("A"), obs(0, 0, 0.4, 0.01), MergeConfig())
+        m = integrate(BranchMap("A"), (0, 0, 0.4), 0.01, MergeConfig())
         assert len(m.tracks) == 1
         t = m.tracks[0]
         assert t.id == 0
@@ -50,7 +52,7 @@ class TestIntegrate:
         # (0,0,0.4) d=10mm merged with (0.004,0,0.4) d=12mm at radius 10mm:
         # center (0.002,0,0.4), d=11mm, observations 2
         m = one_track_map()
-        m = integrate_observation(m, obs(0.004, 0, 0.4, 0.012), MergeConfig())
+        m = integrate(m, (0.004, 0, 0.4), 0.012, MergeConfig())
         assert len(m.tracks) == 1
         t = m.tracks[0]
         np.testing.assert_allclose(t.center, (0.002, 0.0, 0.4), atol=1e-15)
@@ -59,18 +61,18 @@ class TestIntegrate:
 
     def test_beyond_radius_opens_duplicate(self):
         m = one_track_map()
-        m = integrate_observation(m, obs(0.015, 0, 0.4, 0.01), MergeConfig())
+        m = integrate(m, (0.015, 0, 0.4), 0.01, MergeConfig())
         assert len(m.tracks) == 2
         assert [t.id for t in m.tracks] == [0, 1]
 
     def test_radius_boundary_inclusive(self):
         m = one_track_map()
-        m = integrate_observation(m, obs(0.010, 0, 0.4, 0.01), MergeConfig())
+        m = integrate(m, (0.010, 0, 0.4), 0.01, MergeConfig())
         assert len(m.tracks) == 1
 
     def test_identical_observation_idempotent(self):
         m = one_track_map()
-        m = integrate_observation(m, obs(0.0, 0.0, 0.4, 0.010), MergeConfig())
+        m = integrate(m, (0.0, 0.0, 0.4), 0.010, MergeConfig())
         assert len(m.tracks) == 1
         assert m.tracks[0].observations == 2
         assert m.tracks[0].center == (0.0, 0.0, 0.4)
@@ -79,8 +81,8 @@ class TestIntegrate:
     def test_weighted_average(self):
         cfg = MergeConfig(averaging="weighted")
         m = one_track_map()
-        m = integrate_observation(m, obs(0.0, 0.0, 0.4, 0.010), cfg)  # obs now 2
-        m = integrate_observation(m, obs(0.006, 0.0, 0.4, 0.016), cfg)
+        m = integrate(m, (0.0, 0.0, 0.4), 0.010, cfg)  # obs now 2
+        m = integrate(m, (0.006, 0.0, 0.4), 0.016, cfg)
         t = m.tracks[0]
         assert t.observations == 3
         np.testing.assert_allclose(t.center, (0.002, 0.0, 0.4), atol=1e-15)
@@ -89,7 +91,7 @@ class TestIntegrate:
     def test_weight_parameter_feeds_tally_and_weighted_mean(self):
         cfg = MergeConfig(averaging="weighted")
         m = one_track_map()  # 1 observation at x=0
-        m = integrate_observation(m, obs(0.004, 0, 0.4, 0.01), cfg, weight=3)
+        m = integrate(m, (0.004, 0, 0.4), 0.01, cfg, weight=3)
         t = m.tracks[0]
         assert t.observations == 4
         assert t.center[0] == pytest.approx(0.003, abs=1e-15)
@@ -98,24 +100,23 @@ class TestIntegrate:
         # one outlier first, then n identical observations: pairwise averaging
         # halves the outlier's influence per merge
         cfg = MergeConfig()
-        m = integrate_observation(BranchMap("A"), obs(0.008, 0, 0.4, 0.01), cfg)
+        m = integrate(BranchMap("A"), (0.008, 0, 0.4), 0.01, cfg)
         errors = []
         for _ in range(5):
-            m = integrate_observation(m, obs(0.0, 0, 0.4, 0.01), cfg)
+            m = integrate(m, (0.0, 0, 0.4), 0.01, cfg)
             errors.append(m.tracks[0].center[0])
         for before, after in zip(errors, errors[1:]):
             assert after == pytest.approx(before / 2)
 
     def test_sides_union(self):
         m = one_track_map()
-        m = integrate_observation(m, obs(0.001, 0, 0.4, 0.01), MergeConfig(),
-                                  sides=("B",))
+        m = integrate(m, (0.001, 0, 0.4), 0.01, MergeConfig(), sides=("B",))
         assert m.tracks[0].sides == frozenset({"A", "B"})
 
     def test_nearest_track_wins(self):
         m = one_track_map((0.0, 0.0, 0.4))
-        m = integrate_observation(m, obs(0.030, 0, 0.4, 0.01), MergeConfig())
-        m = integrate_observation(m, obs(0.026, 0, 0.4, 0.012), MergeConfig())
+        m = integrate(m, (0.030, 0, 0.4), 0.01, MergeConfig())
+        m = integrate(m, (0.026, 0, 0.4), 0.012, MergeConfig())
         assert len(m.tracks) == 2
         assert m.tracks[0].observations == 1
         assert m.tracks[1].observations == 2
@@ -126,14 +127,15 @@ class TestIntegrate:
         n = 60
         for _ in range(n):
             p = rng.uniform(-0.05, 0.05, size=3)
-            m = integrate_observation(m, obs(*p, 0.01), MergeConfig())
+            m = integrate(m, p, 0.01, MergeConfig())
         assert len(m.tracks) <= n
         assert sum(t.observations for t in m.tracks) == n
 
     def test_weight_validation(self):
+        store = TrackStore()
         with pytest.raises(ValueError, match="weight"):
-            integrate_observation(BranchMap("A"), obs(0, 0, 0.4, 0.01),
-                                  MergeConfig(), weight=0)
+            integrate_observation(store, (0, 0, 0.4), 0.01, MergeConfig(), weight=0)
+        assert store.build("A", {}) == BranchMap("A")
 
 
 class TestDuplicateSuppression:
@@ -142,9 +144,9 @@ class TestDuplicateSuppression:
         # radius of the other; the pair must then collapse (earlier id wins)
         cfg = MergeConfig()  # radius 10mm
         m = one_track_map((0.0, 0.0, 0.4))
-        m = integrate_observation(m, obs(0.011, 0, 0.4, 0.01), cfg)
+        m = integrate(m, (0.011, 0, 0.4), 0.01, cfg)
         assert len(m.tracks) == 2
-        m = integrate_observation(m, obs(0.0055, 0, 0.4, 0.01), cfg)
+        m = integrate(m, (0.0055, 0, 0.4), 0.01, cfg)
         assert len(m.tracks) == 1
         assert m.tracks[0].id == 0
         assert m.tracks[0].observations == 3
@@ -156,7 +158,7 @@ class TestDuplicateSuppression:
             m = BranchMap("A")
             for _ in range(300):
                 p = rng.uniform(-0.04, 0.04, size=3)
-                m = integrate_observation(m, obs(*p, 0.01), cfg)
+                m = integrate(m, p, 0.01, cfg)
             centers = np.array([t.center for t in m.tracks])
             diff = centers[:, None, :] - centers[None, :, :]
             dist = np.linalg.norm(diff, axis=-1)
@@ -168,10 +170,110 @@ class TestDuplicateSuppression:
         m = BranchMap("A")
         for _ in range(200):
             p = rng.uniform(-0.03, 0.03, size=3)
-            m = integrate_observation(m, obs(*p, 0.01), MergeConfig())
+            m = integrate(m, p, 0.01, MergeConfig())
         ids = [t.id for t in m.tracks]
         assert len(set(ids)) == len(ids)
         assert ids == sorted(ids)
+
+
+# The immutable integration TrackStore replaced, kept as the reference it must
+# match bit for bit: every observation rebuilds the tuple of validated tracks.
+def reference_blend(track, center, diameter, weight, sides, cfg):
+    old = np.asarray(track.center, dtype=float)
+    if cfg.averaging == "pairwise":
+        new_center = (old + center) / 2.0
+        new_diameter = (track.diameter + diameter) / 2.0
+    else:
+        total = track.observations + weight
+        new_center = (track.observations * old + weight * center) / total
+        new_diameter = (track.observations * track.diameter + weight * diameter) / total
+    return FruitletTrack(track.id, tuple(new_center), float(new_diameter),
+                         track.observations + weight, track.sides | sides)
+
+
+def reference_suppress(tracks, moved, cfg):
+    while len(tracks) > 1:
+        centers = np.array([t.center for t in tracks])
+        dist = np.linalg.norm(centers - centers[moved], axis=1)
+        dist[moved] = np.inf
+        nearest = int(np.argmin(dist))
+        if dist[nearest] > cfg.merge_radius:
+            break
+        keep, drop = (moved, nearest) if moved < nearest else (nearest, moved)
+        absorbed = tracks[drop]
+        tracks[keep] = reference_blend(tracks[keep], np.asarray(absorbed.center, dtype=float),
+                                       absorbed.diameter, absorbed.observations,
+                                       absorbed.sides, cfg)
+        del tracks[drop]
+        moved = keep
+    return tracks
+
+
+def reference_integrate(branch_map, center, diameter, cfg, *, sides=(), weight=1):
+    sides = frozenset(sides)
+    tracks = list(branch_map.tracks)
+    if not tracks:
+        first = FruitletTrack(0, center, diameter, weight, sides)
+        return BranchMap(branch_map.frame_label, (first,), branch_map.provenance)
+    centers = np.array([t.center for t in tracks])
+    point = np.asarray(center, dtype=float)
+    dist = np.linalg.norm(centers - point, axis=1)
+    nearest = int(np.argmin(dist))
+    if dist[nearest] <= cfg.merge_radius:
+        tracks[nearest] = reference_blend(tracks[nearest], point, diameter, weight, sides, cfg)
+        tracks = reference_suppress(tracks, nearest, cfg)
+    else:
+        next_id = max(t.id for t in tracks) + 1
+        tracks.append(FruitletTrack(next_id, center, diameter, weight, sides))
+    return BranchMap(branch_map.frame_label, tuple(tracks), branch_map.provenance)
+
+
+def random_stream(seed, n=120):
+    """(center, diameter, sides, weight) draws around a lattice spaced just over
+    the radius, so merges often drag tracks onto their neighbours."""
+    rng = np.random.default_rng(seed)
+    lattice = 0.0105 * np.stack(np.meshgrid(*[np.arange(3)] * 3), axis=-1).reshape(-1, 3)
+    side_sets = [("A",), ("B",), ("A", "B"), ()]
+    stream = [(tuple(p), 0.012, ("A",), 1) for p in lattice]
+    for _ in range(n):
+        center = tuple(rng.uniform(-0.005, 0.026, size=3))
+        diameter = float(rng.uniform(0.006, 0.03))
+        sides = side_sets[int(rng.integers(len(side_sets)))]
+        weight = int(rng.integers(1, 6)) if rng.random() < 0.5 else 1
+        stream.append((center, diameter, sides, weight))
+    return stream
+
+
+class TestStoreOracle:
+    @pytest.mark.parametrize("averaging", ["pairwise", "weighted"])
+    def test_matches_immutable_reference_bit_for_bit(self, averaging):
+        cfg = MergeConfig(averaging=averaging)
+        chained = 0
+        for seed in range(12):
+            store, reference = TrackStore(), BranchMap("A")
+            for center, diameter, sides, weight in random_stream(seed):
+                before = len(reference.tracks)
+                integrate_observation(store, center, diameter, cfg, sides=sides, weight=weight)
+                reference = reference_integrate(reference, center, diameter, cfg,
+                                                sides=sides, weight=weight)
+                built = store.build("A", {})
+                assert built == reference
+                assert json_digest(map_to_json(built)) == json_digest(map_to_json(reference))
+                chained += before - len(reference.tracks) >= 2
+        # the streams must exercise collapses that chain through several tracks
+        assert chained >= 5
+
+    def test_store_starts_from_existing_tracks(self):
+        # merge_maps seeds the store from a map whose ids need not be dense
+        cfg = MergeConfig(merge_radius=CROSS_SIDE_RADIUS, averaging="weighted")
+        start = BranchMap("A", tracks=(FruitletTrack(2, (0.0, 0.0, 0.4), 0.01, 3, {"A"}),
+                                       FruitletTrack(7, (0.05, 0.0, 0.4), 0.02, 1, {"A"})))
+        store, reference = TrackStore(start.tracks), start
+        for center, diameter, sides, weight in random_stream(99, n=40):
+            integrate_observation(store, center, diameter, cfg, sides=sides, weight=weight)
+            reference = reference_integrate(reference, center, diameter, cfg,
+                                            sides=sides, weight=weight)
+            assert store.build("A", {}) == reference
 
 
 class TestTypes:
@@ -231,8 +333,7 @@ class TestTypes:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         m = one_track_map()
-        m = integrate_observation(m, obs(0.03, 0.01, 0.42, 0.0137), MergeConfig(),
-                                  sides=("B",))
+        m = integrate(m, (0.03, 0.01, 0.42), 0.0137, MergeConfig(), sides=("B",))
         p = tmp_path / "map.json"
         save_branch_map(p, m)
         back = load_branch_map(p)
@@ -314,8 +415,13 @@ GOLDEN_MAP_DIGESTS = {
 }
 
 
-def test_golden_map_digests():
-    dataset = simulate_dataset(OrchardSpec(cluster_count=3, rng_seed=17))
+@pytest.fixture(scope="module")
+def golden_dataset():
+    return simulate_dataset(OrchardSpec(cluster_count=3, rng_seed=17))
+
+
+def test_golden_map_digests(golden_dataset):
+    dataset = golden_dataset
     map_a = build_side_map(dataset, "A")
     map_b = build_side_map(dataset, "B")
     b_to_a = cross_side_transform(dataset.fiducials["A"], dataset.fiducials["B"])
@@ -323,3 +429,14 @@ def test_golden_map_digests():
     digests = {label: json_digest(map_to_json(m))
                for label, m in (("A", map_a), ("B", map_b), ("merged", merged))}
     assert digests == GOLDEN_MAP_DIGESTS
+
+
+def test_side_map_builds_each_track_once(golden_dataset, monkeypatch):
+    # Tracks live in the store while the side is integrated; the validated
+    # FruitletTracks are built once, at the end.
+    built = []
+    validate = FruitletTrack.__post_init__
+    monkeypatch.setattr(FruitletTrack, "__post_init__",
+                        lambda track: (built.append(track.id), validate(track))[1])
+    branch_map = build_side_map(golden_dataset, "A")
+    assert len(built) == len(branch_map.tracks) > 0

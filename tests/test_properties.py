@@ -16,8 +16,13 @@ from fruitmap.geometry import (
     project,
     rotation_about_axis,
 )
-from fruitmap.mapping import BranchMap, FruitletTrack, MergeConfig, integrate_observation
-from fruitmap.spherefit import SphereModel
+from fruitmap.mapping import (
+    BranchMap,
+    FruitletTrack,
+    MergeConfig,
+    TrackStore,
+    integrate_observation,
+)
 
 CASES = 1000
 
@@ -75,16 +80,14 @@ def run_merge_idempotence(cases: int = CASES, seed: int = 91011) -> None:
     for _ in range(cases):
         averaging = "pairwise" if rng.random() < 0.5 else "weighted"
         cfg = MergeConfig(merge_radius=0.010, averaging=averaging)
-        branch_map = BranchMap(frame_label="A")
+        store = TrackStore()
         for _ in range(int(rng.integers(1, 8))):
-            obs = SphereModel(
-                center=tuple(rng.uniform(0.0, 0.5, size=3)),
-                diameter=float(rng.uniform(0.008, 0.025)),
-            )
-            branch_map = integrate_observation(branch_map, obs, cfg)
+            center = rng.uniform(0.0, 0.5, size=3)
+            integrate_observation(store, center, rng.uniform(0.008, 0.025), cfg)
+        branch_map = store.build("A", {})
         victim = branch_map.tracks[int(rng.integers(0, len(branch_map.tracks)))]
-        replay = SphereModel(center=victim.center, diameter=victim.diameter)
-        merged = integrate_observation(branch_map, replay, cfg)
+        integrate_observation(store, victim.center, victim.diameter, cfg)
+        merged = store.build("A", {})
         # replaying a track's own state must not move it or spawn a twin
         assert len(merged.tracks) == len(branch_map.tracks)
         survivor = next(t for t in merged.tracks if t.id == victim.id)

@@ -40,7 +40,6 @@ def one_fruit_scene(center=(0.45, 0.03, 0.0), diameter=0.020, occluders=()):
     return Scene(
         fruitlets=(GroundTruthFruitlet(id=0, center=center, diameter=diameter),),
         occluders=tuple(occluders),
-        branch_length=0.9,
         side_from_scene={"A": RigidTransform.identity()},
         fiducial_to_scene=RigidTransform.identity(),
         depth_noise_sigma=0.0,
@@ -255,8 +254,7 @@ class TestRenderFrame:
         scene = Scene(
             fruitlets=(near, far),
             occluders=(),
-            branch_length=0.9,
-            side_from_scene={"A": RigidTransform.identity()},
+                side_from_scene={"A": RigidTransform.identity()},
             fiducial_to_scene=RigidTransform.identity(),
             depth_noise_sigma=0.0,
             mask_dilate_px=0,
