@@ -8,12 +8,14 @@ chain.
 
 Merging is fixed as B-into-A: a mapping.TrackStore starts from side A's
 tracks, and each side-B track is integrated into it as a single observation
-whose weight is that track's observation tally. Under pairwise averaging this
-order matters (the B value gets half weight against the whole A history),
-which is why the direction is part of the contract rather than a free choice.
-The ids are renumbered before the store builds the merged map, which keeps
-side A's coordinates and is labeled "merged". transform_map moves a map's
-centers through the same store.
+whose weight is that track's observation tally, so a track's sightings
+count the same whichever side made them. The direction is still part of the
+contract rather than a free choice: side A's tracks come first, so they keep
+the low ids and survive the collapses that a merge triggers, and the order
+in which side-B tracks arrive decides which of them collapse. The ids are
+renumbered before the store builds the merged map, which keeps side A's
+coordinates and is labeled "merged". transform_map moves a map's centers
+through the same store.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ logger = logging.getLogger("fruitmap.cli")
 _CONFIG_KEYS = {
     "simulate": tuple(f.name for f in dataclasses.fields(OrchardSpec)),
     "fit": tuple(f.name for f in dataclasses.fields(FitConfig)),
-    "merge": ("within_radius", "cross_radius", "averaging"),
+    "merge": ("within_radius", "cross_radius"),
     "eval": ("tolerance", "size_mode"),
 }
 
@@ -64,7 +64,10 @@ def _load_config(path: str | None) -> dict[str, dict]:
     Absent sections come back empty, and JSON lists become tuples. Values are
     not coerced: the constructors that receive them check their types.
     """
-    doc = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"config {path}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"config {path}: top level must be a JSON object")
     for key, section in doc.items():
@@ -124,10 +127,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         fit_kwargs["rng_seed"] = args.seed
     fit_cfg = FitConfig(**fit_kwargs)
     merge = config["merge"]
-    merge_cfg = MergeConfig(
-        merge_radius=merge.get("within_radius", WITHIN_SIDE_RADIUS),
-        averaging=merge.get("averaging", "pairwise"),
-    )
+    merge_cfg = MergeConfig(merge_radius=merge.get("within_radius", WITHIN_SIDE_RADIUS))
     dataset = load_dataset(args.dataset, sides=(args.side,))
     branch_map = build_side_map(dataset, args.side, fit_cfg, merge_cfg)
     branch_map = dataclasses.replace(
@@ -142,10 +142,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 def _cmd_align(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     merge = config["merge"]
-    merge_cfg = MergeConfig(
-        merge_radius=merge.get("cross_radius", CROSS_SIDE_RADIUS),
-        averaging=merge.get("averaging", "pairwise"),
-    )
+    merge_cfg = MergeConfig(merge_radius=merge.get("cross_radius", CROSS_SIDE_RADIUS))
     map_a = load_branch_map(args.map_a)
     map_b = load_branch_map(args.map_b)
     dataset = load_dataset(args.dataset, sides=())

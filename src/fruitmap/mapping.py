@@ -3,21 +3,17 @@
 A BranchMap accumulates accepted sphere fits across the frames of one scan
 side. Association is greedy: each observation merges into the nearest existing
 track when the center distance is at or below the merge radius, otherwise it
-opens a new track. Two averaging modes are offered:
-
-- "pairwise" (default): the merged center and diameter are the plain mean of
-  the track's current value and the observation. Recent observations dominate
-  (the track's history halves in weight at every merge), which makes the rule
-  order-sensitive but self-correcting after a bad early fit.
-- "weighted": observation-count-weighted means, order-insensitive for
-  commutative sequences of merges.
+opens a new track. A merge sets the track's center and diameter to the
+observation-count-weighted means of its current values and the observation:
+every sighting counts the same whenever it arrives, and one stray fit moves a
+track seen many times only a little.
 
 A merge can drag a track center to within the merge radius of a neighbouring
 track. Greedy association alone does not prevent that (a merge moves a center
-by up to half the radius), so after every merge the map collapses any track
-pair left closer than the radius, keeping the earlier-seen track's id. The
-separation invariant, no two track centers within the merge radius, therefore
-holds for every map this module produces.
+toward the observation, by up to the radius), so after every merge the map
+collapses any track pair left closer than the radius, keeping the
+earlier-seen track's id. The separation invariant, no two track centers
+within the merge radius, therefore holds for every map this module produces.
 
 Tracks under construction live in a TrackStore, which integrate_observation
 updates in place; the store builds the frozen, validated BranchMap once, at
@@ -73,17 +69,14 @@ CROSS_SIDE_RADIUS = 0.020
 
 @dataclass(frozen=True)
 class MergeConfig:
-    """Association radius and averaging mode for track integration."""
+    """Association radius for track integration."""
 
     merge_radius: float = WITHIN_SIDE_RADIUS
-    averaging: str = "pairwise"  # or "weighted"
 
     def __post_init__(self) -> None:
         check_types(self, integers=(), reals=("merge_radius",))
         if self.merge_radius <= 0:
             raise ValueError(f"merge_radius must be positive, got {self.merge_radius}")
-        if self.averaging not in ("pairwise", "weighted"):
-            raise ValueError(f"unknown averaging mode {self.averaging!r}")
 
 
 @dataclass(frozen=True)
@@ -170,17 +163,12 @@ class TrackStore:
         diameter: float,
         weight: int,
         sides: frozenset[str],
-        cfg: MergeConfig,
     ) -> None:
         count = self.counts[row]
-        if cfg.averaging == "pairwise":
-            self.centers[row] = (self.centers[row] + center) / 2.0
-            self.diameters[row] = (self.diameters[row] + diameter) / 2.0
-        else:
-            total = count + weight
-            self.centers[row] = (count * self.centers[row] + weight * center) / total
-            self.diameters[row] = (count * self.diameters[row] + weight * diameter) / total
-        self.counts[row] = count + weight
+        total = count + weight
+        self.centers[row] = (count * self.centers[row] + weight * center) / total
+        self.diameters[row] = (count * self.diameters[row] + weight * diameter) / total
+        self.counts[row] = total
         self.sides[row] = self.sides[row] | sides
 
     def _collapse(self, moved: int, cfg: MergeConfig) -> None:
@@ -200,7 +188,6 @@ class TrackStore:
                 self.diameters[drop],
                 self.counts[drop],
                 self.sides[drop],
-                cfg,
             )
             self.centers = np.delete(self.centers, drop, axis=0)
             for column in (self.ids, self.diameters, self.counts, self.sides):
@@ -232,7 +219,7 @@ def integrate_observation(
         dist = np.linalg.norm(store.centers - center, axis=1)
         nearest = int(np.argmin(dist))
         if dist[nearest] <= cfg.merge_radius:
-            store._blend(nearest, center, diameter, weight, sides, cfg)
+            store._blend(nearest, center, diameter, weight, sides)
             store._collapse(nearest, cfg)
             return
     store.ids.append(max(store.ids, default=-1) + 1)

@@ -470,6 +470,8 @@ def _dilate_labels(masks: np.ndarray, claimable: np.ndarray, dilate_px: int) -> 
     scipy.ndimage.binary_dilation(masks == id, iterations=dilate_px) (cross
     structure, border 0). The growth never leaves the label's bounding box
     padded by dilate_px, so it runs on that window, clipped to the frame.
+    Any two window pixels are at most the window's height plus width steps
+    apart, so passes beyond that change nothing and are not run.
     """
     height, width = masks.shape
     rows, cols = np.nonzero(masks)
@@ -483,7 +485,7 @@ def _dilate_labels(masks: np.ndarray, claimable: np.ndarray, dilate_px: int) -> 
         c1 = min(int(cols[part].max()) + dilate_px + 1, width)
         window = masks[r0:r1, c0:c1]
         grown = window == instance_id
-        for _ in range(dilate_px):
+        for _ in range(min(dilate_px, (r1 - r0) + (c1 - c0))):
             step = grown.copy()
             step[1:] |= grown[:-1]
             step[:-1] |= grown[1:]

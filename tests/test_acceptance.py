@@ -184,6 +184,14 @@ def test_criterion_5_two_sided_benefit():
     assert ok
 
 
+def test_readme_scene_merge_no_worse_than_better_side():
+    # The README walkthrough's scene: fusing side B into side A must not cost
+    # size accuracy, so a side-B fit seen once cannot drag a well-seen track.
+    rep_a, rep_b, rep_m = _two_sided_run(OrchardSpec(rng_seed=17))
+    assert rep_m.size_rmse_pct <= 6.0
+    assert rep_m.size_rmse_pct <= min(rep_a.size_rmse_pct, rep_b.size_rmse_pct)
+
+
 # --------------------------------------------------------------- criterion 6
 
 def test_criterion_6_size_rmse():

@@ -7,6 +7,7 @@ from fruitmap.alignment import cross_side_transform, merge_maps, transform_map
 from fruitmap.dataset import FiducialObservation
 from fruitmap.geometry import RigidTransform, rotation_about_axis
 from fruitmap.mapping import (
+    CROSS_SIDE_RADIUS,
     BranchMap,
     FruitletTrack,
     MergeConfig,
@@ -116,19 +117,24 @@ class TestMergeMaps:
         out = merge_maps(a, b)
         assert [t.id for t in out.tracks] == [0, 1, 2]
 
-    def test_pairwise_merge_is_plain_average(self):
-        a = self.make_a([(0.0, 0.0, 0.4)])
-        b = self.make_b_in_a([(0.010, 0.0, 0.4)], n=9)
-        out = merge_maps(a, b, MergeConfig(merge_radius=0.020, averaging="pairwise"))
-        assert out.tracks[0].center[0] == pytest.approx(0.005)
-        assert out.tracks[0].observations == 10
-
     def test_weighted_merge_uses_counts(self):
         a = self.make_a([(0.0, 0.0, 0.4)])
         b = self.make_b_in_a([(0.010, 0.0, 0.4)], n=9)
-        out = merge_maps(a, b, MergeConfig(merge_radius=0.020, averaging="weighted"))
+        out = merge_maps(a, b)
         assert out.tracks[0].center[0] == pytest.approx(0.009)
         assert out.tracks[0].observations == 10
+
+    def test_stray_fit_seen_once_barely_moves_a_heavy_track(self):
+        # A side-A track seen 40 times at 10 mm meets a side-B track seen once
+        # at 37.7 mm inside the cross-side radius: B counts as one sighting of 41.
+        a = BranchMap("A", tracks=(track(0, (0.0, 0.0, 0.4), d=0.010, n=40),))
+        b = BranchMap("A", tracks=(track(0, (0.015, 0.0, 0.4), d=0.0377, sides=("B",)),))
+        assert 0.015 <= CROSS_SIDE_RADIUS
+        (merged,) = merge_maps(a, b).tracks
+        assert merged.diameter == pytest.approx((40 * 0.010 + 0.0377) / 41, abs=1e-15)
+        assert merged.center[0] == pytest.approx(0.015 / 41, abs=1e-15)
+        assert merged.observations == 41
+        assert merged.sides == frozenset({"A", "B"})
 
     def test_count_bounds(self):
         rng = np.random.default_rng(2)

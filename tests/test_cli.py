@@ -308,10 +308,15 @@ class TestMalformedInputs:
             ("eval", {"eval": {"tolerance": 1e-9, "size_mode": "bogus"}}, [],
              ("size_mode", "bogus")),
             ("simulate", {"eval": {"tolerances": 0.02}}, [], ("eval", "tolerances")),
+            # track fusion has one rule, so the key that picked one is gone
+            ("map", {"merge": {"averaging": "pairwise"}}, [], ("merge", "averaging")),
+            ("align", {"merge": {"averaging": "pairwise"}}, [], ("merge", "averaging")),
+            ("eval", {"merge": {"averaging": "pairwise"}}, [], ("merge", "averaging")),
         ],
         ids=["null-within", "bool-within", "list-cross", "string-cross", "null-tolerance",
              "object-tolerance", "nan-tolerance", "bool-tolerance", "nan-tolerance-flag",
-             "bogus-size-mode", "unknown-key-other-stage"],
+             "bogus-size-mode", "unknown-key-other-stage", "averaging-map", "averaging-align",
+             "averaging-eval"],
     )
     def test_mistyped_stage_option(self, pipeline, tmp_path, command, config, flags, needles):
         bad = tmp_path / "bad.json"
@@ -330,6 +335,18 @@ class TestMalformedInputs:
         assert_one_line_validation_error(proc, *needles)
         assert not out.exists()
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("text", [b"{not json", b'{"eval": {"tolerance": 0.02}}\xff'],
+                             ids=["syntax", "not-utf8"])
+    def test_malformed_config_names_the_file(self, pipeline, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        out = tmp_path / "r.json"
+        proc = run_cli(["eval", "--config", str(bad), "--map", str(pipeline["merged"]),
+                        "--truth", str(pipeline["dataset"] / "ground_truth.json"),
+                        "--out", str(out)])
+        assert_one_line_validation_error(proc, f"config {bad}: malformed JSON")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "patch, needles",

@@ -48,17 +48,6 @@ class TestIntegrate:
         assert t.observations == 1
         assert t.center == (0.0, 0.0, 0.4)
 
-    def test_pairwise_average(self):
-        # (0,0,0.4) d=10mm merged with (0.004,0,0.4) d=12mm at radius 10mm:
-        # center (0.002,0,0.4), d=11mm, observations 2
-        m = one_track_map()
-        m = integrate(m, (0.004, 0, 0.4), 0.012, MergeConfig())
-        assert len(m.tracks) == 1
-        t = m.tracks[0]
-        np.testing.assert_allclose(t.center, (0.002, 0.0, 0.4), atol=1e-15)
-        assert t.diameter == pytest.approx(0.011, abs=1e-15)
-        assert t.observations == 2
-
     def test_beyond_radius_opens_duplicate(self):
         m = one_track_map()
         m = integrate(m, (0.015, 0, 0.4), 0.01, MergeConfig())
@@ -79,7 +68,7 @@ class TestIntegrate:
         assert m.tracks[0].diameter == 0.010
 
     def test_weighted_average(self):
-        cfg = MergeConfig(averaging="weighted")
+        cfg = MergeConfig()
         m = one_track_map()
         m = integrate(m, (0.0, 0.0, 0.4), 0.010, cfg)  # obs now 2
         m = integrate(m, (0.006, 0.0, 0.4), 0.016, cfg)
@@ -89,24 +78,12 @@ class TestIntegrate:
         assert t.diameter == pytest.approx(0.012, abs=1e-15)
 
     def test_weight_parameter_feeds_tally_and_weighted_mean(self):
-        cfg = MergeConfig(averaging="weighted")
+        cfg = MergeConfig()
         m = one_track_map()  # 1 observation at x=0
         m = integrate(m, (0.004, 0, 0.4), 0.01, cfg, weight=3)
         t = m.tracks[0]
         assert t.observations == 4
         assert t.center[0] == pytest.approx(0.003, abs=1e-15)
-
-    def test_pairwise_recency_halving(self):
-        # one outlier first, then n identical observations: pairwise averaging
-        # halves the outlier's influence per merge
-        cfg = MergeConfig()
-        m = integrate(BranchMap("A"), (0.008, 0, 0.4), 0.01, cfg)
-        errors = []
-        for _ in range(5):
-            m = integrate(m, (0.0, 0, 0.4), 0.01, cfg)
-            errors.append(m.tracks[0].center[0])
-        for before, after in zip(errors, errors[1:]):
-            assert after == pytest.approx(before / 2)
 
     def test_sides_union(self):
         m = one_track_map()
@@ -153,17 +130,16 @@ class TestDuplicateSuppression:
 
     def test_separation_invariant_random_stream(self):
         rng = np.random.default_rng(3)
-        for mode in ("pairwise", "weighted"):
-            cfg = MergeConfig(averaging=mode)
-            m = BranchMap("A")
-            for _ in range(300):
-                p = rng.uniform(-0.04, 0.04, size=3)
-                m = integrate(m, p, 0.01, cfg)
-            centers = np.array([t.center for t in m.tracks])
-            diff = centers[:, None, :] - centers[None, :, :]
-            dist = np.linalg.norm(diff, axis=-1)
-            np.fill_diagonal(dist, np.inf)
-            assert dist.min() > cfg.merge_radius
+        cfg = MergeConfig()
+        m = BranchMap("A")
+        for _ in range(300):
+            p = rng.uniform(-0.04, 0.04, size=3)
+            m = integrate(m, p, 0.01, cfg)
+        centers = np.array([t.center for t in m.tracks])
+        diff = centers[:, None, :] - centers[None, :, :]
+        dist = np.linalg.norm(diff, axis=-1)
+        np.fill_diagonal(dist, np.inf)
+        assert dist.min() > cfg.merge_radius
 
     def test_ids_stay_unique_and_first_seen_ordered(self):
         rng = np.random.default_rng(11)
@@ -178,15 +154,11 @@ class TestDuplicateSuppression:
 
 # The immutable integration TrackStore replaced, kept as the reference it must
 # match bit for bit: every observation rebuilds the tuple of validated tracks.
-def reference_blend(track, center, diameter, weight, sides, cfg):
+def reference_blend(track, center, diameter, weight, sides):
     old = np.asarray(track.center, dtype=float)
-    if cfg.averaging == "pairwise":
-        new_center = (old + center) / 2.0
-        new_diameter = (track.diameter + diameter) / 2.0
-    else:
-        total = track.observations + weight
-        new_center = (track.observations * old + weight * center) / total
-        new_diameter = (track.observations * track.diameter + weight * diameter) / total
+    total = track.observations + weight
+    new_center = (track.observations * old + weight * center) / total
+    new_diameter = (track.observations * track.diameter + weight * diameter) / total
     return FruitletTrack(track.id, tuple(new_center), float(new_diameter),
                          track.observations + weight, track.sides | sides)
 
@@ -203,7 +175,7 @@ def reference_suppress(tracks, moved, cfg):
         absorbed = tracks[drop]
         tracks[keep] = reference_blend(tracks[keep], np.asarray(absorbed.center, dtype=float),
                                        absorbed.diameter, absorbed.observations,
-                                       absorbed.sides, cfg)
+                                       absorbed.sides)
         del tracks[drop]
         moved = keep
     return tracks
@@ -220,7 +192,7 @@ def reference_integrate(branch_map, center, diameter, cfg, *, sides=(), weight=1
     dist = np.linalg.norm(centers - point, axis=1)
     nearest = int(np.argmin(dist))
     if dist[nearest] <= cfg.merge_radius:
-        tracks[nearest] = reference_blend(tracks[nearest], point, diameter, weight, sides, cfg)
+        tracks[nearest] = reference_blend(tracks[nearest], point, diameter, weight, sides)
         tracks = reference_suppress(tracks, nearest, cfg)
     else:
         next_id = max(t.id for t in tracks) + 1
@@ -228,9 +200,10 @@ def reference_integrate(branch_map, center, diameter, cfg, *, sides=(), weight=1
     return BranchMap(branch_map.frame_label, tuple(tracks), branch_map.provenance)
 
 
-def random_stream(seed, n=120):
+def random_stream(seed, n=120, weighted=True):
     """(center, diameter, sides, weight) draws around a lattice spaced just over
-    the radius, so merges often drag tracks onto their neighbours."""
+    the radius, so merges often drag tracks onto their neighbours. Unweighted
+    streams carry single sightings only, as side mapping feeds the store."""
     rng = np.random.default_rng(seed)
     lattice = 0.0105 * np.stack(np.meshgrid(*[np.arange(3)] * 3), axis=-1).reshape(-1, 3)
     side_sets = [("A",), ("B",), ("A", "B"), ()]
@@ -240,18 +213,20 @@ def random_stream(seed, n=120):
         diameter = float(rng.uniform(0.006, 0.03))
         sides = side_sets[int(rng.integers(len(side_sets)))]
         weight = int(rng.integers(1, 6)) if rng.random() < 0.5 else 1
+        if not weighted:
+            weight = 1
         stream.append((center, diameter, sides, weight))
     return stream
 
 
 class TestStoreOracle:
-    @pytest.mark.parametrize("averaging", ["pairwise", "weighted"])
-    def test_matches_immutable_reference_bit_for_bit(self, averaging):
-        cfg = MergeConfig(averaging=averaging)
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_matches_immutable_reference_bit_for_bit(self, weighted):
+        cfg = MergeConfig()
         chained = 0
         for seed in range(12):
             store, reference = TrackStore(), BranchMap("A")
-            for center, diameter, sides, weight in random_stream(seed):
+            for center, diameter, sides, weight in random_stream(seed, weighted=weighted):
                 before = len(reference.tracks)
                 integrate_observation(store, center, diameter, cfg, sides=sides, weight=weight)
                 reference = reference_integrate(reference, center, diameter, cfg,
@@ -265,7 +240,7 @@ class TestStoreOracle:
 
     def test_store_starts_from_existing_tracks(self):
         # merge_maps seeds the store from a map whose ids need not be dense
-        cfg = MergeConfig(merge_radius=CROSS_SIDE_RADIUS, averaging="weighted")
+        cfg = MergeConfig(merge_radius=CROSS_SIDE_RADIUS)
         start = BranchMap("A", tracks=(FruitletTrack(2, (0.0, 0.0, 0.4), 0.01, 3, {"A"}),
                                        FruitletTrack(7, (0.05, 0.0, 0.4), 0.02, 1, {"A"})))
         store, reference = TrackStore(start.tracks), start
@@ -296,8 +271,6 @@ class TestTypes:
     def test_merge_config_validation(self):
         with pytest.raises(ValueError):
             MergeConfig(merge_radius=0.0)
-        with pytest.raises(ValueError):
-            MergeConfig(averaging="median")
 
     @pytest.mark.parametrize(
         "value",
@@ -312,10 +285,10 @@ class TestTypes:
         # Every provenance hash in the artifacts, pinned to its released value:
         # a change to a hashed payload or to the hashing moves one of these.
         assert config_digest(FitConfig(), MergeConfig()) == (
-            "eeecd2eb0e25235828fe253bbf0fa64d77cfb44e018e4b2c06090de262fb67c0"
+            "dbcf52fdab4622bed90def887d03b01ad3281cbc91467293fbf4ba0dcdd5c496"
         )
         assert config_digest(MergeConfig(merge_radius=CROSS_SIDE_RADIUS)) == (
-            "40f44c3a4d8d9bd9a3731430c47cc852a8470844f3e47461a22b2a0219c4f2ea"
+            "aafa50bb8ad216e8bc4cb29b8c1c16aea8fd1d8b06f5549dd55179eebcfc5f79"
         )
         assert config_digest(OrchardSpec(rng_seed=17)) == (
             "8f83cf2f760ad7746dc25022ded5d734d319db3bfd0b4663e1b89ea02654bd89"
@@ -409,9 +382,9 @@ class TestSerialization:
 # make these bytes. A change that alters map output on purpose updates them and
 # says so in CHANGES.md.
 GOLDEN_MAP_DIGESTS = {
-    "A": "3dccbbda961412da504168c70780cbda8185d8a64499407dec68fb265e215416",
-    "B": "850659c30bd665df9bf3a5908e59601dedecf0a383d8fbed98bb6b4f7f30e299",
-    "merged": "a122d4e599603fb714fa396508c5a00c45f88bcf1c311bad9d15a2ee5d9177b8",
+    "A": "2795bf451a16d7b53d4e0bfed38a35a315fdb9713f45f0bf79ec1b6f49c66977",
+    "B": "2da7af9cff5db1fc5723899bb7a58ac82b3e692156ba2d2101d175274bbeb411",
+    "merged": "0132d6d8fc548ec0ac5877fa37149925704954adc662a4f0bedac5aaea098c3f",
 }
 
 

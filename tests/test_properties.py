@@ -78,8 +78,7 @@ def run_projection_round_trips(cases: int = CASES, seed: int = 5678) -> None:
 def run_merge_idempotence(cases: int = CASES, seed: int = 91011) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(cases):
-        averaging = "pairwise" if rng.random() < 0.5 else "weighted"
-        cfg = MergeConfig(merge_radius=0.010, averaging=averaging)
+        cfg = MergeConfig(merge_radius=0.010)
         store = TrackStore()
         for _ in range(int(rng.integers(1, 8))):
             center = rng.uniform(0.0, 0.5, size=3)

@@ -1,5 +1,7 @@
 """Tests for the synthetic scan simulator: scenes, trajectories, rendering."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -334,6 +336,23 @@ class TestDilationOracle:
         assert got.dtype == np.uint16
         # the contested column goes to the smaller id, which grows first
         assert got[5, 4] == got[6, 4] == 1
+
+    def test_huge_dilate_px_stops_when_growth_stops(self):
+        # Every pixel is within height + width steps of each label, so a
+        # million passes must give, and cost, no more than that many.
+        masks = np.zeros((12, 16), dtype=np.uint16)
+        masks[4:8, 2:4] = 1
+        masks[5:7, 5:7] = 2
+        valid = np.ones(masks.shape, dtype=bool)
+        valid[3, :] = False
+        capped = masks.copy()
+        _dilate_labels(capped, valid & (masks == 0), sum(masks.shape))
+        got = masks.copy()
+        start = time.perf_counter()
+        _dilate_labels(got, valid & (masks == 0), 1_000_000)
+        assert time.perf_counter() - start < 1.0
+        np.testing.assert_array_equal(got, capped)
+        np.testing.assert_array_equal(got, reference_dilation(masks, valid, 1_000_000))
 
     @pytest.mark.parametrize("dilate_px", [1, 2, 3])
     def test_rendered_frames(self, dilate_px):
