@@ -23,7 +23,6 @@ __all__ = [
     "CameraIntrinsics",
     "StereoRig",
     "RigidTransform",
-    "disparity_to_depth",
     "depth_resolution",
     "project",
     "backproject",
@@ -85,15 +84,6 @@ class StereoRig:
     def __post_init__(self) -> None:
         if self.baseline <= 0:
             raise ValueError(f"baseline must be positive, got {self.baseline}")
-
-
-def disparity_to_depth(rig: StereoRig, disparity: float | np.ndarray) -> float | np.ndarray:
-    """Depth z = fx * baseline / disparity for a rectified pair."""
-    disparity = np.asarray(disparity, dtype=float)
-    if np.any(disparity <= 0):
-        raise ValueError("disparity must be positive")
-    out = rig.intrinsics.fx * rig.baseline / disparity
-    return float(out) if out.ndim == 0 else out
 
 
 def depth_resolution(rig: StereoRig, depth: float | np.ndarray) -> float | np.ndarray:

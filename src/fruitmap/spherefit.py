@@ -7,10 +7,26 @@ linearized sphere equation, and scores inliers with a two-clause predicate:
   2. depth window:   p.z <= min_cloud_z + min(2r, d_max)   (background_reject)
                      none                                  (literal)
 
-`_inlier_mask` is the predicate's one implementation: it scores all hypotheses
-in one batch, and the refined sphere as a batch of one. Hypotheses come only
-from minimal samples (Fischler & Bolles 1981), so a cloud whose every sample
-is degenerate, such as an exactly planar one, has no fit.
+`_inlier_mask` is the predicate's one implementation: it scores blocks of
+hypotheses against blocks of points, and the refined sphere as a batch of one.
+Hypotheses come only from minimal samples (Fischler & Bolles 1981), so a cloud
+whose every sample is degenerate, such as an exactly planar one, has no fit.
+
+The winner has the most inliers, then the lowest mean residual, then the
+lowest index. `_best_hypothesis` stops scoring hypotheses that cannot win, an
+exact form of Capel's bail-out test (2005, "An effective bail-out test for
+RANSAC consensus scoring"). The hypothesis with the most inliers among the
+first 64 points is scored in full, and its count L is a lower bound on the
+winner's. Points are then scored 64 at a time, and a hypothesis whose count so
+far plus the points left is below L is dropped: even if every point left were
+its inlier it could not reach L, so it can neither win nor tie. Ties with L are
+kept for the tie rules. Each entry of the predicate depends on one point and
+one hypothesis, so counts read block by block equal counts read on whole rows,
+and the hypotheses tied at the top count get their residual sums from whole
+rows in the original point order, the same elementwise arithmetic and row sums
+as one (k, n) batch. The pick, and so every output bit, is that of scoring
+every hypothesis against every point; the first pass holds k x 64 values, not
+k x n.
 
 Clause 2 exists because instance masks bleed onto whatever sits behind the
 fruitlet; those pixels land a leaf-or-trunk distance deeper than the fruit
@@ -61,6 +77,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# Points per block of bail-out scoring. A constant, not a FitConfig field:
+# it cannot change a fit's result, and FitConfig is digested into every map.
+_SCORE_BLOCK = 64
+
 
 class DegenerateSampleError(ValueError):
     """Raised when a minimal sample does not determine a sphere (coplanar or coincident)."""
@@ -86,9 +106,6 @@ class SphereModel:
     @property
     def radius(self) -> float:
         return self.diameter / 2.0
-
-    def center_array(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -325,7 +342,10 @@ def _inlier_mask(
     """The two-clause inlier predicate for k hypotheses at once.
 
     pts is (n, 3), centers (k, 3) and radii (k,). Returns the (k, n) inlier
-    mask and the (k, n) absolute surface residuals.
+    mask and the (k, n) absolute surface residuals. Every entry depends on
+    its own point and hypothesis alone, so scoring a slice of the cloud, or a
+    subset of the hypotheses, gives bit-equal entries; min_cloud_z is the
+    whole cloud's, whatever slice is scored.
     """
     # Summed as (x^2 + y^2) + z^2, the order np.linalg.norm(..., axis=-1) uses,
     # so distances are bit-equal to it; x^2 + (y^2 + z^2) would not be.
@@ -347,6 +367,47 @@ def _inlier_mask(
     return mask, resid
 
 
+def _best_hypothesis(
+    pts: np.ndarray,
+    centers: np.ndarray,
+    radii: np.ndarray,
+    min_cloud_z: float,
+    cfg: FitConfig,
+) -> tuple[int, np.ndarray] | None:
+    """Index and inlier mask of the winning hypothesis, or None if none has an inlier.
+
+    Most inliers wins, then the lowest mean residual, then the lowest index.
+    The bound is the full count of the hypothesis that leads on the first
+    block; after each later block, a hypothesis that cannot reach it even with
+    every point left is dropped (see the module docstring).
+    """
+    n = len(pts)
+    if len(centers) == 0:
+        return None
+    masks, _ = _inlier_mask(pts[:_SCORE_BLOCK], centers, radii, min_cloud_z, cfg)
+    counts = np.count_nonzero(masks, axis=1)
+    lead = int(np.argmax(counts))
+    lead_rest, _ = _inlier_mask(pts[_SCORE_BLOCK:], centers[lead, None], radii[lead, None],
+                                min_cloud_z, cfg)
+    bound = counts[lead] + np.count_nonzero(lead_rest)
+    alive = np.arange(len(centers))
+    for start in range(_SCORE_BLOCK, n, _SCORE_BLOCK):
+        keep = counts + (n - start) >= bound
+        alive, counts = alive[keep], counts[keep]
+        masks, _ = _inlier_mask(pts[start:start + _SCORE_BLOCK], centers[alive], radii[alive],
+                                min_cloud_z, cfg)
+        counts += np.count_nonzero(masks, axis=1)
+    top = counts.max()
+    if top == 0:
+        return None
+    tied = alive[counts == top]
+    masks, resid = _inlier_mask(pts, centers[tied], radii[tied], min_cloud_z, cfg)
+    np.copyto(resid, 0.0, where=~masks)
+    # argmin keeps the first of equal means, the lowest index.
+    pick = int(np.argmin(resid.sum(axis=1) / top))
+    return int(tied[pick]), masks[pick]
+
+
 def ransac_sphere_fit(points: np.ndarray, config: FitConfig) -> FitReport:
     """Seeded, deterministic RANSAC sphere fit over an already-thresholded cloud.
 
@@ -363,27 +424,19 @@ def ransac_sphere_fit(points: np.ndarray, config: FitConfig) -> FitReport:
     min_cloud_z = float(pts[:, 2].min())
 
     # The samples are exactly those of one rng.choice(n, 4, replace=False) call
-    # per iteration, in order; they are solved and scored as one batch.
+    # per iteration, in order; they are solved as one batch.
     samples = _draw_quads(rng, n, config.ransac_iterations)
     sample_centers, sample_radii, usable = _solve_quads(pts[samples])
     cand_centers, cand_radii = sample_centers[usable], sample_radii[usable]
 
-    masks, resid = _inlier_mask(pts, cand_centers, cand_radii, min_cloud_z, config)
-    counts = masks.sum(axis=1)
-    np.copyto(resid, 0.0, where=~masks)
-    resid_sums = resid.sum(axis=1)
-    # Most inliers wins, then the lowest mean residual, then the earliest index
-    # (lexsort is stable); hypotheses without inliers never win.
-    live = np.flatnonzero(counts)
-    if len(live) == 0:
+    best = _best_hypothesis(pts, cand_centers, cand_radii, min_cloud_z, config)
+    if best is None:
         degenerate = int(len(samples) - usable.sum())
         raise DegenerateSampleError(
             f"no usable hypothesis: {degenerate}/{config.ransac_iterations} samples degenerate"
         )
-    best_idx = live[np.lexsort((resid_sums[live] / counts[live], -counts[live]))[0]]
-
+    best_idx, mask = best
     center, radius = cand_centers[best_idx], float(cand_radii[best_idx])
-    mask = masks[best_idx]
     if int(mask.sum()) >= 4:
         try:
             center, radius = _solve_sphere(pts[mask])

@@ -12,7 +12,6 @@ from fruitmap.geometry import (
     StereoRig,
     backproject,
     depth_resolution,
-    disparity_to_depth,
     project,
     rotation_about_axis,
 )
@@ -26,10 +25,6 @@ def reference_rig() -> StereoRig:
 
 
 class TestStereoDepth:
-    def test_known_disparity(self):
-        # z = fx*b/d = 1448*0.1/289.6 = 0.5 exactly
-        assert disparity_to_depth(reference_rig(), 289.6) == pytest.approx(0.5, abs=1e-15)
-
     def test_resolution_at_working_distance(self):
         # 0.4^2 / (1448*0.1) = 0.16/144.8 = 1.1050 mm
         res = depth_resolution(reference_rig(), 0.4)
@@ -40,14 +35,6 @@ class TestStereoDepth:
         res = depth_resolution(reference_rig(), 0.6)
         assert res == pytest.approx(0.0024862, abs=1e-7)
 
-    def test_mutual_inverses(self):
-        rig = reference_rig()
-        rng = np.random.default_rng(11)
-        d = rng.uniform(50.0, 2000.0, size=500)
-        z = disparity_to_depth(rig, d)
-        back = rig.intrinsics.fx * rig.baseline / z
-        np.testing.assert_allclose(back, d, rtol=1e-12)
-
     def test_resolution_identity(self):
         # depth_resolution * fx * b == z^2 by definition
         rig = reference_rig()
@@ -56,13 +43,8 @@ class TestStereoDepth:
         np.testing.assert_allclose(res * rig.intrinsics.fx * rig.baseline, z * z, rtol=1e-12)
 
     def test_domain_errors(self):
-        rig = reference_rig()
         with pytest.raises(ValueError):
-            disparity_to_depth(rig, 0.0)
-        with pytest.raises(ValueError):
-            disparity_to_depth(rig, -4.0)
-        with pytest.raises(ValueError):
-            depth_resolution(rig, -0.1)
+            depth_resolution(reference_rig(), -0.1)
 
 
 class TestProjection:

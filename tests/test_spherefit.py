@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from cloudgen import add_depth_noise, cap_cloud, contaminated_cap_cloud, sphere_cloud
@@ -19,6 +21,8 @@ from fruitmap.spherefit import (
 )
 from fruitmap import spherefit
 from fruitmap.spherefit import (
+    _SCORE_BLOCK as SCORE_BLOCK,
+    _best_hypothesis,
     _draw_quads,
     _geometric_refine,
     _inlier_mask,
@@ -149,7 +153,7 @@ class TestRansac:
         assert rep.accepted
         assert rep.iterations_used == 200
         assert abs(rep.model.diameter - 0.022) / 0.022 < 1e-9
-        np.testing.assert_allclose(rep.model.center_array(), [0.0, 0.01, 0.35], atol=1e-11)
+        np.testing.assert_allclose(np.asarray(rep.model.center), [0.0, 0.01, 0.35], atol=1e-11)
 
     def test_bitwise_deterministic(self):
         rng = np.random.default_rng(5)
@@ -166,7 +170,7 @@ class TestRansac:
                                 np.random.default_rng(9))
         cfg = FitConfig(rng_seed=3)
         rep = ransac_sphere_fit(cloud, cfg)
-        c = rep.model.center_array()
+        c = np.asarray(rep.model.center)
         r = rep.model.radius
         dist = np.linalg.norm(cloud - c, axis=1)
         mask = np.abs(dist - r) <= cfg.inlier_tolerance
@@ -192,7 +196,7 @@ class TestRansac:
         assert rep.accepted
         assert abs(rep.model.diameter - 2 * r) / (2 * r) < 0.05
         # none of the admitted inliers may sit in the background patch
-        c = rep.model.center_array()
+        c = np.asarray(rep.model.center)
         dist = np.linalg.norm(cloud - c, axis=1)
         inl = np.abs(dist - rep.model.radius) <= 0.002
         inl &= dist <= rep.model.radius + 0.002
@@ -238,19 +242,24 @@ class TestRansac:
             with pytest.raises(DegenerateSampleError, match="no usable hypothesis"):
                 ransac_sphere_fit(cloud, FitConfig(rng_seed=1))
 
-    def test_scores_each_hypothesis_once(self, monkeypatch):
-        # One batch over every hypothesis, one call for the refined sphere.
+    def test_scoring_work_is_pruned(self, monkeypatch):
+        # Bail-out scoring: hypotheses that cannot win stop being scored, so
+        # the predicate sees well under half of the hypothesis-point pairs a
+        # full batch would; the last call scores the refined sphere alone.
         calls = []
 
         def counting_mask(pts, centers, radii, min_cloud_z, cfg):
-            calls.append(len(centers))
+            calls.append((len(centers), len(pts)))
             return _inlier_mask(pts, centers, radii, min_cloud_z, cfg)
 
         monkeypatch.setattr(spherefit, "_inlier_mask", counting_mask)
         rng = np.random.default_rng(23)
         cloud = add_depth_noise(cap_cloud([0, 0, 0.4], 0.009, 300, rng), 0.0011, rng)
-        assert ransac_sphere_fit(cloud, FitConfig(rng_seed=24)).accepted
-        assert len(calls) == 2 and calls[1] == 1
+        cfg = FitConfig(rng_seed=24)
+        assert ransac_sphere_fit(cloud, cfg).accepted
+        scored = sum(k * n for k, n in calls[:-1])
+        assert scored < cfg.ransac_iterations * len(cloud) / 2
+        assert calls[-1] == (1, len(cloud))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -374,9 +383,10 @@ def reference_fit(points, config):
     """Per-sample draws, norm-based scoring, a Python-loop pick and the
     least_squares polish.
 
-    Returns the report, every hypothesis's inlier count, and the polish's
-    inputs and result: everything up to the polish must match the fit bit for
-    bit, the polish itself by assert_polish_agrees.
+    Returns the report, every hypothesis's (inlier count, mean residual), the
+    picked hypothesis's (index among the usable samples, center, radius), and
+    the polish's inputs and result: everything up to the polish must match
+    the fit bit for bit, the polish itself by assert_polish_agrees.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -403,19 +413,20 @@ def reference_fit(points, config):
     cand_radii = np.concatenate([[seed_radius], sample_radii[usable]])
 
     best_idx, best_count, best_resid = -1, 0, float("inf")
-    counts = []
+    scores = []
     for k in range(len(cand_radii)):
         mask, resid = reference_inliers(pts, cand_centers[k], cand_radii[k], min_cloud_z,
                                         config)
         count = int(mask.sum())
-        counts.append(count)
+        mean_resid = float(np.where(mask, resid, 0.0).sum()) / count if count else float("inf")
+        scores.append((count, mean_resid))
         if count == 0:
             continue
-        mean_resid = float(np.where(mask, resid, 0.0).sum()) / count
         if count > best_count or (count == best_count and mean_resid < best_resid):
             best_idx, best_count, best_resid = k, count, mean_resid
 
     center, radius = cand_centers[best_idx], float(cand_radii[best_idx])
+    picked = (best_idx - 1, center, radius)  # the centroid is index 0 here
     mask, _ = reference_inliers(pts, center, radius, min_cloud_z, config)
     center, radius = _solve_sphere(pts[mask])
     polish_in = (pts[mask], center, radius)
@@ -431,45 +442,96 @@ def reference_fit(points, config):
                   and config.d_min <= model.diameter <= config.d_max),
         mean_abs_residual=float(resid[mask].mean()),
     )
-    return report, counts, polish_in, (center, radius)
+    return report, scores, picked, polish_in, (center, radius)
+
+
+def oracle_clouds():
+    """Seeded clouds for the fit oracle, each with what it exercises."""
+    rng = np.random.default_rng(30)
+    clouds = [
+        sphere_cloud([0.0, 0.01, 0.35], 0.011, 400, rng),  # noiseless: ties at n inliers
+        add_depth_noise(cap_cloud([0, 0, 0.4], 0.009, 300, rng), 0.0011, rng),
+        add_depth_noise(cap_cloud([0.02, 0, 0.3], 0.006, 120, rng, 0.3), 0.0011, rng),
+        contaminated_cap_cloud([0, 0, 0.35], 0.010, 500, rng),
+        sphere_cloud([0, 0, 0.4], 0.035, 300, rng),  # outside the diameter band
+    ]
+    # Bail-out block edges: 4 points, less than, exactly and one over a block.
+    for n in (4, SCORE_BLOCK // 2, SCORE_BLOCK, SCORE_BLOCK + 1):
+        clouds.append(add_depth_noise(cap_cloud([0.01, 0, 0.38], 0.008, n, rng), 0.0008, rng))
+    # Noiseless cap: many hypotheses hold every point.
+    clouds.append(cap_cloud([0, 0.01, 0.36], 0.012, 200, rng, 0.4))
+    # A first block of scatter off the sphere, so the first bound is weak.
+    scatter = rng.uniform([-0.04, -0.04, 0.39], [0.04, 0.04, 0.46], size=(4 * SCORE_BLOCK, 3))
+    scatter = scatter[np.linalg.norm(scatter - [0, 0, 0.4], axis=1) > 0.016][:SCORE_BLOCK]
+    cap = add_depth_noise(cap_cloud([0, 0, 0.4], 0.010, 250, rng), 0.0011, rng)
+    clouds.append(np.concatenate([scatter, cap]))
+    return clouds
+
+
+def full_batch_pick(pts, centers, radii, min_cloud_z, cfg):
+    """The winning hypothesis from one (k, n) scoring batch with no bail-out.
+
+    Most inliers, then the lowest mean residual, then the lowest index
+    (lexsort is stable); hypotheses without inliers never win.
+    """
+    masks, resid = _inlier_mask(pts, centers, radii, min_cloud_z, cfg)
+    counts = masks.sum(axis=1)
+    np.copyto(resid, 0.0, where=~masks)
+    resid_sums = resid.sum(axis=1)
+    live = np.flatnonzero(counts)
+    if len(live) == 0:
+        return None
+    best = live[np.lexsort((resid_sums[live] / counts[live], -counts[live]))[0]]
+    return int(best), masks[best]
 
 
 class TestFitOracle:
     @pytest.mark.parametrize("z_rule", ["background_reject", "literal"])
     def test_seeded_clouds_match_reference(self, z_rule, monkeypatch):
-        rng = np.random.default_rng(30)
-        clouds = [
-            sphere_cloud([0.0, 0.01, 0.35], 0.011, 400, rng),
-            add_depth_noise(cap_cloud([0, 0, 0.4], 0.009, 300, rng), 0.0011, rng),
-            add_depth_noise(cap_cloud([0.02, 0, 0.3], 0.006, 120, rng, 0.3), 0.0011, rng),
-            contaminated_cap_cloud([0, 0, 0.35], 0.010, 500, rng),
-            sphere_cloud([0, 0, 0.4], 0.035, 300, rng),  # outside the diameter band
-        ]
-        polishes = []
+        clouds = oracle_clouds()
+        polishes, picks = [], []
 
         def capture(pts, center, radius):
             polishes.append((pts, center, radius))
             return _geometric_refine(pts, center, radius)
 
+        def capture_pick(pts, centers, radii, min_cloud_z, cfg):
+            best = _best_hypothesis(pts, centers, radii, min_cloud_z, cfg)
+            picks.append((best[0], centers[best[0]], radii[best[0]]))
+            return best
+
         monkeypatch.setattr(spherefit, "_geometric_refine", capture)
+        monkeypatch.setattr(spherefit, "_best_hypothesis", capture_pick)
         for i, cloud in enumerate(clouds):
             cfg = FitConfig(rng_seed=derive_observation_seed(3, i, 1), z_rule=z_rule)
-            report, counts, ref_in, ref_out = reference_fit(cloud, cfg)
+            report, scores, ref_pick, ref_in, ref_out = reference_fit(cloud, cfg)
             polishes.clear()
+            picks.clear()
             got = ransac_sphere_fit(cloud, cfg)
             # Draws, scoring, pick, inlier mask and linear solve: bit for bit.
+            ((pick, pick_center, pick_radius),) = picks
+            assert pick == ref_pick[0]
+            np.testing.assert_array_equal(pick_center, ref_pick[1])
+            assert pick_radius == ref_pick[2]
             ((pts, center, radius),) = polishes
             np.testing.assert_array_equal(pts, ref_in[0])
             np.testing.assert_array_equal(center, ref_in[1])
             assert radius == ref_in[2]
-            assert_polish_agrees(pts, (got.model.center_array(), got.model.radius), ref_out)
+            assert_polish_agrees(pts, (np.asarray(got.model.center), got.model.radius), ref_out)
             assert got.inlier_count == report.inlier_count
             assert got.accepted == report.accepted
             assert got.iterations_used == report.iterations_used
-            if i == 0:
+            counts = [count for count, _ in scores]
+            if i in (0, 9):
                 # noiseless: many hypotheses hold every point, so the pick
-                # falls to the mean-residual and index tie rules
+                # falls to the mean-residual rule
                 assert counts.count(len(cloud)) > 1
+            if i == 5:
+                # 4 points: every sample is a permutation of the cloud, and
+                # repeated permutations tie on mean residual too, so the
+                # pick falls to the index rule
+                top = min(mean for count, mean in scores if count == 4)
+                assert [mean for count, mean in scores if count == 4].count(top) > 1
 
     def test_generator_state_after_the_draws_is_unused(self, monkeypatch):
         # The batched draw leaves the generator elsewhere than per-sample calls
@@ -485,6 +547,50 @@ class TestFitOracle:
         expected = ransac_sphere_fit(cloud, cfg)
         monkeypatch.setattr(spherefit, "_draw_quads", draw_then_scramble)
         assert ransac_sphere_fit(cloud, cfg) == expected
+
+
+def fit_or_error(cloud, cfg):
+    try:
+        return ransac_sphere_fit(cloud, cfg)
+    except DegenerateSampleError as exc:
+        return repr(exc)
+
+
+class TestBailOutMatchesFullBatch:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 300),
+        sigma=st.one_of(st.just(0.0), st.floats(0.0, 0.003)),
+        outlier_share=st.floats(0.0, 0.7),
+        z_rule=st.sampled_from(["background_reject", "literal"]),
+        iterations=st.integers(1, 200),
+    )
+    def test_fit_equals_full_batch_pick(self, seed, n, sigma, outlier_share, z_rule,
+                                        iterations):
+        rng = np.random.default_rng(seed)
+        n_out = round(outlier_share * n)
+        cap = cap_cloud([0, 0, 0.4], rng.uniform(0.004, 0.02), n - n_out, rng,
+                        rng.uniform(0.2, 1.0))
+        scatter = rng.uniform([-0.04, -0.04, 0.37], [0.04, 0.04, 0.46], size=(n_out, 3))
+        cloud = rng.permutation(np.concatenate([add_depth_noise(cap, sigma, rng), scatter]))
+        cfg = FitConfig(rng_seed=seed, z_rule=z_rule, ransac_iterations=iterations)
+
+        # The pick, index and mask, on the hypotheses the fit draws.
+        samples = _draw_quads(np.random.default_rng(seed), n, iterations)
+        centers, radii, usable = _solve_quads(cloud[samples])
+        scoring = (cloud, centers[usable], radii[usable], float(cloud[:, 2].min()), cfg)
+        got, ref = _best_hypothesis(*scoring), full_batch_pick(*scoring)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert got[0] == ref[0]
+            np.testing.assert_array_equal(got[1], ref[1])
+
+        # The whole fit, bit for bit.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spherefit, "_best_hypothesis", full_batch_pick)
+            expected = fit_or_error(cloud, cfg)
+        assert fit_or_error(cloud, cfg) == expected
 
 
 class ChoiceCounter:
