@@ -15,15 +15,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 from .alignment import cross_side_transform, merge_maps, transform_map
-from .dataset import DatasetError, json_digest, load_dataset, load_ground_truth
+from .dataset import (
+    DatasetError,
+    json_digest,
+    load_dataset,
+    load_ground_truth,
+    read_json,
+    write_json,
+)
 from .evaluation import (
     MATCH_TOLERANCE,
     SIZE_MODES,
@@ -64,12 +69,7 @@ def _load_config(path: str | None) -> dict[str, dict]:
     Absent sections come back empty, and JSON lists become tuples. Values are
     not coerced: the constructors that receive them check their types.
     """
-    try:
-        doc = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"config {path}: malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"config {path}: top level must be a JSON object")
+    doc = {} if path is None else read_json(path)
     for key, section in doc.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(
@@ -92,10 +92,6 @@ def _load_config(path: str | None) -> dict[str, dict]:
 
 def _provenance(digest: str, seed: int | None) -> dict:
     return {"config_digest": digest, "seed": seed, "tool_version": __version__}
-
-
-def _write_json(path: Path | str, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # --------------------------------------------------------------- subcommands
@@ -181,13 +177,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "size_mode", "relative"
     )
     branch_map = load_branch_map(args.map)
-    truth = load_ground_truth(Path(args.truth))
+    truth = load_ground_truth(args.truth)
     report = evaluate_map(branch_map, truth, tolerance=tolerance, size_mode=size_mode)
-    doc = json.loads(report_to_json(report))
+    doc = report_to_json(report)
     doc["provenance"] = _provenance(
         json_digest({"tolerance": tolerance, "size_mode": size_mode}), args.seed
     )
-    _write_json(args.out, doc)
+    write_json(args.out, doc, sort_keys=True)
     logger.info(
         "tp=%d fp=%d fn=%d f1=%.3f -> %s", report.tp, report.fp, report.fn,
         report.f1, args.out,
@@ -196,13 +192,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    report = report_from_json(Path(args.eval).read_text(encoding="utf-8"))
+    _load_config(args.config)
+    doc = read_json(args.eval)
+    try:
+        report = report_from_json(doc)
+    except DatasetError as exc:
+        raise DatasetError(f"{args.eval}: {exc}") from exc
     if args.format == "csv":
         emit_report(report, args.out)
     else:
-        doc = json.loads(report_to_json(report))
+        doc = report_to_json(report)
         doc["provenance"] = _provenance(json_digest({"format": "json"}), args.seed)
-        _write_json(args.out, doc)
+        write_json(args.out, doc, sort_keys=True)
     if args.scatter is not None:
         write_scatter(report, args.scatter)
         logger.info("scatter (%d rows) -> %s", len(report.size_pairs), args.scatter)

@@ -49,6 +49,8 @@ __all__ = [
     "extract_instance_clouds",
     "DEFAULT_MIN_POINTS",
     "json_digest",
+    "read_json",
+    "write_json",
 ]
 
 log = logging.getLogger(__name__)
@@ -64,6 +66,29 @@ class DatasetError(ValueError):
 def json_digest(doc: object) -> str:
     """sha256 hex digest of doc's sorted-key JSON; the one provenance hash."""
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def read_json(path: Path | str) -> dict:
+    """The JSON object in path; the one reader of every JSON document.
+
+    Undecodable bytes, malformed JSON, nesting deeper than the parser allows
+    (RFC 8259 section 9 lets it set that limit) and a top level that is not
+    an object raise DatasetError naming path. A file that cannot be opened
+    raises the OSError from opening it.
+    """
+    data = Path(path).read_bytes()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise DatasetError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DatasetError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def write_json(path: Path | str, doc: object, sort_keys: bool = False) -> None:
+    """Write doc as indented JSON; evaluation and report documents sort their keys."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -165,17 +190,6 @@ def read_mask_raster(path: Path) -> np.ndarray:
 
 # ---------------------------------------------------------------- loading
 
-def _read_json(path: Path, expected: str = "a JSON object") -> dict:
-    """The JSON object in path; DatasetError if it is malformed or not an object."""
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DatasetError(f"{path}: expected {expected}, got {type(doc).__name__}")
-    return doc
-
-
 def _load_pose(values, where: str) -> RigidTransform:
     if not (isinstance(values, list) and all(map(is_finite_real, values))):
         raise DatasetError(f"{where}: pose must be a list of finite numbers")
@@ -205,14 +219,14 @@ def _fruitlet_from_json(entry: object) -> GroundTruthFruitlet:
     )
 
 
-def load_ground_truth(path: Path) -> GroundTruth:
+def load_ground_truth(path: Path | str) -> GroundTruth:
     """Ground truth from its JSON file; values are checked, not coerced.
 
     Ids must be distinct integers, visibility counts integers, centers three
     finite numbers and diameters finite numbers. Visibility keys are fruitlet
     ids written as decimal strings, as JSON object keys must be.
     """
-    doc = _read_json(path, "an object with a 'fruitlets' list")
+    doc = read_json(path)
     if not isinstance(doc.get("fruitlets"), list):
         raise DatasetError(f"{path}: missing 'fruitlets' list")
     fruitlets: dict[int, GroundTruthFruitlet] = {}
@@ -244,12 +258,8 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
     named side the manifest does not list raises DatasetError.
     """
     root = Path(root)
-    if not root.exists():
-        raise FileNotFoundError(f"dataset root {root} does not exist")
     manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"manifest missing: {manifest_path}")
-    manifest = _read_json(manifest_path)
+    manifest = read_json(manifest_path)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DatasetError(
             f"{manifest_path}: format_version {manifest.get('format_version')!r}, "
@@ -276,9 +286,7 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
     for side in all_sides:
         side_dir = root / "sides" / side
         fid_path = side_dir / "fiducial.json"
-        if not fid_path.exists():
-            raise DatasetError(f"fiducial missing for side {side}: {fid_path}")
-        fid_doc = _read_json(fid_path)
+        fid_doc = read_json(fid_path)
         if "pose" not in fid_doc:
             raise DatasetError(f"{fid_path}: missing 'pose'")
         fiducials[side] = FiducialObservation(
@@ -293,7 +301,7 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
         records = []
         seen: set[int] = set()
         for frame_path in sorted(frames_dir.glob("*.json")):
-            doc = _read_json(frame_path)
+            doc = read_json(frame_path)
             for key in ("frame_index", "pose", "intrinsics", "depth", "masks"):
                 if key not in doc:
                     raise DatasetError(f"{frame_path}: missing '{key}'")
@@ -313,10 +321,6 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
             pose = _load_pose(doc["pose"], str(frame_path))
             depth_path = side_dir / doc["depth"]
             mask_path = side_dir / doc["masks"]
-            if not depth_path.exists():
-                raise FileNotFoundError(f"depth raster missing: {depth_path}")
-            if not mask_path.exists():
-                raise FileNotFoundError(f"mask raster missing: {mask_path}")
             depth = read_depth_raster(depth_path, intr.width, intr.height)
             masks = read_mask_raster(mask_path)
             if masks.shape != depth.shape:
@@ -356,10 +360,6 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
 AXIS_CONVENTION = "camera: +z forward, +x right, +y down; poses camera-to-side, row-major 4x4"
 
 
-def _dump_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def write_ground_truth(path: Path, truth: GroundTruth) -> None:
     doc = {
         "fruitlets": [
@@ -371,7 +371,7 @@ def write_ground_truth(path: Path, truth: GroundTruth) -> None:
             for side, counts in sorted(truth.visibility.items())
         },
     }
-    _dump_json(path, doc)
+    write_json(path, doc)
 
 
 def write_dataset(
@@ -397,17 +397,17 @@ def write_dataset(
         if key in manifest:
             raise ValueError(f"extra_manifest must not override manifest key {key!r}")
         manifest[key] = value
-    _dump_json(root / "manifest.json", manifest)
+    write_json(root / "manifest.json", manifest)
     for side in dataset.sides:
         side_dir = root / "sides" / side
         for sub in ("frames", "depth", "masks"):
             (side_dir / sub).mkdir(parents=True, exist_ok=True)
-        _dump_json(side_dir / "fiducial.json", {"pose": dataset.fiducials[side].pose.flat16()})
+        write_json(side_dir / "fiducial.json", {"pose": dataset.fiducials[side].pose.flat16()})
         for rec in dataset.frames[side]:
             idx = rec.frame_index
             write_depth_raster(side_dir / "depth" / f"{idx}.f32", rec.depth)
             write_mask_raster(side_dir / "masks" / f"{idx}.pgm", rec.masks)
-            _dump_json(
+            write_json(
                 side_dir / "frames" / f"{idx}.json",
                 {
                     "frame_index": idx,

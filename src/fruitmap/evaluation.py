@@ -9,7 +9,6 @@ with optimal assignment; optimality is a non-goal.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -196,22 +195,22 @@ def evaluate_map(
 
 # ------------------------------------------------------------------ reporting
 
-def report_to_json(report: EvalReport) -> str:
+def report_to_json(report: EvalReport) -> dict:
+    """Plain-JSON form; written with sorted keys, floats keep full precision."""
     doc = asdict(report)
     doc["size_pairs"] = [list(p) for p in report.size_pairs]
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return doc
 
 
 _REPORT_INTEGERS = ("tp", "fp", "fn")
 _REPORT_REALS = ("precision", "recall", "f1", "count_accuracy_pct")
 
 
-def report_from_json(text: str) -> EvalReport:
-    """Parse report_to_json output; a missing or mistyped field raises DatasetError.
+def report_from_json(doc: object) -> EvalReport:
+    """The EvalReport a report_to_json document describes; DatasetError if malformed.
 
     Keys that are not report fields, such as provenance, are ignored.
     """
-    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise DatasetError(
             f"evaluation report must be a JSON object, got {type(doc).__name__}"

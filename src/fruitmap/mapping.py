@@ -26,7 +26,6 @@ generator state.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -35,7 +34,14 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ._checks import check_types, is_finite_point, is_finite_real, is_int
-from .dataset import DatasetError, ScanDataset, extract_instance_clouds, json_digest
+from .dataset import (
+    DatasetError,
+    ScanDataset,
+    extract_instance_clouds,
+    json_digest,
+    read_json,
+    write_json,
+)
 from .spherefit import (
     DegenerateSampleError,
     FitConfig,
@@ -366,19 +372,11 @@ def map_from_json(doc: object) -> BranchMap:
 
 
 def save_branch_map(path: Path | str, branch_map: BranchMap) -> None:
-    Path(path).write_text(
-        json.dumps(map_to_json(branch_map), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, map_to_json(branch_map))
 
 
 def load_branch_map(path: Path | str) -> BranchMap:
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"branch map file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"malformed JSON in {path}: {exc}") from exc
+    doc = read_json(path)
     try:
         return map_from_json(doc)
     except DatasetError as exc:

@@ -186,20 +186,19 @@ def _solve_sphere(pts: np.ndarray) -> tuple[np.ndarray, float]:
 def _solve_batch(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """np.linalg.solve over a (k, 4, 4) batch; a singular matrix's row is NaN.
 
-    A batch that raises is split in halves, recursively, so one singular
-    matrix costs about 2 log2(k) solves instead of k. Each matrix is solved on
-    its own inside a batched call, so the rows are bit-equal to per-matrix
-    solves.
+    A batch that raises is solved again without the matrices whose LU
+    factorization has an exact zero pivot (slogdet sign 0), the condition on
+    which solve raises, so it costs two batched solves. Each matrix is solved
+    on its own inside a batched call, so the rows are bit-equal to
+    per-matrix solves.
     """
     try:
         return np.linalg.solve(lhs, rhs)[..., 0]
     except np.linalg.LinAlgError:
-        if len(lhs) == 1:
-            return np.full((1, 4), np.nan)
-        half = len(lhs) // 2
-        return np.concatenate(
-            [_solve_batch(lhs[:half], rhs[:half]), _solve_batch(lhs[half:], rhs[half:])]
-        )
+        solvable = np.linalg.slogdet(lhs)[0] != 0
+        out = np.full((len(lhs), 4), np.nan)
+        out[solvable] = np.linalg.solve(lhs[solvable], rhs[solvable])[..., 0]
+        return out
 
 
 def _solve_quads(quads: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

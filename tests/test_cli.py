@@ -159,6 +159,18 @@ class TestExitCodes:
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("text, code", [(None, 2), ("{not json", 1)],
+                             ids=["missing", "malformed"])
+    def test_report_reads_its_config(self, pipeline, tmp_path, capsys, text, code):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text)
+        out = tmp_path / "table.csv"
+        assert main(["report", "--config", str(config), "--eval", str(pipeline["report"]),
+                     "--format", "csv", "--out", str(out)]) == code
+        assert str(config) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
@@ -220,6 +232,18 @@ def assert_one_line_validation_error(proc, *needles):
         assert needle in proc.stderr
 
 
+def copy_dataset_json(pipeline, ds):
+    """The dataset's JSON files, with side A's frame 0 only, copied to ds.
+
+    A map of ds fails on a malformed JSON file before any raster is read.
+    """
+    for kept in ("manifest.json", "sides/A/fiducial.json", "sides/B/fiducial.json",
+                 "sides/A/frames/0.json"):
+        (ds / kept).parent.mkdir(parents=True, exist_ok=True)
+        (ds / kept).write_bytes((pipeline["dataset"] / kept).read_bytes())
+    return ds
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("missing", ["id", "center", "diameter"])
     def test_truth_entry_missing_field(self, pipeline, tmp_path, missing):
@@ -263,13 +287,7 @@ class TestMalformedInputs:
         ids=["list-manifest", "int-dataset-id", "float-frame-index", "string-fx", "float-width"],
     )
     def test_malformed_dataset_json(self, pipeline, tmp_path, name, patch, needles):
-        # The dataset's JSON files, with side A's frame 0 only: each failure
-        # here comes before any raster is read.
-        ds = tmp_path / "ds"
-        for kept in ("manifest.json", "sides/A/fiducial.json", "sides/B/fiducial.json",
-                     "sides/A/frames/0.json"):
-            (ds / kept).parent.mkdir(parents=True, exist_ok=True)
-            (ds / kept).write_bytes((pipeline["dataset"] / kept).read_bytes())
+        ds = copy_dataset_json(pipeline, tmp_path / "ds")
         doc = []
         if patch is not None:
             doc = json.loads((ds / name).read_text())
@@ -345,7 +363,7 @@ class TestMalformedInputs:
         proc = run_cli(["eval", "--config", str(bad), "--map", str(pipeline["merged"]),
                         "--truth", str(pipeline["dataset"] / "ground_truth.json"),
                         "--out", str(out)])
-        assert_one_line_validation_error(proc, f"config {bad}: malformed JSON")
+        assert_one_line_validation_error(proc, f"{bad}: malformed JSON")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -393,6 +411,28 @@ class TestMalformedInputs:
         proc = run_cli(["map", "--dataset", str(pipeline["dataset"]), "--side", "C",
                         "--out", str(out)])
         assert_one_line_validation_error(proc, "'C'", "not in dataset", "['A', 'B']")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind", ["config", "manifest", "fiducial", "frame", "truth", "map", "report"]
+    )
+    def test_too_deeply_nested_json_names_the_file(self, pipeline, tmp_path, kind):
+        # RFC 8259 section 9 lets a parser limit nesting depth, so JSON nested
+        # past the parser's limit is malformed input, in every document kind.
+        ds = copy_dataset_json(pipeline, tmp_path / "ds")
+        deep = {"manifest": ds / "manifest.json", "fiducial": ds / "sides/A/fiducial.json",
+                "frame": ds / "sides/A/frames/0.json"}.get(kind, tmp_path / f"{kind}.json")
+        deep.write_text("[" * 100000)
+        truth = pipeline["dataset"] / "ground_truth.json"
+        out = tmp_path / "out.json"
+        argv = {
+            "config": ["eval", "--config", deep, "--map", pipeline["merged"], "--truth", truth],
+            "truth": ["eval", "--map", pipeline["merged"], "--truth", deep],
+            "map": ["eval", "--map", deep, "--truth", truth],
+            "report": ["report", "--eval", deep, "--format", "json"],
+        }.get(kind, ["map", "--dataset", ds, "--side", "A"])
+        proc = run_cli([*map(str, argv), "--out", str(out)])
+        assert_one_line_validation_error(proc, f"{deep}: malformed JSON")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -459,6 +499,24 @@ def test_runtime_sources_do_not_import_scipy():
                 continue
             offenders += [f"{path.name}:{node.lineno} imports {name}"
                           for name in names if name.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
+def test_only_dataset_module_touches_json():
+    # dataset.read_json and dataset.write_json are the one JSON boundary: no
+    # other module parses, serializes, or reads or writes a text file.
+    package = Path(fruitmap.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "dataset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if not isinstance(func, ast.Attribute):
+                continue
+            if (isinstance(func.value, ast.Name) and func.value.id == "json"
+                    or func.attr in ("read_text", "write_text")):
+                offenders.append(f"{path.name}:{node.lineno} calls {ast.unparse(func)}")
     assert offenders == []
 
 

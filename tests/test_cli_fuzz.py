@@ -1,10 +1,11 @@
 """Fuzzed CLI inputs: every malformed file ends in a documented exit code.
 
-Each example writes one malformed input (a config, a dataset manifest, a
-branch map or an evaluation report) and runs the command that reads it
-through `main`, in process. An exception escaping `main` fails the test: from
-a shell it would be a traceback. The exit code must be 0, 1 (validation) or
-2 (I/O), and nothing written to stderr may be a traceback.
+Each example writes one malformed input (a config, a dataset manifest,
+fiducial, frame or ground truth, a branch map or an evaluation report) and
+runs a command that reads it through `main`, in process. An exception
+escaping `main` fails the test: from a shell it would be a traceback. The
+exit code must be 0, 1 (validation) or 2 (I/O), and nothing written to
+stderr may be a traceback.
 """
 
 import contextlib
@@ -112,7 +113,7 @@ def scan(tmp_path_factory):
             shutil.copyfile(src / "depth" / f"{i}.f32", dst / frame["depth"])
             shutil.copyfile(src / "masks" / f"{i}.pgm", dst / frame["masks"])
     shutil.rmtree(full)
-    paths = {"root": root, "dataset": ds, "truth": ds / "ground_truth.json"}
+    paths = {"root": root, "dataset": ds}
     for side in ("A", "B"):
         paths[side] = root / f"{side}.json"
         assert run(["map", "--dataset", ds, "--side", side, "--out", paths[side]])[0] == 0
@@ -120,7 +121,7 @@ def scan(tmp_path_factory):
     assert run(["align", "--map-a", paths["A"], "--map-b", paths["B"], "--dataset", ds,
                 "--out", paths["merged"]])[0] == 0
     paths["report"] = root / "report.json"
-    assert run(["eval", "--map", paths["merged"], "--truth", paths["truth"],
+    assert run(["eval", "--map", paths["merged"], "--truth", ds / "ground_truth.json",
                 "--out", paths["report"]])[0] == 0
     return paths
 
@@ -131,8 +132,8 @@ def argv_for(command, scan, out, *, dataset=None, map_b=None, merged=None, repor
         "map": ["map", "--dataset", dataset, "--side", "A", "--out", out],
         "align": ["align", "--map-a", scan["A"], "--map-b", map_b or scan["B"],
                   "--dataset", dataset, "--out", out],
-        "eval": ["eval", "--map", merged or scan["merged"], "--truth", scan["truth"],
-                 "--out", out],
+        "eval": ["eval", "--map", merged or scan["merged"],
+                 "--truth", dataset / "ground_truth.json", "--out", out],
         "report": ["report", "--eval", report or scan["report"], "--format", "csv",
                    "--out", out, "--scatter", Path(out).with_suffix(".sizes.csv")],
     }[command]
@@ -144,7 +145,7 @@ def test_unfuzzed_inputs_run(scan, tmp_path):
 
 
 @FUZZ
-@given(command=st.sampled_from(["map", "align", "eval"]),
+@given(command=st.sampled_from(["map", "align", "eval", "report"]),
        text=malformed(VALID_CONFIG, CONFIG_JSON))
 def test_malformed_config(scan, command, text):
     with tempfile.TemporaryDirectory() as tmp:
@@ -153,17 +154,32 @@ def test_malformed_config(scan, command, text):
         assert_clean_exit([*argv_for(command, scan, Path(tmp) / "out"), "--config", config])
 
 
+@pytest.mark.parametrize(
+    "name, commands",
+    [
+        ("manifest.json", ["map", "align"]),
+        ("sides/B/fiducial.json", ["map", "align"]),
+        ("sides/A/frames/1.json", ["map"]),
+        ("ground_truth.json", ["map", "align", "eval"]),
+    ],
+    ids=["manifest", "fiducial", "frame", "truth"],
+)
 @FUZZ
-@given(command=st.sampled_from(["map", "align"]), data=st.data())
-def test_malformed_manifest(scan, command, data):
-    manifest = json.loads((scan["dataset"] / "manifest.json").read_text())
-    text = data.draw(malformed(manifest))
+@given(data=st.data())
+def test_malformed_dataset_file(scan, name, commands, data):
+    text = data.draw(malformed(json.loads((scan["dataset"] / name).read_text())))
+    command = data.draw(st.sampled_from(commands))
     with tempfile.TemporaryDirectory() as tmp:
+        # Every other file is a link to the scan's own, shared read-only.
         ds = Path(tmp) / "ds"
-        # Everything but the manifest is shared, read-only, with the scan.
         ds.mkdir()
-        (ds / "sides").symlink_to(scan["dataset"] / "sides")
-        (ds / "manifest.json").write_bytes(text)
+        for path in scan["dataset"].rglob("*"):
+            link = ds / path.relative_to(scan["dataset"])
+            if path.is_dir():
+                link.mkdir()
+            elif path != scan["dataset"] / name:
+                link.symlink_to(path)
+        (ds / name).write_bytes(text)
         assert_clean_exit(argv_for(command, scan, Path(tmp) / "out", dataset=ds))
 
 

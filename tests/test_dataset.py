@@ -183,7 +183,8 @@ class TestValidation:
     def test_missing_fiducial_names_side(self, tmp_path):
         root = write_dataset(make_dataset(), tmp_path / "scan")
         (root / "sides" / "B" / "fiducial.json").unlink()
-        with pytest.raises(DatasetError, match="fiducial missing for side B"):
+        # a missing fiducial is an I/O error like every other missing file
+        with pytest.raises(FileNotFoundError, match=r"sides[/\\]B[/\\]fiducial\.json"):
             load_dataset(root)
 
     def test_dimension_mismatch_names_both_files(self, tmp_path):
@@ -241,7 +242,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ([], "'fruitlets' list"),
+            ([], "JSON object, got list"),
             ({"fruitlets": {"id": 0}}, "'fruitlets' list"),
             ({"fruitlets": ["x"]}, "entry 0"),
             ({"fruitlets": [{"id": 0, "center": [0, 0], "diameter": 0.01}]}, "3 coordinates"),

@@ -6,7 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from fruitmap.dataset import DatasetError, GroundTruth, GroundTruthFruitlet
+from fruitmap.dataset import (
+    DatasetError,
+    GroundTruth,
+    GroundTruthFruitlet,
+    read_json,
+    write_json,
+)
 from fruitmap.evaluation import (
     EvalReport,
     MatchResult,
@@ -291,18 +297,20 @@ def sample_report():
 
 
 class TestReporting:
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         report = sample_report()
-        assert report_from_json(report_to_json(report)) == report
+        write_json(tmp_path / "report.json", report_to_json(report), sort_keys=True)
+        assert report_from_json(read_json(tmp_path / "report.json")) == report
 
     def test_json_ignores_foreign_keys(self):
-        doc = json.loads(report_to_json(sample_report()))
+        doc = report_to_json(sample_report())
         doc["provenance"] = {"seed": 0}
-        assert report_from_json(json.dumps(doc)) == sample_report()
+        assert report_from_json(doc) == sample_report()
 
-    def test_json_accepts_unsized_report(self):
+    def test_json_accepts_unsized_report(self, tmp_path):
         report = dataclasses.replace(sample_report(), size_rmse_pct=None, size_pairs=())
-        assert report_from_json(report_to_json(report)) == report
+        write_json(tmp_path / "report.json", report_to_json(report), sort_keys=True)
+        assert report_from_json(read_json(tmp_path / "report.json")) == report
 
     @pytest.mark.parametrize(
         "drop, edit, needles",
@@ -317,19 +325,19 @@ class TestReporting:
         ],
     )
     def test_json_rejects_missing_or_mistyped_fields(self, drop, edit, needles):
-        doc = json.loads(report_to_json(sample_report()))
+        doc = report_to_json(sample_report())
         for name in drop:
             del doc[name]
         doc.update(edit)
         with pytest.raises(DatasetError) as info:
-            report_from_json(json.dumps(doc))
+            report_from_json(doc)
         for needle in needles:
             assert needle in str(info.value)
 
     @pytest.mark.parametrize("text", ["[]", "3", '"report"', "null"])
     def test_json_rejects_non_objects(self, text):
         with pytest.raises(DatasetError, match="JSON object"):
-            report_from_json(text)
+            report_from_json(json.loads(text))
 
     def test_csv_carries_reference_accuracy_cell(self, tmp_path):
         path = emit_report(sample_report(), tmp_path / "table.csv")

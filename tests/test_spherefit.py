@@ -103,7 +103,7 @@ class TestExactSolver:
 
     def test_singular_batch_falls_back_per_matrix(self, monkeypatch):
         # Coplanar quads first, last and side by side make the batched solve
-        # raise; the bisecting fallback must drop only them, solve the rest
+        # raise; the fallback must drop only them, solve the rest
         # bit-identically to a per-matrix loop, and not solve one at a time.
         rng = np.random.default_rng(8)
         quads = np.stack([sphere_cloud(rng.uniform(-0.1, 0.1, 3), 0.01, 4, rng)
@@ -140,9 +140,8 @@ class TestExactSolver:
         clean_centers, clean_radii, _ = _solve_quads(quads[usable])
         np.testing.assert_array_equal(centers[usable], clean_centers)
         np.testing.assert_array_equal(radii[usable], clean_radii)
-        # Bisection: each singular quad costs at most two solves per halving.
-        assert len(calls) <= 1 + 2 * len(singular) * int(np.ceil(np.log2(200)))
-        assert calls.count(1) <= 2 * len(singular)
+        # Two batched solves: the one that raises, then the solvable rest.
+        assert calls == [200, 200 - len(singular)]
 
 
 class TestRansac:
