@@ -22,13 +22,13 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._checks import is_finite_point, is_finite_real, is_int
+from ._checks import check_types, from_doc, is_finite_real, is_int
 from .geometry import CameraIntrinsics, RigidTransform, backproject
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "load_dataset",
     "load_ground_truth",
     "write_dataset",
-    "write_ground_truth",
     "extract_instance_clouds",
     "DEFAULT_MIN_POINTS",
     "json_digest",
@@ -71,15 +70,15 @@ def json_digest(doc: object) -> str:
 def read_json(path: Path | str) -> dict:
     """The JSON object in path; the one reader of every JSON document.
 
-    Undecodable bytes, malformed JSON, nesting deeper than the parser allows
-    (RFC 8259 section 9 lets it set that limit) and a top level that is not
-    an object raise DatasetError naming path. A file that cannot be opened
-    raises the OSError from opening it.
+    Undecodable bytes, malformed JSON, nesting or integers larger than the
+    parser allows (RFC 8259 section 9 lets it set such limits) and a top level
+    that is not an object raise DatasetError naming path. A file that cannot
+    be opened raises the OSError from opening it.
     """
     data = Path(path).read_bytes()
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # decode and parse errors are ValueErrors
         raise DatasetError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DatasetError(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -124,6 +123,13 @@ class GroundTruthFruitlet:
     id: int
     center: tuple[float, float, float]   # scene frame == side A frame
     diameter: float
+
+    def __post_init__(self) -> None:
+        check_types(self, integers=("id",), reals=("diameter",), points=("center",))
+        if self.diameter <= 0:
+            raise ValueError(f"diameter must be positive, got {self.diameter}")
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "diameter", float(self.diameter))
 
 
 @dataclass(frozen=True)
@@ -199,32 +205,12 @@ def _load_pose(values, where: str) -> RigidTransform:
         raise DatasetError(f"{where}: invalid pose: {exc}") from exc
 
 
-def _fruitlet_from_json(entry: object) -> GroundTruthFruitlet:
-    if not isinstance(entry, dict):
-        raise ValueError(f"expected an object, got {entry!r}")
-    for key in ("id", "center", "diameter"):
-        if key not in entry:
-            raise ValueError(f"missing {key!r}")
-    if not is_int(entry["id"]):
-        raise ValueError(f"id must be an integer, got {entry['id']!r}")
-    center = entry["center"]
-    if not is_finite_point(center):
-        raise ValueError(f"center needs 3 coordinates, each a finite number, got {center!r}")
-    if not is_finite_real(entry["diameter"]):
-        raise ValueError(f"diameter must be a finite number, got {entry['diameter']!r}")
-    return GroundTruthFruitlet(
-        id=entry["id"],
-        center=tuple(float(c) for c in center),
-        diameter=float(entry["diameter"]),
-    )
-
-
 def load_ground_truth(path: Path | str) -> GroundTruth:
     """Ground truth from its JSON file; values are checked, not coerced.
 
-    Ids must be distinct integers, visibility counts integers, centers three
-    finite numbers and diameters finite numbers. Visibility keys are fruitlet
-    ids written as decimal strings, as JSON object keys must be.
+    Each fruitlet checks its own fields, and ids must be distinct. Visibility
+    counts must be integers; their keys are fruitlet ids written as decimal
+    strings, as JSON object keys must be.
     """
     doc = read_json(path)
     if not isinstance(doc.get("fruitlets"), list):
@@ -232,7 +218,7 @@ def load_ground_truth(path: Path | str) -> GroundTruth:
     fruitlets: dict[int, GroundTruthFruitlet] = {}
     for index, entry in enumerate(doc["fruitlets"]):
         try:
-            fruitlet = _fruitlet_from_json(entry)
+            fruitlet = from_doc(GroundTruthFruitlet, entry)
         except ValueError as exc:
             raise DatasetError(f"{path}: fruitlet entry {index}: {exc}") from exc
         if fruitlet.id in fruitlets:
@@ -272,6 +258,14 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
         raise DatasetError(f"{manifest_path}: sides must be a list of strings, got {all_sides!r}")
     if not all_sides:
         raise DatasetError(f"{manifest_path}: empty side list")
+    labels: set[str] = set()
+    for side in all_sides:
+        # each label names its own directory under sides/
+        if side in ("", ".", "..") or any(c in side for c in "/\\\0"):
+            raise DatasetError(f"{manifest_path}: side label {side!r} is not a directory name")
+        if side in labels:
+            raise DatasetError(f"{manifest_path}: side label {side!r} is repeated")
+        labels.add(side)
     dataset_id = manifest.get("dataset_id", "")
     if not isinstance(dataset_id, str):
         raise DatasetError(f"{manifest_path}: dataset_id must be a string, got {dataset_id!r}")
@@ -308,19 +302,24 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
             idx = doc["frame_index"]
             if not is_int(idx):
                 raise DatasetError(f"{frame_path}: frame_index must be an integer, got {idx!r}")
+            rasters = []
             for key in ("depth", "masks"):
-                if not isinstance(doc[key], str):
-                    raise DatasetError(f"{frame_path}: {key} must be a string, got {doc[key]!r}")
+                name = doc[key]
+                if not isinstance(name, str):
+                    raise DatasetError(f"{frame_path}: {key} must be a string, got {name!r}")
+                # checked as written, so rasters that are symlinks still load
+                if "\0" in name or Path(name).is_absolute() or ".." in Path(name).parts:
+                    raise DatasetError(f"{frame_path}: {key} path {name!r} is not inside {side_dir}")
+                rasters.append(side_dir / name)
             if idx in seen:
                 raise DatasetError(f"{frame_path}: duplicate frame_index {idx} on side {side}")
             seen.add(idx)
             try:
-                intr = CameraIntrinsics.from_dict(doc["intrinsics"])
-            except (KeyError, ValueError) as exc:
+                intr = from_doc(CameraIntrinsics, doc["intrinsics"])
+            except ValueError as exc:
                 raise DatasetError(f"{frame_path}: invalid intrinsics: {exc}") from exc
             pose = _load_pose(doc["pose"], str(frame_path))
-            depth_path = side_dir / doc["depth"]
-            mask_path = side_dir / doc["masks"]
+            depth_path, mask_path = rasters
             depth = read_depth_raster(depth_path, intr.width, intr.height)
             masks = read_mask_raster(mask_path)
             if masks.shape != depth.shape:
@@ -358,20 +357,6 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
 # ---------------------------------------------------------------- writing
 
 AXIS_CONVENTION = "camera: +z forward, +x right, +y down; poses camera-to-side, row-major 4x4"
-
-
-def write_ground_truth(path: Path, truth: GroundTruth) -> None:
-    doc = {
-        "fruitlets": [
-            {"id": f.id, "center": list(f.center), "diameter": f.diameter}
-            for f in truth.fruitlets
-        ],
-        "visibility": {
-            side: {str(k): v for k, v in sorted(counts.items())}
-            for side, counts in sorted(truth.visibility.items())
-        },
-    }
-    write_json(path, doc)
 
 
 def write_dataset(
@@ -412,13 +397,23 @@ def write_dataset(
                 {
                     "frame_index": idx,
                     "pose": rec.pose.flat16(),
-                    "intrinsics": rec.intrinsics.as_dict(),
+                    "intrinsics": asdict(rec.intrinsics),
                     "depth": f"depth/{idx}.f32",
                     "masks": f"masks/{idx}.pgm",
                 },
             )
-    if dataset.ground_truth is not None:
-        write_ground_truth(root / "ground_truth.json", dataset.ground_truth)
+    truth = dataset.ground_truth
+    if truth is not None:
+        write_json(
+            root / "ground_truth.json",
+            {
+                "fruitlets": [asdict(f) for f in truth.fruitlets],
+                "visibility": {
+                    side: {str(k): v for k, v in sorted(counts.items())}
+                    for side, counts in sorted(truth.visibility.items())
+                },
+            },
+        )
     return root
 
 

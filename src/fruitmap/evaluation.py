@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._checks import is_finite_real, is_int
+from ._checks import check_types, from_doc, is_finite_real
 from .dataset import DatasetError, GroundTruth
 from .mapping import BranchMap
 
@@ -68,6 +68,25 @@ class EvalReport:
     size_rmse_pct: float | None
     size_pairs: tuple[tuple[float, float], ...] = field(default=())
     # (truth_diameter, estimated_diameter) per matched pair, meters
+
+    def __post_init__(self) -> None:
+        sized = () if self.size_rmse_pct is None else ("size_rmse_pct",)
+        pairs = self.size_pairs
+        paired = isinstance(pairs, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(is_finite_real, p))
+            for p in pairs
+        )
+        check_types(
+            self,
+            integers=("tp", "fp", "fn"),
+            reals=("precision", "recall", "f1", "count_accuracy_pct", *sized),
+            also=() if paired else ("size_pairs must be a list of pairs of finite numbers",),
+        )
+        negative = [f"{name} must be non-negative, got {getattr(self, name)}"
+                    for name in ("tp", "fp", "fn") if getattr(self, name) < 0]
+        if negative:
+            raise ValueError("; ".join(negative))
+        object.__setattr__(self, "size_pairs", tuple(tuple(p) for p in pairs))
 
 
 def match_fruitlets(
@@ -202,38 +221,15 @@ def report_to_json(report: EvalReport) -> dict:
     return doc
 
 
-_REPORT_INTEGERS = ("tp", "fp", "fn")
-_REPORT_REALS = ("precision", "recall", "f1", "count_accuracy_pct")
-
-
 def report_from_json(doc: object) -> EvalReport:
     """The EvalReport a report_to_json document describes; DatasetError if malformed.
 
     Keys that are not report fields, such as provenance, are ignored.
     """
-    if not isinstance(doc, dict):
-        raise DatasetError(
-            f"evaluation report must be a JSON object, got {type(doc).__name__}"
-        )
-    required = (*_REPORT_INTEGERS, *_REPORT_REALS, "size_rmse_pct")
-    missing = [name for name in required if name not in doc]
-    if missing:
-        raise DatasetError(f"evaluation report is missing field(s): {', '.join(missing)}")
-    wrong = [name for name in _REPORT_INTEGERS if not is_int(doc[name])]
-    wrong += [name for name in _REPORT_REALS if not is_finite_real(doc[name])]
-    if doc["size_rmse_pct"] is not None and not is_finite_real(doc["size_rmse_pct"]):
-        wrong.append("size_rmse_pct")
-    pairs = doc.get("size_pairs", [])
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(map(is_finite_real, p)) for p in pairs
-    ):
-        wrong.append("size_pairs")
-    if wrong:
-        raise DatasetError(f"evaluation report has mistyped field(s): {', '.join(wrong)}")
-    return EvalReport(
-        **{name: doc[name] for name in required},
-        size_pairs=tuple(tuple(p) for p in pairs),
-    )
+    try:
+        return from_doc(EvalReport, doc)
+    except ValueError as exc:
+        raise DatasetError(f"malformed evaluation report: {exc}") from exc
 
 
 _CSV_COLUMNS = ("ground_truth", "calculated", "accuracy", "precision", "recall", "f1")

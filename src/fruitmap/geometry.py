@@ -12,7 +12,6 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,25 +52,6 @@ class CameraIntrinsics:
             raise ValueError(
                 f"principal point ({self.cx}, {self.cy}) outside image {self.width}x{self.height}"
             )
-
-    def as_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "CameraIntrinsics":
-        """The inverse of as_dict; values are checked, not coerced."""
-        if not isinstance(d, Mapping):
-            raise ValueError(f"expected an object, got {d!r}")
-        return cls(
-            fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"], width=d["width"], height=d["height"]
-        )
 
 
 @dataclass(frozen=True)

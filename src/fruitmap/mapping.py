@@ -33,7 +33,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._checks import check_types, is_finite_point, is_finite_real, is_int
+from ._checks import check_types, from_doc
 from .dataset import (
     DatasetError,
     ScanDataset,
@@ -100,15 +100,20 @@ class FruitletTrack:
     sides: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        named = isinstance(self.sides, (list, tuple, set, frozenset)) and all(
+            isinstance(side, str) for side in self.sides
+        )
+        check_types(self, integers=("id", "observations"), reals=("diameter",),
+                    points=("center",),
+                    also=() if named else (f"sides must be a list of strings, got {self.sides!r}",))
         if self.id < 0:
             raise ValueError("track id must be non-negative")
         if self.observations < 1:
             raise ValueError("a track represents at least one observation")
-        if not np.all(np.isfinite(self.center)) or not np.isfinite(self.diameter):
-            raise ValueError("track center and diameter must be finite")
         if self.diameter <= 0:
             raise ValueError(f"diameter must be positive, got {self.diameter}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "diameter", float(self.diameter))
         object.__setattr__(self, "sides", frozenset(self.sides))
 
 
@@ -126,8 +131,17 @@ class BranchMap:
     provenance: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.frame_label:
-            raise ValueError("frame_label must be non-empty")
+        wrong = []
+        if not (isinstance(self.frame_label, str) and self.frame_label):
+            wrong.append(f"frame_label must be a non-empty string, got {self.frame_label!r}")
+        if not (
+            isinstance(self.tracks, (list, tuple))
+            and all(isinstance(t, FruitletTrack) for t in self.tracks)
+        ):
+            wrong.append("tracks must be a list of FruitletTrack records")
+        if not isinstance(self.provenance, Mapping):
+            wrong.append(f"provenance must be an object, got {self.provenance!r}")
+        check_types(self, also=wrong)
         object.__setattr__(self, "tracks", tuple(self.tracks))
         ids = [t.id for t in self.tracks]
         if len(set(ids)) != len(ids):
@@ -313,60 +327,24 @@ def map_to_json(branch_map: BranchMap) -> dict:
     }
 
 
-def _track_from_json(item: object) -> FruitletTrack:
-    if not isinstance(item, Mapping):
-        raise ValueError(f"expected an object, got {item!r}")
-    for key in ("id", "center", "diameter", "observations"):
-        if key not in item:
-            raise ValueError(f"missing {key!r}")
-    for key in ("id", "observations"):
-        if not is_int(item[key]):
-            raise ValueError(f"{key} must be an integer, got {item[key]!r}")
-    center = item["center"]
-    if not is_finite_point(center):
-        raise ValueError(f"center must be 3 finite numbers, got {center!r}")
-    if not is_finite_real(item["diameter"]):
-        raise ValueError(f"diameter must be a finite number, got {item['diameter']!r}")
-    sides = item.get("sides", [])
-    if not (isinstance(sides, list) and all(isinstance(side, str) for side in sides)):
-        raise ValueError(f"sides must be a list of strings, got {sides!r}")
-    return FruitletTrack(
-        id=item["id"],
-        center=tuple(float(c) for c in center),
-        diameter=float(item["diameter"]),
-        observations=item["observations"],
-        sides=frozenset(sides),
-    )
-
-
 def map_from_json(doc: object) -> BranchMap:
     """The BranchMap a map_to_json document describes; DatasetError if malformed.
 
-    Values are checked, not coerced: ids and observation counts must be
-    integers, centers three finite numbers, diameters finite numbers, sides a
-    list of strings and frame_label a non-empty string.
+    Values are checked, not coerced: each track and the map check their own
+    fields, and a track's error names its index.
     """
-    if not isinstance(doc, Mapping) or not isinstance(doc.get("tracks"), list):
+    if not isinstance(doc, dict) or not isinstance(doc.get("tracks"), list):
         raise DatasetError(
             "malformed branch map document: expected an object with a 'tracks' list"
         )
-    label = doc.get("frame_label")
-    if not isinstance(label, str) or not label:
-        raise DatasetError(
-            f"malformed branch map document: frame_label must be a non-empty string, "
-            f"got {label!r}"
-        )
-    provenance = doc.get("provenance", {})
-    if not isinstance(provenance, Mapping):
-        raise DatasetError("malformed branch map document: provenance must be an object")
     tracks = []
     for index, item in enumerate(doc["tracks"]):
         try:
-            tracks.append(_track_from_json(item))
+            tracks.append(from_doc(FruitletTrack, item))
         except ValueError as exc:
             raise DatasetError(f"malformed branch map document: track {index}: {exc}") from exc
     try:
-        return BranchMap(frame_label=label, tracks=tuple(tracks), provenance=dict(provenance))
+        return from_doc(BranchMap, {**doc, "tracks": tracks})
     except ValueError as exc:
         raise DatasetError(f"malformed branch map document: {exc}") from exc
 

@@ -46,7 +46,7 @@ from .dataset import (
     json_digest,
     write_dataset,
 )
-from .geometry import CameraIntrinsics, RigidTransform, rotation_about_axis
+from .geometry import CameraIntrinsics, RigidTransform, project, rotation_about_axis
 from .spherefit import FitConfig
 
 __all__ = [
@@ -347,8 +347,7 @@ def _roi_from_points(
         return None
     if np.any(cam_points[:, 2] <= NEAR_PLANE):
         return 0, intrinsics.width, 0, intrinsics.height
-    u = intrinsics.fx * cam_points[:, 0] / cam_points[:, 2] + intrinsics.cx
-    v = intrinsics.fy * cam_points[:, 1] / cam_points[:, 2] + intrinsics.cy
+    u, v = project(intrinsics, cam_points)
     u0 = max(int(np.floor(u.min())) - 1, 0)
     u1 = min(int(np.ceil(u.max())) + 2, intrinsics.width)
     v0 = max(int(np.floor(v.min())) - 1, 0)

@@ -373,7 +373,7 @@ class TestMalformedInputs:
             ({"id": True}, ("id", "True")),
             ({"observations": 2.9}, ("observations", "2.9")),
             ({"center": ["0.1", 0, True]}, ("center", "'0.1'")),
-            ({"center": [0.1, 0.0]}, ("center", "3 finite")),
+            ({"center": [0.1, 0.0]}, ("center", "3 coordinates")),
             ({"center": [0.1, 0.0, float("nan")]}, ("center", "nan")),
             ({"diameter": "0.01"}, ("diameter", "'0.01'")),
             ({"sides": "AB"}, ("sides", "'AB'")),

@@ -261,12 +261,20 @@ class TestValidation:
             ({"fruitlets": [{"id": 1, "center": [0, 0, 0], "diameter": 0.01},
                             {"id": 1, "center": [0.1, 0, 0], "diameter": 0.02}]},
              "entry 1: duplicate id 1"),
+            ({"fruitlets": [{"id": 0, "center": [0, 0, 0], "diameter": 0}]},
+             r"truth\.json: fruitlet entry 0: diameter must be positive, got 0"),
         ],
     )
     def test_malformed_ground_truth(self, tmp_path, doc, message):
         path = tmp_path / "truth.json"
         path.write_text(json.dumps(doc))  # json writes NaN as a bare token
         with pytest.raises(DatasetError, match=message):
+            load_ground_truth(path)
+
+    def test_integer_past_the_parser_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "truth.json"
+        path.write_text('{"fruitlets": [], "digits": ' + "1" * 5000 + "}")
+        with pytest.raises(DatasetError, match="truth.json: malformed JSON"):
             load_ground_truth(path)
 
     def test_ground_truth_integral_numbers_load_as_floats(self, tmp_path):
@@ -293,10 +301,31 @@ class TestValidation:
             ("sides/A/frames/0.json", {"intrinsics": {"fx": "40"}}, "intrinsics: fx"),
             ("sides/A/frames/0.json", {"intrinsics": {"width": 32.5}}, "intrinsics: width"),
             ("sides/A/frames/0.json", {"intrinsics": []}, "intrinsics: expected an object"),
+            ("manifest.json", {"sides": ["A", "../../evil"]},
+             r"manifest\.json: side label '\.\./\.\./evil' is not a directory name"),
+            ("manifest.json", {"sides": ["A", "A"]}, r"manifest\.json: side label 'A' is repeated"),
+            ("manifest.json", {"sides": ["A", ""]}, r"manifest\.json: side label '' is not"),
+            ("manifest.json", {"sides": ["A", "."]}, r"manifest\.json: side label '\.' is not"),
+            ("manifest.json", {"sides": ["A", ".."]}, r"manifest\.json: side label '\.\.' is not"),
+            ("manifest.json", {"sides": ["A", "B/C"]}, r"manifest\.json: side label 'B/C' is not"),
+            ("manifest.json", {"sides": ["A", "B\\C"]},
+             r"manifest\.json: side label 'B\\\\C' is not"),
+            ("manifest.json", {"sides": ["A", "B\0"]}, r"manifest\.json: side label 'B\\x00' is not"),
+            ("sides/A/frames/0.json", {"depth": "/depth/0.f32"},
+             r"0\.json: depth path '/depth/0\.f32' is not inside"),
+            ("sides/A/frames/0.json", {"masks": "../B/masks/0.pgm"},
+             r"0\.json: masks path '\.\./B/masks/0\.pgm' is not inside"),
+            ("sides/A/frames/0.json", {"depth": "depth/../../B/depth/0.f32"},
+             r"0\.json: depth path 'depth/\.\./\.\./B/depth/0\.f32' is not inside"),
+            ("sides/A/frames/0.json", {"masks": "masks/0\0.pgm"},
+             r"0\.json: masks path 'masks/0\\x00\.pgm' is not inside"),
         ],
         ids=["list-manifest", "string-sides", "int-sides", "int-dataset-id", "list-fiducial",
              "string-pose", "float-frame-index", "bool-frame-index", "int-depth-path",
-             "string-fx", "float-width", "list-intrinsics"],
+             "string-fx", "float-width", "list-intrinsics", "escaping-side", "repeated-side",
+             "empty-side", "dot-side", "dotdot-side", "slash-side", "backslash-side",
+             "nul-side", "absolute-depth-path", "escaping-masks-path",
+             "escaping-inner-depth-path", "nul-masks-path"],
     )
     def test_dataset_json_is_checked_not_coerced(self, tmp_path, file, edit, message):
         root = write_dataset(make_dataset(), tmp_path / "scan")
@@ -309,6 +338,25 @@ class TestValidation:
         path.write_text(json.dumps(edit))
         with pytest.raises(DatasetError, match=message):
             load_dataset(root)
+
+
+    def test_symlinked_rasters_load(self, tmp_path):
+        # raster paths are checked as written, so a raster may link to a file elsewhere
+        ds = make_dataset()
+        root = write_dataset(ds, tmp_path / "scan")
+        store = tmp_path / "store"
+        store.mkdir()
+        rasters = [*root.glob("sides/*/depth/*"), *root.glob("sides/*/masks/*")]
+        for raster in rasters:
+            target = store / "-".join(raster.parts[-3:])
+            raster.rename(target)
+            raster.symlink_to(target)
+        assert rasters and all(raster.is_symlink() for raster in rasters)
+        back = load_dataset(root)
+        for side in ds.sides:
+            for got, want in zip(back.frames[side], ds.frames[side], strict=True):
+                np.testing.assert_array_equal(got.depth, want.depth)
+                np.testing.assert_array_equal(got.masks, want.masks)
 
 
 class TestExtraction:

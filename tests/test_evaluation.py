@@ -316,12 +316,14 @@ class TestReporting:
         "drop, edit, needles",
         [
             (("fp", "size_rmse_pct"), {}, ("missing", "fp", "size_rmse_pct")),
-            ((), {"tp": "48"}, ("mistyped", "tp")),
-            ((), {"fn": True}, ("mistyped", "fn")),
-            ((), {"f1": float("nan"), "recall": None}, ("mistyped", "recall", "f1")),
-            ((), {"size_rmse_pct": "5.9"}, ("mistyped", "size_rmse_pct")),
-            ((), {"size_pairs": [[0.01]]}, ("mistyped", "size_pairs")),
-            ((), {"size_pairs": {"a": 1}}, ("mistyped", "size_pairs")),
+            ((), {"tp": "48"}, ("must be", "tp")),
+            ((), {"fn": True}, ("must be", "fn")),
+            ((), {"f1": float("nan"), "recall": None}, ("must be", "recall", "f1")),
+            ((), {"size_rmse_pct": "5.9"}, ("must be", "size_rmse_pct")),
+            ((), {"size_pairs": [[0.01]]}, ("must be", "size_pairs")),
+            ((), {"size_pairs": {"a": 1}}, ("must be", "size_pairs")),
+            ((), {"tp": "48", "size_pairs": [[0.01]]}, ("must be", "tp", "size_pairs")),
+            ((), {"tp": -5, "fn": -3}, ("tp must be non-negative", "fn must be non-negative")),
         ],
     )
     def test_json_rejects_missing_or_mistyped_fields(self, drop, edit, needles):
@@ -336,7 +338,7 @@ class TestReporting:
 
     @pytest.mark.parametrize("text", ["[]", "3", '"report"', "null"])
     def test_json_rejects_non_objects(self, text):
-        with pytest.raises(DatasetError, match="JSON object"):
+        with pytest.raises(DatasetError, match="expected an object"):
             report_from_json(json.loads(text))
 
     def test_csv_carries_reference_accuracy_cell(self, tmp_path):

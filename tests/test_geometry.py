@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from fruitmap._checks import from_doc
 from fruitmap.geometry import (
     CameraIntrinsics,
     RigidTransform,
@@ -91,13 +92,13 @@ class TestProjection:
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=1.0, fy=1.0, cx=99.0, cy=0.0, width=10, height=10)
         good = {"fx": 362.0, "fy": 362.0, "cx": 308.0, "cy": 257.0, "width": 616, "height": 514}
-        assert CameraIntrinsics.from_dict(good) == CameraIntrinsics(**good)
+        assert from_doc(CameraIntrinsics, good) == CameraIntrinsics(**good)
         for edit, name in [({"fx": "362"}, "fx"), ({"cy": float("nan")}, "cy"),
                            ({"width": 616.9}, "width"), ({"height": True}, "height")]:
             with pytest.raises(ValueError, match=name):
-                CameraIntrinsics.from_dict({**good, **edit})
+                from_doc(CameraIntrinsics, {**good, **edit})
         with pytest.raises(ValueError, match="object"):
-            CameraIntrinsics.from_dict([362.0] * 6)
+            from_doc(CameraIntrinsics, [362.0] * 6)
 
 
 class TestRigidTransform:
