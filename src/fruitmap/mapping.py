@@ -22,11 +22,18 @@ alignment.py goes through the same store. Building is deterministic for a
 fixed dataset, config, and base seed because every observation's fit is
 seeded from (base seed, frame index, instance id) rather than from shared
 generator state.
+
+build_side_map fits a side's frames in parallel, in one forked process per
+usable CPU, and integrates the fits in frame order in the calling process. So
+the map is byte-identical whatever the number of processes, and a side
+restricted to one CPU (taskset -c 0) is fitted in-process.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -36,6 +43,7 @@ import numpy as np
 from ._checks import check_types, from_doc
 from .dataset import (
     DatasetError,
+    FrameRecord,
     ScanDataset,
     extract_instance_clouds,
     json_digest,
@@ -45,6 +53,7 @@ from .dataset import (
 from .spherefit import (
     DegenerateSampleError,
     FitConfig,
+    FitReport,
     InsufficientPointsError,
     derive_observation_seed,
     downsample_points,
@@ -249,6 +258,114 @@ def integrate_observation(
     store.sides.append(sides)
 
 
+def _worker_count(n_frames: int) -> int:
+    """Processes to fit a side with: one per usable CPU, at most one per frame."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_frames)
+
+
+def _fit_frame(frame: FrameRecord, fit_cfg: FitConfig) -> list[tuple[int, FitReport | ValueError]]:
+    """Each masked instance's fit in one frame, ascending instance id.
+
+    A cloud too degenerate or too small to fit gives its DegenerateSampleError
+    or InsufficientPointsError in place of a report, for the caller to log.
+    """
+    fits: list[tuple[int, FitReport | ValueError]] = []
+    for instance_id, cloud in extract_instance_clouds(frame):
+        seed = derive_observation_seed(fit_cfg.rng_seed, frame.frame_index, instance_id)
+        obs_cfg = replace(fit_cfg, rng_seed=seed)
+        try:
+            thinned = downsample_points(cloud, obs_cfg.max_points, seed)
+            fits.append((instance_id, ransac_sphere_fit(thinned, obs_cfg)))
+        except (DegenerateSampleError, InsufficientPointsError) as exc:
+            fits.append((instance_id, exc))
+    return fits
+
+
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+# A pool worker's side, set once by _init_worker in each worker process (the
+# parent never assigns it). Forked workers inherit the frames' rasters, so
+# tasks carry only a frame's position.
+_worker_side: tuple[tuple[FrameRecord, ...], FitConfig | None] = ((), None)
+
+
+def _init_worker(frames: tuple[FrameRecord, ...], fit_cfg: FitConfig, parent: int) -> None:
+    """Set a pool worker's side, and tie the worker's life to its parent's.
+
+    Ctrl-C reaches the whole process group; only the parent acts on it, and
+    its pool then stops the workers. On Linux a worker is killed when its
+    parent dies, so a map killed mid-side leaves no process behind.
+    """
+    import signal
+
+    global _worker_side
+    _worker_side = (frames, fit_cfg)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:  # the parent died before prctl took effect
+            os._exit(1)
+
+
+def _fit_frame_at(position: int) -> list[tuple[int, FitReport | ValueError]]:
+    """A pool task: _fit_frame on the frame at this position of the worker's side."""
+    frames, fit_cfg = _worker_side
+    return _fit_frame(frames[position], fit_cfg)
+
+
+# The layer functions _fit_frame calls, as this module imported them.
+_LAYERS = (extract_instance_clouds, downsample_points, ransac_sphere_fit)
+
+
+def _layers_replaced() -> bool:
+    """Whether a caller has replaced one of _LAYERS in this module.
+
+    A replacement (a test double, a profiler's wrapper) records its calls in
+    the process that makes them, so that caller's frames are fitted in-process.
+    """
+    return (extract_instance_clouds, downsample_points, ransac_sphere_fit) != _LAYERS
+
+
+def _side_fits(
+    frames: tuple[FrameRecord, ...], fit_cfg: FitConfig, side: str
+) -> list[list[tuple[int, FitReport | ValueError]]]:
+    """Each frame's _fit_frame result, in frame order.
+
+    Frames are fitted by a pool of forked processes, one per usable CPU and at
+    most one per frame. With one worker, where processes cannot be forked, or
+    when a layer function has been replaced (_layers_replaced), they are
+    fitted in this process. A worker that dies raises ChildProcessError naming
+    the side. The pool's processes are gone when this returns or raises.
+    """
+    # Imported here, not at module top: no other stage pays for them.
+    import multiprocessing
+
+    workers = _worker_count(len(frames))
+    if workers < 2 or _layers_replaced() or "fork" not in multiprocessing.get_all_start_methods():
+        return [_fit_frame(frame, fit_cfg) for frame in frames]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(frames, fit_cfg, os.getpid()),
+        ) as pool:
+            return list(pool.map(_fit_frame_at, range(len(frames))))
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"side {side!r}: a fitting process died: {exc}") from exc
+
+
 def build_side_map(
     dataset: ScanDataset,
     side: str,
@@ -257,11 +374,13 @@ def build_side_map(
 ) -> BranchMap:
     """Fit every masked instance in every frame of one side and integrate.
 
-    Frames are consumed in frame_index order and instances in ascending id
-    order; each observation's RANSAC is seeded from (base seed, frame index,
-    instance id), so the result is independent of any extraction parallelism.
-    Degenerate or under-populated clouds are logged and skipped; fits that
-    fail the acceptance gate are skipped silently.
+    Frames are fitted in parallel, one process per usable CPU (see
+    _side_fits), and integrated in frame_index order, instances in ascending
+    id order. Each observation's RANSAC is seeded from (base seed, frame
+    index, instance id), so the map is byte-identical whatever the number of
+    processes. Degenerate or under-populated clouds are logged and skipped;
+    fits that fail the acceptance gate are skipped silently. A fitting
+    process that dies raises ChildProcessError.
     """
     fit_cfg = fit_cfg if fit_cfg is not None else FitConfig()
     merge_cfg = merge_cfg if merge_cfg is not None else MergeConfig()
@@ -269,36 +388,29 @@ def build_side_map(
         raise DatasetError(
             f"side {side!r} not in dataset (has {sorted(dataset.frames)})"
         )
+    frames = dataset.frames[side]
     store = TrackStore()
-    for frame in dataset.frames[side]:
-        for instance_id, cloud in extract_instance_clouds(frame):
-            seed = derive_observation_seed(
-                fit_cfg.rng_seed, frame.frame_index, instance_id
-            )
-            obs_cfg = replace(fit_cfg, rng_seed=seed)
-            try:
-                thinned = downsample_points(cloud, obs_cfg.max_points, seed)
-                report = ransac_sphere_fit(thinned, obs_cfg)
-            except (DegenerateSampleError, InsufficientPointsError) as exc:
+    for frame, fits in zip(frames, _side_fits(frames, fit_cfg, side)):
+        for instance_id, fit in fits:
+            if not isinstance(fit, FitReport):
                 logger.warning(
                     "sphere fit failed, frame %d instance %d: %s",
                     frame.frame_index,
                     instance_id,
-                    exc,
+                    fit,
                 )
-                continue
-            if not report.accepted:
+            elif not fit.accepted:
                 logger.debug(
                     "fit rejected, frame %d instance %d: inliers=%d diameter=%.4f",
                     frame.frame_index,
                     instance_id,
-                    report.inlier_count,
-                    report.model.diameter,
+                    fit.inlier_count,
+                    fit.model.diameter,
                 )
-                continue
-            integrate_observation(
-                store, report.model.center, report.model.diameter, merge_cfg, sides=(side,)
-            )
+            else:
+                integrate_observation(
+                    store, fit.model.center, fit.model.diameter, merge_cfg, sides=(side,)
+                )
     return store.build(
         side,
         {

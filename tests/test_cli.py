@@ -2,6 +2,7 @@
 
 import ast
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -12,8 +13,15 @@ import pytest
 
 import fruitmap
 from fruitmap import dataset as dataset_module
+from fruitmap import mapping
 from fruitmap.cli import main
 from fruitmap.dataset import read_mask_raster
+
+
+def exit_at_once(frame, fit_cfg):
+    """A per-frame fit whose process dies, as one killed by the OS would."""
+    os._exit(3)
+
 
 SIM_CONFIG = {
     "simulate": {
@@ -178,6 +186,20 @@ class TestExitCodes:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert "fruitmap" in capsys.readouterr().out
+
+    def test_dead_fit_worker_is_io_error(self, pipeline, tmp_path, capfd, monkeypatch):
+        # A killed worker must neither hang the pool nor print a traceback,
+        # and must leave no process running. capfd also sees the workers' stderr.
+        monkeypatch.setattr(mapping, "_worker_count", lambda n_frames: 2)
+        monkeypatch.setattr(mapping, "_fit_frame", exit_at_once)
+        out = tmp_path / "a.json"
+        code = main(["map", "--dataset", str(pipeline["dataset"]), "--side", "A",
+                     "--out", str(out)])
+        assert code == 2
+        err = capfd.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: side 'A': ")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_unknown_side_is_validation_error(self, pipeline, tmp_path, capsys):
         code = main(["map", "--dataset", str(pipeline["dataset"]), "--side", "C",
@@ -481,6 +503,20 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]"]
     assert json.loads(out.read_text())["tracks"]
+
+
+def test_import_leaves_process_pools_unloaded():
+    # Only map fits in worker processes. Importing the pool modules costs
+    # ~36 ms, which every other stage would pay at startup.
+    src = str(Path(fruitmap.__file__).resolve().parents[1])
+    code = (
+        "import sys, fruitmap.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_runtime_sources_do_not_import_scipy():

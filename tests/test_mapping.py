@@ -1,14 +1,25 @@
 """Track integration, duplicate suppression, and map serialization."""
 
+import contextlib
 import json
+import logging
 import math
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fruitmap import mapping, spherefit
 from fruitmap.alignment import cross_side_transform, merge_maps, transform_map
-from fruitmap.dataset import DatasetError, json_digest
+from fruitmap.dataset import DatasetError, extract_instance_clouds, json_digest
 from fruitmap.evaluation import MATCH_TOLERANCE
 from fruitmap.mapping import (
     CROSS_SIDE_RADIUS,
@@ -25,7 +36,12 @@ from fruitmap.mapping import (
     save_branch_map,
 )
 from fruitmap.simulator import OrchardSpec, generate_scene, simulate_dataset
-from fruitmap.spherefit import FitConfig
+from fruitmap.spherefit import (
+    DegenerateSampleError,
+    FitConfig,
+    InsufficientPointsError,
+    derive_observation_seed,
+)
 
 
 def integrate(branch_map, center, diameter, cfg, **kwargs):
@@ -393,8 +409,34 @@ def golden_dataset():
     return simulate_dataset(OrchardSpec(cluster_count=3, rng_seed=17))
 
 
-def test_golden_map_digests(golden_dataset):
-    dataset = golden_dataset
+@pytest.fixture
+def pools(monkeypatch):
+    """The keyword arguments of each process pool created during the test."""
+    created = []
+
+    class RecordedPool(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordedPool)
+    return created
+
+
+@pytest.fixture
+def fit_workers(monkeypatch, pools):
+    """Fit sides with a given number of processes, whatever this machine's CPU count.
+
+    Returns a function that sets the count and returns the pools fixture.
+    """
+    def use(workers):
+        monkeypatch.setattr(mapping, "_worker_count", lambda n_frames: min(workers, n_frames))
+        return pools
+
+    return use
+
+
+def _assert_golden_map_digests(dataset):
     map_a = build_side_map(dataset, "A")
     map_b = build_side_map(dataset, "B")
     b_to_a = cross_side_transform(dataset.fiducials["A"], dataset.fiducials["B"])
@@ -402,6 +444,142 @@ def test_golden_map_digests(golden_dataset):
     digests = {label: json_digest(map_to_json(m))
                for label, m in (("A", map_a), ("B", map_b), ("merged", merged))}
     assert digests == GOLDEN_MAP_DIGESTS
+    assert multiprocessing.active_children() == []
+
+
+def test_golden_map_digests(golden_dataset, fit_workers):
+    pools = fit_workers(2)
+    _assert_golden_map_digests(golden_dataset)
+    assert len(pools) == 2
+
+
+def test_golden_map_digests_in_process(golden_dataset, fit_workers):
+    pools = fit_workers(1)
+    _assert_golden_map_digests(golden_dataset)
+    assert pools == []
+
+
+def test_skipped_fits_log_the_same_lines_pooled_or_not(golden_dataset, fit_workers,
+                                                        monkeypatch, caplog):
+    # Clouds of instances 2 and 5 fail to fit in every frame, inside the
+    # fitting process. The parent logs one warning per failure and one debug
+    # line per rejected fit, in frame and instance order, however many
+    # processes fit the frames.
+    pick, seed = spherefit._best_hypothesis, FitConfig().rng_seed
+    frames = golden_dataset.frames["A"]
+    forced = {derive_observation_seed(seed, frame.frame_index, instance_id): error
+              for frame in frames
+              for instance_id, error in ((2, DegenerateSampleError("forced degenerate")),
+                                         (5, InsufficientPointsError("forced too few")))}
+
+    def failing_pick(pts, centers, radii, min_cloud_z, config):
+        if config.rng_seed in forced:
+            raise forced[config.rng_seed]
+        return pick(pts, centers, radii, min_cloud_z, config)
+
+    monkeypatch.setattr(spherefit, "_best_hypothesis", failing_pick)
+    caplog.set_level(logging.DEBUG, logger="fruitmap.mapping")
+    logged = {}
+    for workers in (2, 1):
+        pools = fit_workers(workers)
+        caplog.clear()
+        build_side_map(golden_dataset, "A")
+        logged[workers] = [(r.levelname, r.getMessage())
+                           for r in caplog.records if r.name == "fruitmap.mapping"]
+    assert len(pools) == 1
+    assert logged[2] == logged[1]
+    expected = [
+        ("WARNING", f"sphere fit failed, frame {frame.frame_index} instance {instance_id}: "
+                    + ("forced degenerate" if instance_id == 2 else "forced too few"))
+        for frame in frames
+        for instance_id, _ in extract_instance_clouds(frame)
+        if instance_id in (2, 5)
+    ]
+    assert [line for line in logged[1] if line[0] == "WARNING"] == expected
+    assert len(expected) > 10
+    assert any(level == "DEBUG" for level, _ in logged[1])
+
+
+def test_replaced_layer_function_sees_every_fit(golden_dataset, fit_workers, monkeypatch):
+    # A wrapper put in place of mapping.ransac_sphere_fit (a test double, a
+    # profiler) records in its own process, so frames are fitted there.
+    pools = fit_workers(2)
+    fit, calls = mapping.ransac_sphere_fit, []
+    monkeypatch.setattr(mapping, "ransac_sphere_fit",
+                        lambda points, config: (calls.append(config.rng_seed), fit(points, config))[1])
+    branch_map = build_side_map(golden_dataset, "A")
+    assert pools == []
+    frames = golden_dataset.frames["A"]
+    assert len(calls) == sum(len(extract_instance_clouds(frame)) for frame in frames)
+    assert json_digest(map_to_json(branch_map)) == GOLDEN_MAP_DIGESTS["A"]
+
+
+def test_one_usable_cpu_fits_in_process(golden_dataset, pools, monkeypatch):
+    # taskset -c 0 leaves map one CPU: one process, and no pool to start.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert mapping._worker_count(40) == 1
+    build_side_map(golden_dataset, "A")
+    assert pools == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert (mapping._worker_count(40), mapping._worker_count(2)) == (3, 2)
+
+
+def _running(pid):
+    """Whether pid is a live process (a zombie awaiting its reaper is not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="workers die with their parent on Linux only")
+@pytest.mark.parametrize("stop", ["kill-parent", "interrupt-group"])
+def test_stopped_map_leaves_no_worker(stop):
+    # One worker is busy with frame 0, the other idle after frame 1. A parent
+    # killed outright takes both with it. Ctrl-C, which reaches the whole
+    # process group, ends the map with the parent's traceback alone.
+    busy_s = 60 if stop == "kill-parent" else 1
+    code = (
+        "import os, time, types\n"
+        "from fruitmap import mapping\n"
+        "def fit(frame, fit_cfg):\n"
+        "    print(os.getpid(), flush=True)\n"
+        f"    time.sleep({busy_s} if frame == 0 else 0)\n"
+        "    return []\n"
+        "mapping._worker_count = lambda n_frames: 2\n"
+        "mapping._fit_frame = fit\n"
+        "side = types.SimpleNamespace(frames={'A': (0, 1)}, dataset_id='x')\n"
+        "mapping.build_side_map(side, 'A')\n"
+    )
+    src = str(Path(mapping.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    workers = []
+    try:
+        workers = [int(proc.stdout.readline()) for _ in range(2)]
+        if stop == "kill-parent":
+            proc.kill()
+        else:
+            os.killpg(proc.pid, signal.SIGINT)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+        if stop == "interrupt-group":
+            err = proc.stderr.read()
+            assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
+    finally:
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_side_map_builds_each_track_once(golden_dataset, monkeypatch):
