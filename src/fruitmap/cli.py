@@ -7,8 +7,9 @@ config file, which beats the built-in default. Outputs are deterministic
 functions of (input bytes, config, seed), and every JSON product embeds a
 provenance block naming the config digest, the seed, and the tool version.
 
-Exit codes: 0 success, 1 validation or usage error, 2 I/O error. All
-diagnostics go to standard error; data products only ever go to files.
+Exit codes: 0 success, 1 validation or usage error, 2 I/O error, 130
+interrupted (Ctrl-C). All diagnostics go to standard error; data products
+only ever go to files.
 """
 
 from __future__ import annotations
@@ -102,14 +103,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         kwargs["rng_seed"] = args.seed
     spec = OrchardSpec(**kwargs)
-    scene, truth = generate_scene(spec)
+    scene = generate_scene(spec)
     trajectory = plan_trajectory(spec)
     dataset = export_dataset(
-        scene,
-        trajectory,
-        truth,
-        args.out,
-        extra_manifest={"provenance": _provenance(config_digest(spec), spec.rng_seed)},
+        scene, trajectory, args.out, _provenance(config_digest(spec), spec.rng_seed)
     )
     n_frames = sum(len(f) for f in dataset.frames.values())
     logger.info("wrote dataset %s (%d frames) to %s", dataset.dataset_id, n_frames, args.out)
@@ -287,6 +284,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports it
 
 
 if __name__ == "__main__":

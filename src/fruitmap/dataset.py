@@ -24,7 +24,7 @@ import logging
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -140,7 +140,6 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class ScanDataset:
-    root: Path | None
     dataset_id: str
     sides: tuple[str, ...]
     frames: dict[str, tuple[FrameRecord, ...]]  # the sides whose frames were loaded
@@ -327,13 +326,9 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
                     f"dimension mismatch: {mask_path} is {masks.shape[1]}x{masks.shape[0]} "
                     f"but {depth_path} is {intr.width}x{intr.height}"
                 )
-            try:
-                records.append(
-                    FrameRecord(frame_index=idx, pose=pose, intrinsics=intr,
-                                depth=depth, masks=masks)
-                )
-            except DatasetError as exc:
-                raise DatasetError(f"{frame_path}: {exc}") from exc
+            records.append(
+                FrameRecord(frame_index=idx, pose=pose, intrinsics=intr, depth=depth, masks=masks)
+            )
         records.sort(key=lambda r: r.frame_index)
         indices = [r.frame_index for r in records]
         if indices != list(range(len(records))):
@@ -345,7 +340,6 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
     gt_path = root / "ground_truth.json"
     ground_truth = load_ground_truth(gt_path) if gt_path.exists() else None
     return ScanDataset(
-        root=root,
         dataset_id=dataset_id,
         sides=all_sides,
         frames=frames,
@@ -359,15 +353,10 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
 AXIS_CONVENTION = "camera: +z forward, +x right, +y down; poses camera-to-side, row-major 4x4"
 
 
-def write_dataset(
-    dataset: ScanDataset,
-    root: Path | str,
-    extra_manifest: Mapping[str, object] | None = None,
-) -> Path:
+def write_dataset(dataset: ScanDataset, root: Path | str, provenance: dict | None = None) -> Path:
     """Write a dataset directory in the documented layout. Deterministic bytes.
 
-    extra_manifest entries are merged into manifest.json; they must not
-    shadow the layout's own keys.
+    A provenance block, when given, is the manifest's last key.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -378,10 +367,8 @@ def write_dataset(
         "axis_convention": AXIS_CONVENTION,
         "sides": list(dataset.sides),
     }
-    for key, value in (extra_manifest or {}).items():
-        if key in manifest:
-            raise ValueError(f"extra_manifest must not override manifest key {key!r}")
-        manifest[key] = value
+    if provenance is not None:
+        manifest["provenance"] = provenance
     write_json(root / "manifest.json", manifest)
     for side in dataset.sides:
         side_dir = root / "sides" / side

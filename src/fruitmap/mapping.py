@@ -55,7 +55,7 @@ from .spherefit import (
     FitConfig,
     FitReport,
     InsufficientPointsError,
-    derive_observation_seed,
+    derive_seed,
     downsample_points,
     ransac_sphere_fit,
 )
@@ -275,7 +275,7 @@ def _fit_frame(frame: FrameRecord, fit_cfg: FitConfig) -> list[tuple[int, FitRep
     """
     fits: list[tuple[int, FitReport | ValueError]] = []
     for instance_id, cloud in extract_instance_clouds(frame):
-        seed = derive_observation_seed(fit_cfg.rng_seed, frame.frame_index, instance_id)
+        seed = derive_seed(fit_cfg.rng_seed, frame.frame_index, instance_id)
         obs_cfg = replace(fit_cfg, rng_seed=seed)
         try:
             thinned = downsample_points(cloud, obs_cfg.max_points, seed)

@@ -29,7 +29,7 @@ fruitlet's cloud.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -47,7 +47,7 @@ from .dataset import (
     write_dataset,
 )
 from .geometry import CameraIntrinsics, RigidTransform, project, rotation_about_axis
-from .spherefit import FitConfig
+from .spherefit import FitConfig, derive_seed
 
 __all__ = [
     "DEFAULT_INTRINSICS",
@@ -81,10 +81,12 @@ _PLACEMENT_RETRIES = 200
 _CLUSTER_RETRIES = 50
 _NOISE_STREAM_TAG = 7741  # keeps frame-noise seeds apart from fit-seed streams
 
-_SIDE_B_FROM_SCENE = RigidTransform(
-    rotation_about_axis([1.0, 0.0, 0.0], np.pi), (0.02, -0.03, 0.05)
-)
-_FIDUCIAL_TO_SCENE = RigidTransform(np.eye(3), (0.0, 0.09, 0.0))
+# The rig: each side's frame relative to the scene frame, and the fiducial's pose.
+SIDE_FROM_SCENE = {
+    "A": RigidTransform.identity(),
+    "B": RigidTransform(rotation_about_axis([1.0, 0.0, 0.0], np.pi), (0.02, -0.03, 0.05)),
+}
+FIDUCIAL_TO_SCENE = RigidTransform(np.eye(3), (0.0, 0.09, 0.0))
 
 
 class SceneGenerationError(ValueError):
@@ -171,12 +173,15 @@ class LeafOccluder:
 
 @dataclass(frozen=True)
 class Scene:
-    """Placed geometry plus the rig facts needed to render and export it."""
+    """Placed geometry plus the sensor facts needed to render and export it.
+
+    render_frame adds depth noise of depth_noise_sigma and grows masks by
+    mask_dilate_px; the rig (SIDE_FROM_SCENE, FIDUCIAL_TO_SCENE) is the same
+    for every scene.
+    """
 
     fruitlets: tuple[GroundTruthFruitlet, ...]
     occluders: tuple[LeafOccluder, ...]
-    side_from_scene: Mapping[str, RigidTransform]
-    fiducial_to_scene: RigidTransform
     depth_noise_sigma: float
     mask_dilate_px: int
     rng_seed: int
@@ -208,7 +213,7 @@ def _draw_occluder(child_seed: np.random.SeedSequence, spec: OrchardSpec) -> Lea
     )
 
 
-def generate_scene(spec: OrchardSpec) -> tuple[Scene, GroundTruth]:
+def generate_scene(spec: OrchardSpec) -> Scene:
     """Place clustered fruitlets and leaf occluders, deterministically per seed.
 
     Fruitlet centers keep a pairwise separation of at least
@@ -216,9 +221,6 @@ def generate_scene(spec: OrchardSpec) -> tuple[Scene, GroundTruth]:
     to a fixed budget; exhausting it raises SceneGenerationError. Occluder i
     is drawn from the i-th spawned child of the occluder seed stream, so
     extending occluder_count leaves existing occluders in place.
-
-    The returned GroundTruth carries empty per-side visibility counts; they
-    require rendering and are filled by simulate_dataset / export_dataset.
     """
     ss = np.random.SeedSequence(spec.rng_seed)
     fruit_ss, occluder_ss = ss.spawn(2)
@@ -275,21 +277,14 @@ def generate_scene(spec: OrchardSpec) -> tuple[Scene, GroundTruth]:
         _draw_occluder(child, spec)
         for child in occluder_ss.spawn(spec.occluder_count)
     )
-    scene = Scene(
+    return Scene(
         fruitlets=fruitlets,
         occluders=occluders,
-        side_from_scene={
-            "A": RigidTransform.identity(),
-            "B": _SIDE_B_FROM_SCENE,
-        },
-        fiducial_to_scene=_FIDUCIAL_TO_SCENE,
         depth_noise_sigma=spec.depth_noise_sigma,
         mask_dilate_px=spec.mask_dilate_px,
         rng_seed=spec.rng_seed,
         dataset_id=json_digest(asdict(spec))[:12],
     )
-    truth = GroundTruth(fruitlets=fruitlets, visibility={side: {} for side in SIDES})
-    return scene, truth
 
 
 def _look_at(position: np.ndarray, target: np.ndarray) -> RigidTransform:
@@ -380,18 +375,15 @@ def _ray_dirs(
 
 
 def render_frame(
-    scene: Scene,
-    pose: RigidTransform,
-    noise_sigma: float = 0.0,
-    rng_seed: int = 0,
-    dilate_px: int = 0,
+    scene: Scene, pose: RigidTransform, rng_seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact ray cast of the scene from one camera-to-scene pose.
 
     Returns (depth, masks): float64 depth in meters with NaN where no surface
     was hit, and a uint16 label image where fruitlet pixels carry ground-truth
-    id + 1 and occluder pixels stay 0. Gaussian noise of the given sigma is
-    added to every valid depth, seeded by rng_seed alone.
+    id + 1 and occluder pixels stay 0. Gaussian noise of the scene's
+    depth_noise_sigma is added to every valid depth, seeded by rng_seed alone,
+    and labels then grow by the scene's mask_dilate_px (_dilate_labels).
     """
     to_camera = pose.inverse()
     shape = (DEFAULT_INTRINSICS.height, DEFAULT_INTRINSICS.width)
@@ -451,13 +443,13 @@ def render_frame(
         masks[v0:v1, u0:u1][closer] = 0
 
     valid = np.isfinite(depth)
-    if noise_sigma > 0:
+    if scene.depth_noise_sigma > 0:
         rng = np.random.default_rng(rng_seed)
-        depth[valid] += rng.normal(0.0, noise_sigma, size=int(valid.sum()))
+        depth[valid] += rng.normal(0.0, scene.depth_noise_sigma, size=int(valid.sum()))
     depth[~valid] = np.nan
 
-    if dilate_px > 0:
-        _dilate_labels(masks, valid & (masks == 0), dilate_px)
+    if scene.mask_dilate_px > 0:
+        _dilate_labels(masks, valid & (masks == 0), scene.mask_dilate_px)
     return depth, masks
 
 
@@ -496,32 +488,21 @@ def _dilate_labels(masks: np.ndarray, claimable: np.ndarray, dilate_px: int) -> 
         claimable[r0:r1, c0:c1] &= ~take
 
 
-def _frame_noise_seed(base_seed: int, side_index: int, frame_index: int) -> int:
-    ss = np.random.SeedSequence(
-        [int(base_seed), _NOISE_STREAM_TAG, int(side_index), int(frame_index)]
-    )
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def _assemble_dataset(
-    scene: Scene,
-    trajectory: Mapping[str, tuple[RigidTransform, ...]],
-    truth: GroundTruth,
+    scene: Scene, trajectory: Mapping[str, tuple[RigidTransform, ...]]
 ) -> ScanDataset:
     frames: dict[str, tuple[FrameRecord, ...]] = {}
     fiducials: dict[str, FiducialObservation] = {}
     visibility: dict[str, dict[int, int]] = {}
     for side_index, side in enumerate(SIDES):
-        side_from_scene = scene.side_from_scene[side]
+        side_from_scene = SIDE_FROM_SCENE[side]
         counts = {fruit.id: 0 for fruit in scene.fruitlets}
         records = []
         for frame_index, pose_scene in enumerate(trajectory[side]):
             depth, masks = render_frame(
                 scene,
                 pose_scene,
-                noise_sigma=scene.depth_noise_sigma,
-                rng_seed=_frame_noise_seed(scene.rng_seed, side_index, frame_index),
-                dilate_px=scene.mask_dilate_px,
+                rng_seed=derive_seed(scene.rng_seed, _NOISE_STREAM_TAG, side_index, frame_index),
             )
             labels, pixel_counts = np.unique(masks[masks > 0], return_counts=True)
             for label, pixels in zip(labels, pixel_counts):
@@ -538,34 +519,30 @@ def _assemble_dataset(
             )
         frames[side] = tuple(records)
         fiducials[side] = FiducialObservation(
-            side=side, pose=side_from_scene.compose(scene.fiducial_to_scene)
+            side=side, pose=side_from_scene.compose(FIDUCIAL_TO_SCENE)
         )
         visibility[side] = counts
     return ScanDataset(
-        root=None,
         dataset_id=scene.dataset_id,
         sides=SIDES,
         frames=frames,
         fiducials=fiducials,
-        ground_truth=GroundTruth(fruitlets=truth.fruitlets, visibility=visibility),
+        ground_truth=GroundTruth(fruitlets=scene.fruitlets, visibility=visibility),
     )
 
 
 def simulate_dataset(spec: OrchardSpec) -> ScanDataset:
     """Generate, plan, and render a full two-side dataset in memory."""
-    scene, truth = generate_scene(spec)
-    trajectory = plan_trajectory(spec)
-    return _assemble_dataset(scene, trajectory, truth)
+    return _assemble_dataset(generate_scene(spec), plan_trajectory(spec))
 
 
 def export_dataset(
     scene: Scene,
     trajectory: Mapping[str, tuple[RigidTransform, ...]],
-    truth: GroundTruth,
     root: Path | str,
-    extra_manifest: Mapping[str, object] | None = None,
+    provenance: dict | None = None,
 ) -> ScanDataset:
     """Render the scene along the trajectory and write the dataset layout."""
-    dataset = _assemble_dataset(scene, trajectory, truth)
-    written_root = write_dataset(dataset, root, extra_manifest)
-    return replace(dataset, root=written_root)
+    dataset = _assemble_dataset(scene, trajectory)
+    write_dataset(dataset, root, provenance)
+    return dataset

@@ -72,7 +72,7 @@ __all__ = [
     "InsufficientPointsError",
     "downsample_points",
     "ransac_sphere_fit",
-    "derive_observation_seed",
+    "derive_seed",
 ]
 
 log = logging.getLogger(__name__)
@@ -143,7 +143,6 @@ class FitConfig:
 class FitReport:
     model: SphereModel
     inlier_count: int
-    iterations_used: int
     accepted: bool
     mean_abs_residual: float = field(default=float("nan"))
 
@@ -458,13 +457,16 @@ def ransac_sphere_fit(points: np.ndarray, config: FitConfig) -> FitReport:
     return FitReport(
         model=model,
         inlier_count=count,
-        iterations_used=config.ransac_iterations,
         accepted=accepted,
         mean_abs_residual=mean_resid,
     )
 
 
-def derive_observation_seed(base_seed: int, frame_index: int, instance_id: int) -> int:
-    """Stable per-observation seed so fits do not depend on processing order."""
-    ss = np.random.SeedSequence([int(base_seed), int(frame_index), int(instance_id)])
+def derive_seed(*keys: int) -> int:
+    """A stable 64-bit seed from integer keys, so no stream depends on processing order.
+
+    A fit is seeded from (base seed, frame index, instance id); a frame's
+    depth noise leads its keys with the scene seed and a stream tag.
+    """
+    ss = np.random.SeedSequence([int(key) for key in keys])
     return int(ss.generate_state(1, dtype=np.uint64)[0])

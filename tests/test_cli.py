@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import fruitmap
+from fruitmap import cli
 from fruitmap import dataset as dataset_module
 from fruitmap import mapping
 from fruitmap.cli import main
@@ -200,6 +201,15 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("error: side 'A': ")
         assert not out.exists()
         assert multiprocessing.active_children() == []
+
+    def test_interrupt_is_one_line_and_130(self, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_report", interrupted)
+        code = main(["report", "--eval", "r.json", "--format", "csv", "--out", "r.csv"])
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"  # one line, no traceback
 
     def test_unknown_side_is_validation_error(self, pipeline, tmp_path, capsys):
         code = main(["map", "--dataset", str(pipeline["dataset"]), "--side", "C",

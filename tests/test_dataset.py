@@ -54,7 +54,6 @@ def make_dataset(tmp_path=None, with_truth=True):
         visibility={"A": {0: 2}, "B": {0: 1}},
     )
     return ScanDataset(
-        root=None,
         dataset_id="abc123",
         sides=("A", "B"),
         frames={

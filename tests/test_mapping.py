@@ -40,7 +40,7 @@ from fruitmap.spherefit import (
     DegenerateSampleError,
     FitConfig,
     InsufficientPointsError,
-    derive_observation_seed,
+    derive_seed,
 )
 
 
@@ -309,7 +309,7 @@ class TestTypes:
         assert config_digest(OrchardSpec(rng_seed=17)) == (
             "8f83cf2f760ad7746dc25022ded5d734d319db3bfd0b4663e1b89ea02654bd89"
         )
-        assert generate_scene(OrchardSpec(rng_seed=17))[0].dataset_id == "3a0dd38f777f"
+        assert generate_scene(OrchardSpec(rng_seed=17)).dataset_id == "3a0dd38f777f"
         assert json_digest({"tolerance": MATCH_TOLERANCE, "size_mode": "relative"}) == (
             "d1e5156902ebdfb72432f597d402e0cf9a972efd1e67d5a5829ba27e6b0d75ac"
         )
@@ -467,7 +467,7 @@ def test_skipped_fits_log_the_same_lines_pooled_or_not(golden_dataset, fit_worke
     # processes fit the frames.
     pick, seed = spherefit._best_hypothesis, FitConfig().rng_seed
     frames = golden_dataset.frames["A"]
-    forced = {derive_observation_seed(seed, frame.frame_index, instance_id): error
+    forced = {derive_seed(seed, frame.frame_index, instance_id): error
               for frame in frames
               for instance_id, error in ((2, DegenerateSampleError("forced degenerate")),
                                          (5, InsufficientPointsError("forced too few")))}
@@ -533,25 +533,27 @@ def _running(pid):
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="workers die with their parent on Linux only")
-@pytest.mark.parametrize("stop", ["kill-parent", "interrupt-group"])
-def test_stopped_map_leaves_no_worker(stop):
-    # One worker is busy with frame 0, the other idle after frame 1. A parent
-    # killed outright takes both with it. Ctrl-C, which reaches the whole
-    # process group, ends the map with the parent's traceback alone.
-    busy_s = 60 if stop == "kill-parent" else 1
+@contextlib.contextmanager
+def _two_worker_map(busy_s, run):
+    """A subprocess mapping a two-frame side with two workers; yields (proc, worker pids).
+
+    Frame 0 keeps its worker busy for busy_s; the worker that fitted frame 1
+    then idles. run is the line that starts the map. Every process is killed
+    on exit.
+    """
+    # Each worker reports its pid in one write(), so the two lines never
+    # interleave, even under PYTHONUNBUFFERED.
     code = (
-        "import os, time, types\n"
-        "from fruitmap import mapping\n"
+        "import os, sys, time, types\n"
+        "from fruitmap import cli, mapping\n"
         "def fit(frame, fit_cfg):\n"
-        "    print(os.getpid(), flush=True)\n"
+        "    os.write(1, b'%d\\n' % os.getpid())\n"
         f"    time.sleep({busy_s} if frame == 0 else 0)\n"
         "    return []\n"
         "mapping._worker_count = lambda n_frames: 2\n"
         "mapping._fit_frame = fit\n"
         "side = types.SimpleNamespace(frames={'A': (0, 1)}, dataset_id='x')\n"
-        "mapping.build_side_map(side, 'A')\n"
+        f"{run}\n"
     )
     src = str(Path(mapping.__file__).resolve().parents[1])
     proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
@@ -560,18 +562,7 @@ def test_stopped_map_leaves_no_worker(stop):
     workers = []
     try:
         workers = [int(proc.stdout.readline()) for _ in range(2)]
-        if stop == "kill-parent":
-            proc.kill()
-        else:
-            os.killpg(proc.pid, signal.SIGINT)
-        proc.wait(timeout=30)
-        deadline = time.monotonic() + 10
-        while any(map(_running, workers)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(map(_running, workers))
-        if stop == "interrupt-group":
-            err = proc.stderr.read()
-            assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
+        yield proc, workers
     finally:
         for pid in workers:
             with contextlib.suppress(ProcessLookupError):
@@ -580,6 +571,50 @@ def test_stopped_map_leaves_no_worker(stop):
         proc.wait()
         proc.stdout.close()
         proc.stderr.close()
+
+
+def _assert_workers_gone(workers):
+    deadline = time.monotonic() + 10
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, workers))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="workers die with their parent on Linux only")
+@pytest.mark.parametrize("stop", ["kill-parent", "interrupt-group"])
+def test_stopped_map_leaves_no_worker(stop):
+    # One worker is busy with frame 0, the other idle after frame 1. A parent
+    # killed outright takes both with it. Ctrl-C, which reaches the whole
+    # process group, ends the map with the parent's traceback alone.
+    busy_s = 60 if stop == "kill-parent" else 1
+    with _two_worker_map(busy_s, "mapping.build_side_map(side, 'A')") as (proc, workers):
+        if stop == "kill-parent":
+            proc.kill()
+        else:
+            os.killpg(proc.pid, signal.SIGINT)
+        proc.wait(timeout=30)
+        _assert_workers_gone(workers)
+        if stop == "interrupt-group":
+            err = proc.stderr.read()
+            assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="workers die with their parent on Linux only")
+def test_interrupted_map_command_exits_130(tmp_path):
+    # Ctrl-C to a running `fruitmap map`: one line, exit 130, no worker left.
+    out = tmp_path / "a.json"
+    run = (
+        "cli.load_dataset = lambda root, sides: side\n"
+        f"sys.exit(cli.main(['map', '--dataset', 'x', '--side', 'A', '--out', {str(out)!r}]))"
+    )
+    with _two_worker_map(1, run) as (proc, workers):
+        os.killpg(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=30) == 130
+        _assert_workers_gone(workers)
+        assert proc.stderr.read() == "error: interrupted\n"
+        assert not out.exists()
 
 
 def test_side_map_builds_each_track_once(golden_dataset, monkeypatch):

@@ -1,6 +1,8 @@
 """Tests for the synthetic scan simulator: scenes, trajectories, rendering."""
 
+import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from fruitmap.simulator import (
     ARC_SPACING,
     DEFAULT_INTRINSICS,
     POSES_PER_ARC,
+    SIDE_FROM_SCENE,
     LeafOccluder,
     OrchardSpec,
     Scene,
@@ -38,12 +41,10 @@ def small_dataset():
 
 
 def one_fruit_scene(center=(0.45, 0.03, 0.0), diameter=0.020, occluders=()):
-    """Hand-built scene: a single fruitlet, side A frame only."""
+    """Hand-built scene: a single fruitlet, no noise, no mask dilation."""
     return Scene(
         fruitlets=(GroundTruthFruitlet(id=0, center=center, diameter=diameter),),
         occluders=tuple(occluders),
-        side_from_scene={"A": RigidTransform.identity()},
-        fiducial_to_scene=RigidTransform.identity(),
         depth_noise_sigma=0.0,
         mask_dilate_px=0,
         rng_seed=0,
@@ -114,17 +115,16 @@ class TestTrajectory:
 
 class TestGenerateScene:
     def test_deterministic_per_seed(self):
-        s1, t1 = generate_scene(OrchardSpec(rng_seed=3))
-        s2, t2 = generate_scene(OrchardSpec(rng_seed=3))
+        s1 = generate_scene(OrchardSpec(rng_seed=3))
+        s2 = generate_scene(OrchardSpec(rng_seed=3))
         assert s1.fruitlets == s2.fruitlets
         assert s1.occluders == s2.occluders
-        assert t1.fruitlets == t2.fruitlets
-        s3, _ = generate_scene(OrchardSpec(rng_seed=4))
+        s3 = generate_scene(OrchardSpec(rng_seed=4))
         assert s3.fruitlets != s1.fruitlets
 
     def test_respects_separation_floor(self):
         spec = OrchardSpec(rng_seed=9, cluster_count=10, fruitlets_per_cluster=(2, 3))
-        scene, _ = generate_scene(spec)
+        scene = generate_scene(spec)
         centers = np.array([f.center for f in scene.fruitlets])
         diams = np.array([f.diameter for f in scene.fruitlets])
         for i in range(len(centers)):
@@ -135,14 +135,13 @@ class TestGenerateScene:
 
     def test_fruit_count_within_cluster_budget(self):
         spec = OrchardSpec(rng_seed=1, cluster_count=5, fruitlets_per_cluster=(2, 3))
-        scene, truth = generate_scene(spec)
+        scene = generate_scene(spec)
         assert 10 <= len(scene.fruitlets) <= 15
-        assert truth.fruitlets == scene.fruitlets
         assert [f.id for f in scene.fruitlets] == list(range(len(scene.fruitlets)))
 
     def test_occluder_prefix_stability(self):
-        few, _ = generate_scene(OrchardSpec(rng_seed=2, occluder_count=3))
-        more, _ = generate_scene(OrchardSpec(rng_seed=2, occluder_count=6))
+        few = generate_scene(OrchardSpec(rng_seed=2, occluder_count=3))
+        more = generate_scene(OrchardSpec(rng_seed=2, occluder_count=6))
         assert more.occluders[:3] == few.occluders
         # and the fruit layout is untouched by the occluder knob
         assert more.fruitlets == few.fruitlets
@@ -151,10 +150,6 @@ class TestGenerateScene:
         spec = OrchardSpec(rng_seed=0, cluster_spread=0.0, fruitlets_per_cluster=(2, 2))
         with pytest.raises(SceneGenerationError):
             generate_scene(spec)
-
-    def test_visibility_left_empty(self):
-        _, truth = generate_scene(SMALL_SPEC)
-        assert truth.visibility == {"A": {}, "B": {}}
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -256,8 +251,6 @@ class TestRenderFrame:
         scene = Scene(
             fruitlets=(near, far),
             occluders=(),
-                side_from_scene={"A": RigidTransform.identity()},
-            fiducial_to_scene=RigidTransform.identity(),
             depth_noise_sigma=0.0,
             mask_dilate_px=0,
             rng_seed=0,
@@ -271,10 +264,11 @@ class TestRenderFrame:
     def test_noise_is_seeded_and_reproducible(self):
         scene = one_fruit_scene()
         pose = head_on_pose(scene.fruitlets[0].center, 0.35)
+        noisy = replace(scene, depth_noise_sigma=0.0011)
         d0, _ = render_frame(scene, pose)
-        d1, m1 = render_frame(scene, pose, noise_sigma=0.0011, rng_seed=10)
-        d2, m2 = render_frame(scene, pose, noise_sigma=0.0011, rng_seed=10)
-        d3, _ = render_frame(scene, pose, noise_sigma=0.0011, rng_seed=11)
+        d1, m1 = render_frame(noisy, pose, rng_seed=10)
+        d2, m2 = render_frame(noisy, pose, rng_seed=10)
+        d3, _ = render_frame(noisy, pose, rng_seed=11)
         valid = np.isfinite(d0)
         assert np.array_equal(d1, d2, equal_nan=True)
         assert np.array_equal(m1, m2)
@@ -295,7 +289,7 @@ class TestRenderFrame:
         scene = one_fruit_scene(center, 0.020, occluders=(backdrop,))
         pose = head_on_pose(center, 0.35)
         depth0, masks0 = render_frame(scene, pose)
-        depth1, masks1 = render_frame(scene, pose, dilate_px=2)
+        depth1, masks1 = render_frame(replace(scene, mask_dilate_px=2), pose)
         assert np.array_equal(depth0, depth1, equal_nan=True)
         grown = (masks1 == 1) & (masks0 == 0)
         assert grown.any()
@@ -358,12 +352,13 @@ class TestDilationOracle:
     def test_rendered_frames(self, dilate_px):
         # Side B sees the leaves behind the fruit, so masks grow onto them.
         spec = OrchardSpec(cluster_count=3, occluder_count=12, occluder_size=0.16, rng_seed=5)
-        scene, _ = generate_scene(spec)
+        scene = generate_scene(spec)
+        dilated = replace(scene, mask_dilate_px=dilate_px)
         poses = plan_trajectory(spec)["B"][::4]
         grew = 0
         for pose in poses:
             depth, masks = render_frame(scene, pose)
-            _, got = render_frame(scene, pose, dilate_px=dilate_px)
+            _, got = render_frame(dilated, pose)
             want = reference_dilation(masks, np.isfinite(depth), dilate_px)
             assert got.tobytes() == want.tobytes()
             grew += int((got != masks).sum())
@@ -393,9 +388,7 @@ class TestSimulateDataset:
     def test_occlusion_only_reduces_visibility(self):
         base = OrchardSpec(cluster_count=3, occluder_count=0, rng_seed=6)
         ds_clear = simulate_dataset(base)
-        from dataclasses import replace as d_replace
-
-        ds_leafy = simulate_dataset(d_replace(base, occluder_count=8))
+        ds_leafy = simulate_dataset(replace(base, occluder_count=8))
         for side in ("A", "B"):
             clear = ds_clear.ground_truth.visibility[side]
             leafy = ds_leafy.ground_truth.visibility[side]
@@ -421,22 +414,21 @@ class TestSimulateDataset:
             assert not np.array_equal(d0[both], d1[both])
 
     def test_fiducial_encodes_the_cross_side_relation(self, small_dataset):
-        scene, truth = generate_scene(SMALL_SPEC)
         fid_a = small_dataset.fiducials["A"].pose
         fid_b = small_dataset.fiducials["B"].pose
         b_to_a = fid_a.compose(fid_b.inverse())
-        to_b = scene.side_from_scene["B"]
-        for fruit in truth.fruitlets:
+        to_b = SIDE_FROM_SCENE["B"]
+        for fruit in small_dataset.ground_truth.fruitlets:
             c_scene = np.asarray(fruit.center)
             c_b = to_b.apply(c_scene)
             assert np.allclose(b_to_a.apply(c_b), c_scene, atol=1e-9)
 
     def test_extracted_clouds_sit_on_true_spheres(self, small_dataset):
-        scene, _ = generate_scene(SMALL_SPEC)
+        scene = generate_scene(SMALL_SPEC)
         by_id = {f.id: f for f in scene.fruitlets}
         checked = 0
         for side in ("A", "B"):
-            to_side = scene.side_from_scene[side]
+            to_side = SIDE_FROM_SCENE[side]
             frame = small_dataset.frames[side][5]
             for instance_id, cloud in extract_instance_clouds(frame):
                 fruit = by_id[instance_id - 1]
@@ -448,10 +440,8 @@ class TestSimulateDataset:
         assert checked >= 2
 
     def test_noiseless_extraction_is_exact_to_float32(self):
-        from dataclasses import replace as d_replace
-
-        ds = simulate_dataset(d_replace(SMALL_SPEC, depth_noise_sigma=0.0))
-        scene, _ = generate_scene(d_replace(SMALL_SPEC, depth_noise_sigma=0.0))
+        ds = simulate_dataset(replace(SMALL_SPEC, depth_noise_sigma=0.0))
+        scene = generate_scene(replace(SMALL_SPEC, depth_noise_sigma=0.0))
         by_id = {f.id: f for f in scene.fruitlets}
         frame = ds.frames["A"][0]
         clouds = extract_instance_clouds(frame)
@@ -464,9 +454,9 @@ class TestSimulateDataset:
 
 class TestExportDataset:
     def test_export_then_load_round_trips(self, tmp_path):
-        scene, truth = generate_scene(SMALL_SPEC)
+        scene = generate_scene(SMALL_SPEC)
         traj = plan_trajectory(SMALL_SPEC)
-        ds = export_dataset(scene, traj, truth, tmp_path / "scan")
+        ds = export_dataset(scene, traj, tmp_path / "scan")
         loaded = load_dataset(tmp_path / "scan")
         assert loaded.dataset_id == ds.dataset_id
         assert loaded.sides == ds.sides
@@ -485,10 +475,10 @@ class TestExportDataset:
         assert loaded.ground_truth.visibility == ds.ground_truth.visibility
 
     def test_exported_tree_has_expected_layout(self, tmp_path):
-        scene, truth = generate_scene(SMALL_SPEC)
+        scene = generate_scene(SMALL_SPEC)
         traj = plan_trajectory(SMALL_SPEC)
         root = tmp_path / "scan"
-        export_dataset(scene, traj, truth, root)
+        export_dataset(scene, traj, root)
         assert (root / "manifest.json").is_file()
         assert (root / "ground_truth.json").is_file()
         for side in ("A", "B"):
@@ -497,3 +487,26 @@ class TestExportDataset:
             assert len(list((base / "frames").glob("*.json"))) == 40
             assert len(list((base / "depth").glob("*.f32"))) == 40
             assert len(list((base / "masks").glob("*.pgm"))) == 40
+
+
+# Pinned to the installed numpy, like the map digests in test_mapping.py: every
+# byte export_dataset writes (manifest with provenance, fiducials, frame JSON,
+# depth and mask rasters, ground truth with its visibility counts) for a scene
+# with depth noise, occluders and mask dilation. A change that alters dataset
+# output on purpose updates it and says so in CHANGES.md.
+GOLDEN_DATASET_DIGEST = "012498db4180d6743a5b0be5c3969ecff9c51bb13e749d9d95782471ffaf03d7"
+
+
+def test_golden_dataset_digest(tmp_path):
+    spec = OrchardSpec(cluster_count=3, occluder_count=4, occluder_size=0.16,
+                       mask_dilate_px=1, rng_seed=29)
+    trajectory = {side: poses[::5] for side, poses in plan_trajectory(spec).items()}
+    provenance = {"config_digest": "0" * 64, "seed": 29, "tool_version": "0.1.0"}
+    root = tmp_path / "scan"
+    export_dataset(generate_scene(spec), trajectory, root, provenance)
+    digest = hashlib.sha256()
+    files = sorted(path for path in root.rglob("*") if path.is_file())
+    for path in files:
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    assert len(files) == 4 + 2 * 3 * 8  # manifest, truth, fiducials; 8 frames per side
+    assert digest.hexdigest() == GOLDEN_DATASET_DIGEST
