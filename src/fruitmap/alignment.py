@@ -20,7 +20,6 @@ through the same store.
 
 from __future__ import annotations
 
-from .dataset import FiducialObservation
 from .geometry import RigidTransform
 from .mapping import (
     CROSS_SIDE_RADIUS,
@@ -34,15 +33,13 @@ from .mapping import (
 __all__ = ["cross_side_transform", "transform_map", "merge_maps"]
 
 
-def cross_side_transform(
-    fid_a: FiducialObservation, fid_b: FiducialObservation
-) -> RigidTransform:
+def cross_side_transform(pose_a: RigidTransform, pose_b: RigidTransform) -> RigidTransform:
     """Rigid transform taking side-B coordinates to side-A coordinates.
 
-    Both observations must be of the same physical fiducial; the result is
-    pose_a composed with the inverse of pose_b.
+    Both poses are fiducial-to-side poses of the same physical fiducial; the
+    result is pose_a composed with the inverse of pose_b.
     """
-    return fid_a.pose.compose(fid_b.pose.inverse())
+    return pose_a.compose(pose_b.inverse())
 
 
 def transform_map(

@@ -138,6 +138,11 @@ def _cmd_align(args: argparse.Namespace) -> int:
     merge_cfg = MergeConfig(merge_radius=merge.get("cross_radius", CROSS_SIDE_RADIUS))
     map_a = load_branch_map(args.map_a)
     map_b = load_branch_map(args.map_b)
+    if map_a.frame_label == map_b.frame_label:
+        raise ValueError(
+            f"--map-a and --map-b are both maps of side {map_a.frame_label!r}; "
+            "align needs one map per side"
+        )
     dataset = load_dataset(args.dataset, sides=())
     for label in (map_a.frame_label, map_b.frame_label):
         if label not in dataset.fiducials:

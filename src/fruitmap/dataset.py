@@ -7,7 +7,7 @@ A scan dataset is a directory:
     <root>/sides/<SIDE>/frames/<idx>.json
     <root>/sides/<SIDE>/depth/<idx>.f32        headerless little-endian float32, row-major
     <root>/sides/<SIDE>/masks/<idx>.pgm        binary P5, maxval 65535, 16-bit instance ids
-    <root>/ground_truth.json                   optional
+    <root>/ground_truth.json                   optional; read by load_ground_truth alone
 
 Frame JSON carries the camera-to-side pose (row-major 4x4), pinhole intrinsics,
 and relative paths to its two rasters. Invalid depth pixels are non-finite or
@@ -34,7 +34,6 @@ from .geometry import CameraIntrinsics, RigidTransform, backproject
 __all__ = [
     "DatasetError",
     "FrameRecord",
-    "FiducialObservation",
     "ScanDataset",
     "GroundTruthFruitlet",
     "GroundTruth",
@@ -113,12 +112,6 @@ class FrameRecord:
 
 
 @dataclass(frozen=True)
-class FiducialObservation:
-    side: str
-    pose: RigidTransform                 # fiducial-to-side
-
-
-@dataclass(frozen=True)
 class GroundTruthFruitlet:
     id: int
     center: tuple[float, float, float]   # scene frame == side A frame
@@ -143,7 +136,7 @@ class ScanDataset:
     dataset_id: str
     sides: tuple[str, ...]
     frames: dict[str, tuple[FrameRecord, ...]]  # the sides whose frames were loaded
-    fiducials: dict[str, FiducialObservation]
+    fiducials: dict[str, RigidTransform]        # fiducial-to-side pose per side
     ground_truth: GroundTruth | None = None
 
 
@@ -241,6 +234,10 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
     Every side's fiducial is read. Frames are read only for the named sides,
     or for every side when sides is None, so `sides=()` reads no raster. A
     named side the manifest does not list raises DatasetError.
+
+    Ground truth is not read: the result's ground_truth is None, and
+    load_ground_truth reads ground_truth.json for evaluation. The field is set
+    only on in-memory datasets, such as simulated ones, for write_dataset.
     """
     root = Path(root)
     manifest_path = root / "manifest.json"
@@ -275,16 +272,14 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
             raise DatasetError(f"side {side!r} not in dataset (has {sorted(all_sides)})")
 
     frames: dict[str, tuple[FrameRecord, ...]] = {}
-    fiducials: dict[str, FiducialObservation] = {}
+    fiducials: dict[str, RigidTransform] = {}
     for side in all_sides:
         side_dir = root / "sides" / side
         fid_path = side_dir / "fiducial.json"
         fid_doc = read_json(fid_path)
         if "pose" not in fid_doc:
             raise DatasetError(f"{fid_path}: missing 'pose'")
-        fiducials[side] = FiducialObservation(
-            side=side, pose=_load_pose(fid_doc["pose"], str(fid_path))
-        )
+        fiducials[side] = _load_pose(fid_doc["pose"], str(fid_path))
         if side not in framed:
             continue
 
@@ -337,14 +332,8 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
             )
         frames[side] = tuple(records)
 
-    gt_path = root / "ground_truth.json"
-    ground_truth = load_ground_truth(gt_path) if gt_path.exists() else None
     return ScanDataset(
-        dataset_id=dataset_id,
-        sides=all_sides,
-        frames=frames,
-        fiducials=fiducials,
-        ground_truth=ground_truth,
+        dataset_id=dataset_id, sides=all_sides, frames=frames, fiducials=fiducials
     )
 
 
@@ -374,7 +363,7 @@ def write_dataset(dataset: ScanDataset, root: Path | str, provenance: dict | Non
         side_dir = root / "sides" / side
         for sub in ("frames", "depth", "masks"):
             (side_dir / sub).mkdir(parents=True, exist_ok=True)
-        write_json(side_dir / "fiducial.json", {"pose": dataset.fiducials[side].pose.flat16()})
+        write_json(side_dir / "fiducial.json", {"pose": dataset.fiducials[side].flat16()})
         for rec in dataset.frames[side]:
             idx = rec.frame_index
             write_depth_raster(side_dir / "depth" / f"{idx}.f32", rec.depth)

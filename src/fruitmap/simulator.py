@@ -38,7 +38,6 @@ import numpy as np
 from ._checks import check_types, is_finite_real, is_int
 from .dataset import (
     DEFAULT_MIN_POINTS,
-    FiducialObservation,
     FrameRecord,
     GroundTruth,
     GroundTruthFruitlet,
@@ -162,13 +161,12 @@ class OrchardSpec:
 
 @dataclass(frozen=True)
 class LeafOccluder:
-    """Thin opaque rectangle: center plus two orthonormal in-plane axes."""
+    """Thin opaque square: center plus two orthonormal in-plane axes."""
 
     center: tuple[float, float, float]
     axis_u: tuple[float, float, float]
     axis_v: tuple[float, float, float]
-    half_u: float
-    half_v: float
+    half_size: float                     # half the side of the square
 
 
 @dataclass(frozen=True)
@@ -203,13 +201,11 @@ def _draw_occluder(child_seed: np.random.SeedSequence, spec: OrchardSpec) -> Lea
     axis_u = np.cross([0.0, 1.0, 0.0], normal)
     axis_u /= np.linalg.norm(axis_u)
     axis_v = np.cross(normal, axis_u)
-    half = spec.occluder_size / 2.0
     return LeafOccluder(
         center=center,
         axis_u=tuple(axis_u),
         axis_v=tuple(axis_v),
-        half_u=half,
-        half_v=half,
+        half_size=spec.occluder_size / 2.0,
     )
 
 
@@ -416,7 +412,7 @@ def render_frame(
         axis_v = to_camera.rotation @ np.asarray(leaf.axis_v)
         corners = center + np.array(
             [
-                su * leaf.half_u * axis_u + sv * leaf.half_v * axis_v
+                su * leaf.half_size * axis_u + sv * leaf.half_size * axis_v
                 for su in (-1, 1)
                 for sv in (-1, 1)
             ]
@@ -433,8 +429,8 @@ def render_frame(
         hit = (
             (np.abs(denom) > 1e-12)
             & (s > NEAR_PLANE)
-            & (np.abs(points @ axis_u) <= leaf.half_u)
-            & (np.abs(points @ axis_v) <= leaf.half_v)
+            & (np.abs(points @ axis_u) <= leaf.half_size)
+            & (np.abs(points @ axis_v) <= leaf.half_size)
         )
         u0, u1, v0, v1 = box
         window_depth = depth[v0:v1, u0:u1]
@@ -492,7 +488,7 @@ def _assemble_dataset(
     scene: Scene, trajectory: Mapping[str, tuple[RigidTransform, ...]]
 ) -> ScanDataset:
     frames: dict[str, tuple[FrameRecord, ...]] = {}
-    fiducials: dict[str, FiducialObservation] = {}
+    fiducials: dict[str, RigidTransform] = {}
     visibility: dict[str, dict[int, int]] = {}
     for side_index, side in enumerate(SIDES):
         side_from_scene = SIDE_FROM_SCENE[side]
@@ -518,9 +514,7 @@ def _assemble_dataset(
                 )
             )
         frames[side] = tuple(records)
-        fiducials[side] = FiducialObservation(
-            side=side, pose=side_from_scene.compose(FIDUCIAL_TO_SCENE)
-        )
+        fiducials[side] = side_from_scene.compose(FIDUCIAL_TO_SCENE)
         visibility[side] = counts
     return ScanDataset(
         dataset_id=scene.dataset_id,

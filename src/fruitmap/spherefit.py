@@ -48,10 +48,10 @@ MINPACK's minimum cost to within rounding. Partial caps have flat cost
 valleys, so the diameter it stops at can differ from MINPACK's by up to
 ~1e-6 relative at equal cost.
 
-All minimal samples are drawn in one batch (`_draw_quads`) that reproduces,
-bit for bit, the indices of one `Generator.choice(n, 4, replace=False)` call
-per sample. It reads only PCG64's `random_raw` output, so a fit's result is a
-function of the cloud and `rng_seed` alone; oracle tests pin the batch to
+All minimal samples are drawn in one batch (`_draw_quads`) whose indices equal
+those of one `Generator.choice(n, 4, replace=False)` call per sample, drawn
+with the generator's own bounded integers, so a fit's result is a function of
+the cloud and `rng_seed` alone; oracle tests pin the batch to
 `Generator.choice` of the installed numpy.
 """
 
@@ -294,30 +294,14 @@ def _draw_quads(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     `Generator.choice(n, 4, replace=False)` runs Floyd's algorithm: for
     j = n-4, ..., n-1 it draws v in [0, j] and keeps v, or j itself if v was
     already picked. It then shuffles the four picks in place (Fisher-Yates,
-    swap i with a draw in [0, i] for i = 3, 2, 1). Each draw in [0, b] maps
-    one 32-bit word w to (w * (b+1)) >> 32 (Lemire 2019); b = 0 takes no word.
-    PCG64 serves 32-bit words as the low then the high half of each 64-bit
-    output, and keeps the unused half across calls, so k samples read the
-    first 7k halves (6k when n == 4) of one random_raw batch.
-
-    Lemire's method rejects a word, and draws another, when the low 32 bits
-    of w * (b+1) fall below (2**32 - 1 - b) % (b+1); that shifts every later
-    draw. It happens about once in 10**4 fits of 500 points, and then the
-    generator state is restored and the samples are drawn one call at a time.
+    swap i with a draw in [0, i] for i = 3, 2, 1). Those seven bounded draws
+    per sample are taken here as one `rng.integers` call over a (k, 7) grid,
+    in the order the per-sample calls take them, so the generator ends where
+    k `choice` calls leave it and two batches of a and b samples equal one
+    batch of a + b.
     """
-    bounds = np.array([n - 4, n - 3, n - 2, n - 1, 3, 2, 1], dtype=np.uint64)
-    drawn = bounds > 0
-    per_sample = int(drawn.sum())
-    state = rng.bit_generator.state
-    raw = rng.bit_generator.random_raw(-(-per_sample * k // 2))
-    halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
-    words = np.zeros((k, len(bounds)), dtype=np.uint64)
-    words[:, drawn] = halves[: per_sample * k].reshape(k, per_sample)
-    scaled = words * (bounds + 1)
-    if np.any((scaled & 0xFFFFFFFF) < (0xFFFFFFFF - bounds) % (bounds + 1)):
-        rng.bit_generator.state = state
-        return np.stack([rng.choice(n, size=4, replace=False) for _ in range(k)])
-    draws = (scaled >> 32).astype(np.int64)
+    bounds = np.array([n - 4, n - 3, n - 2, n - 1, 3, 2, 1])
+    draws = rng.integers(0, bounds, size=(k, len(bounds)), endpoint=True)
     picks = draws[:, :4].copy()
     for t in range(1, 4):
         repeat = (picks[:, :t] == picks[:, t, None]).any(axis=1)

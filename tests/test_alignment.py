@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fruitmap.alignment import cross_side_transform, merge_maps, transform_map
-from fruitmap.dataset import FiducialObservation
 from fruitmap.geometry import RigidTransform, rotation_about_axis
 from fruitmap.mapping import (
     CROSS_SIDE_RADIUS,
@@ -16,24 +15,19 @@ from fruitmap.mapping import (
 )
 
 
-def fid(side, pose):
-    return FiducialObservation(side=side, pose=pose)
-
-
 def track(i, center, d=0.01, n=1, sides=("A",)):
     return FruitletTrack(i, center, d, observations=n, sides=frozenset(sides))
 
 
 class TestCrossSideTransform:
     def test_identity_pair(self):
-        t = cross_side_transform(fid("A", RigidTransform.identity()),
-                                 fid("B", RigidTransform.identity()))
+        t = cross_side_transform(RigidTransform.identity(), RigidTransform.identity())
         np.testing.assert_allclose(t.matrix4(), np.eye(4), atol=1e-15)
 
     def test_pure_translation(self):
         # fiducial at (0,0,0.5) in B, at origin in A: B origin lands at (0,0,-0.5)
         pose_b = RigidTransform(np.eye(3), [0.0, 0.0, 0.5])
-        t = cross_side_transform(fid("A", RigidTransform.identity()), fid("B", pose_b))
+        t = cross_side_transform(RigidTransform.identity(), pose_b)
         np.testing.assert_allclose(t.apply(np.zeros(3)), [0.0, 0.0, -0.5], atol=1e-15)
 
     def test_fiducial_point_consistency(self):
@@ -45,7 +39,7 @@ class TestCrossSideTransform:
             rot_b = rotation_about_axis(rng.normal(size=3), rng.uniform(-3, 3))
             pose_a = RigidTransform(rot_a, rng.uniform(-1, 1, 3))
             pose_b = RigidTransform(rot_b, rng.uniform(-1, 1, 3))
-            t = cross_side_transform(fid("A", pose_a), fid("B", pose_b))
+            t = cross_side_transform(pose_a, pose_b)
             p_fid = rng.uniform(-0.5, 0.5, 3)
             via_a = pose_a.apply(p_fid)
             via_b = t.apply(pose_b.apply(p_fid))

@@ -211,6 +211,36 @@ class TestExitCodes:
         assert code == 130
         assert capsys.readouterr().err == "error: interrupted\n"  # one line, no traceback
 
+    def test_align_of_one_side_twice_is_validation_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "merged.json"
+        code = main(["align", "--map-a", str(pipeline["map_a"]),
+                     "--map-b", str(pipeline["map_a"]), "--dataset", str(pipeline["dataset"]),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "side 'A'" in err, err
+        assert not out.exists()
+
+    def test_only_eval_reads_ground_truth(self, pipeline, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        for path in pipeline["dataset"].rglob("*"):
+            link = ds / path.relative_to(pipeline["dataset"])
+            link.parent.mkdir(parents=True, exist_ok=True)
+            if path.is_file() and path.name != "ground_truth.json":
+                link.symlink_to(path)
+        truth = ds / "ground_truth.json"
+        truth.write_text(json.dumps({"fruitlets": 5}))
+        map_a, merged = tmp_path / "a.json", tmp_path / "merged.json"
+        assert main(["map", "--dataset", str(ds), "--side", "A", "--out", str(map_a)]) == 0
+        assert map_a.read_bytes() == pipeline["map_a"].read_bytes()
+        assert main(["align", "--map-a", str(map_a), "--map-b", str(pipeline["map_b"]),
+                     "--dataset", str(ds), "--out", str(merged)]) == 0
+        assert merged.read_bytes() == pipeline["merged"].read_bytes()
+        capsys.readouterr()
+        assert main(["eval", "--map", str(merged), "--truth", str(truth),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        assert f"{truth}: missing 'fruitlets' list" in capsys.readouterr().err
+
     def test_unknown_side_is_validation_error(self, pipeline, tmp_path, capsys):
         code = main(["map", "--dataset", str(pipeline["dataset"]), "--side", "C",
                      "--out", str(tmp_path / "c.json")])

@@ -160,7 +160,7 @@ def test_malformed_config(scan, command, text):
         ("manifest.json", ["map", "align"]),
         ("sides/B/fiducial.json", ["map", "align"]),
         ("sides/A/frames/1.json", ["map"]),
-        ("ground_truth.json", ["map", "align", "eval"]),
+        ("ground_truth.json", ["eval"]),
     ],
     ids=["manifest", "fiducial", "frame", "truth"],
 )

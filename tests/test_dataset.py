@@ -8,7 +8,6 @@ import pytest
 from fruitmap.dataset import (
     DEFAULT_MIN_POINTS,
     DatasetError,
-    FiducialObservation,
     FrameRecord,
     GroundTruth,
     GroundTruthFruitlet,
@@ -61,8 +60,8 @@ def make_dataset(tmp_path=None, with_truth=True):
             "B": (make_frame(0, pose=pose_b),),
         },
         fiducials={
-            "A": FiducialObservation(side="A", pose=pose_a),
-            "B": FiducialObservation(side="B", pose=pose_b),
+            "A": pose_a,
+            "B": pose_b,
         },
         ground_truth=truth if with_truth else None,
     )
@@ -130,12 +129,12 @@ class TestDatasetRoundTrip:
                 )
                 np.testing.assert_array_equal(rt.masks, orig.masks)
             np.testing.assert_allclose(
-                back.fiducials[side].pose.matrix4(), ds.fiducials[side].pose.matrix4(),
+                back.fiducials[side].matrix4(), ds.fiducials[side].matrix4(),
                 atol=1e-12,
             )
-        assert back.ground_truth is not None
-        assert back.ground_truth.fruitlets == ds.ground_truth.fruitlets
-        assert back.ground_truth.visibility == ds.ground_truth.visibility
+        truth = load_ground_truth(tmp_path / "scan" / "ground_truth.json")
+        assert truth.fruitlets == ds.ground_truth.fruitlets
+        assert truth.visibility == ds.ground_truth.visibility
 
     def test_write_is_deterministic(self, tmp_path):
         ds = make_dataset()
@@ -159,7 +158,7 @@ class TestDatasetRoundTrip:
             np.testing.assert_array_equal(got.masks, want.masks)
         no_frames = load_dataset(root, sides=())
         assert no_frames.frames == {} and set(no_frames.fiducials) == {"A", "B"}
-        assert no_frames.ground_truth == ds.ground_truth
+        assert load_ground_truth(root / "ground_truth.json") == ds.ground_truth
         with pytest.raises(FileNotFoundError):
             load_dataset(root)
 
@@ -169,9 +168,11 @@ class TestDatasetRoundTrip:
             load_dataset(tmp_path / "scan", sides=("A", "C"))
 
     def test_ground_truth_optional(self, tmp_path):
-        write_dataset(make_dataset(with_truth=False), tmp_path / "scan")
-        back = load_dataset(tmp_path / "scan")
-        assert back.ground_truth is None
+        root = write_dataset(make_dataset(with_truth=False), tmp_path / "scan")
+        assert not (root / "ground_truth.json").exists()
+        assert load_dataset(root).ground_truth is None
+        with pytest.raises(FileNotFoundError):
+            load_ground_truth(root / "ground_truth.json")
 
 
 class TestValidation:

@@ -12,6 +12,7 @@ from fruitmap.dataset import (
     GroundTruthFruitlet,
     extract_instance_clouds,
     load_dataset,
+    load_ground_truth,
 )
 from fruitmap.geometry import CameraIntrinsics, RigidTransform, backproject
 from fruitmap.simulator import (
@@ -232,8 +233,7 @@ class TestRenderFrame:
             center=(0.45, 0.03, -0.1),
             axis_u=(1.0, 0.0, 0.0),
             axis_v=(0.0, 1.0, 0.0),
-            half_u=0.05,
-            half_v=0.05,
+            half_size=0.05,
         )
         scene_blocked = one_fruit_scene(center, 0.020, occluders=(leaf,))
         pose = head_on_pose(center, 0.35)
@@ -283,8 +283,7 @@ class TestRenderFrame:
             center=(0.45, 0.03, 0.06),
             axis_u=(1.0, 0.0, 0.0),
             axis_v=(0.0, 1.0, 0.0),
-            half_u=0.2,
-            half_v=0.2,
+            half_size=0.2,
         )
         scene = one_fruit_scene(center, 0.020, occluders=(backdrop,))
         pose = head_on_pose(center, 0.35)
@@ -414,8 +413,8 @@ class TestSimulateDataset:
             assert not np.array_equal(d0[both], d1[both])
 
     def test_fiducial_encodes_the_cross_side_relation(self, small_dataset):
-        fid_a = small_dataset.fiducials["A"].pose
-        fid_b = small_dataset.fiducials["B"].pose
+        fid_a = small_dataset.fiducials["A"]
+        fid_b = small_dataset.fiducials["B"]
         b_to_a = fid_a.compose(fid_b.inverse())
         to_b = SIDE_FROM_SCENE["B"]
         for fruit in small_dataset.ground_truth.fruitlets:
@@ -467,12 +466,13 @@ class TestExportDataset:
                 assert np.array_equal(fa.masks, fb.masks)
                 assert np.allclose(fa.pose.matrix4(), fb.pose.matrix4(), atol=0)
             assert np.allclose(
-                ds.fiducials[side].pose.matrix4(),
-                loaded.fiducials[side].pose.matrix4(),
+                ds.fiducials[side].matrix4(),
+                loaded.fiducials[side].matrix4(),
                 atol=0,
             )
-        assert loaded.ground_truth.fruitlets == ds.ground_truth.fruitlets
-        assert loaded.ground_truth.visibility == ds.ground_truth.visibility
+        truth = load_ground_truth(tmp_path / "scan" / "ground_truth.json")
+        assert truth.fruitlets == ds.ground_truth.fruitlets
+        assert truth.visibility == ds.ground_truth.visibility
 
     def test_exported_tree_has_expected_layout(self, tmp_path):
         scene = generate_scene(SMALL_SPEC)

@@ -530,8 +530,8 @@ class TestFitOracle:
                 assert [mean for count, mean in scores if count == 4].count(top) > 1
 
     def test_generator_state_after_the_draws_is_unused(self, monkeypatch):
-        # The batched draw leaves the generator elsewhere than per-sample calls
-        # would; nothing after the draws may read it.
+        # The fit reads nothing from the generator after the draws, so moving it
+        # on afterwards changes no output bit.
         def draw_then_scramble(rng, n, k):
             samples = _draw_quads(rng, n, k)
             rng.bit_generator.advance(12345)
@@ -589,17 +589,14 @@ class TestBailOutMatchesFullBatch:
         assert fit_or_error(cloud, cfg) == expected
 
 
-class ChoiceCounter:
-    """A Generator stand-in that counts the per-sample fallback calls."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.bit_generator = self._rng.bit_generator
-        self.choice_calls = 0
-
-    def choice(self, *args, **kwargs):
-        self.choice_calls += 1
-        return self._rng.choice(*args, **kwargs)
+def assert_draw_matches_choice(seed, n, k):
+    """The batch equals k choice calls, and leaves the generator where they do."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw_quads(rng, n, k)
+    want = np.stack([ref.choice(n, size=4, replace=False) for _ in range(k)])
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == np.int64 and got.shape == (k, 4)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestDrawOracle:
@@ -607,23 +604,22 @@ class TestDrawOracle:
     def test_matches_per_sample_choice(self, n):
         meta = np.random.default_rng(n)
         for _ in range(60):
-            seed = int(meta.integers(2**63))
-            k = int(meta.integers(1, 260))
-            got = _draw_quads(np.random.default_rng(seed), n, k)
-            np.testing.assert_array_equal(got, reference_quads(seed, n, k))
-            assert got.dtype == np.int64 and got.shape == (k, 4)
+            assert_draw_matches_choice(int(meta.integers(2**63)), n, int(meta.integers(1, 260)))
 
-    def test_batch_path_makes_no_choice_calls(self):
-        rng = ChoiceCounter(17)
-        np.testing.assert_array_equal(_draw_quads(rng, 500, 200), reference_quads(17, 500, 200))
-        assert rng.choice_calls == 0
+    def test_matches_choice_on_a_rejected_word(self):
+        # Seed 8521's 1400 words for n=500, k=200 include one that the bounded
+        # draw rejects and replaces.
+        assert_draw_matches_choice(8521, 500, 200)
 
-    def test_rejected_word_falls_back_to_per_sample_calls(self):
-        # Seed 8521 is the only seed below 20000 whose 1400 words for n=500,
-        # k=200 include one that Lemire's method rejects.
-        rng = ChoiceCounter(8521)
-        np.testing.assert_array_equal(_draw_quads(rng, 500, 200), reference_quads(8521, 500, 200))
-        assert rng.choice_calls == 200
+    def test_chunks_equal_one_batch(self):
+        # 7 samples read an odd number of 32-bit words; the next chunk must
+        # still continue exactly where one batch of 193 would.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            chunked = np.concatenate([_draw_quads(rng, 500, 7), _draw_quads(rng, 500, 186)])
+            np.testing.assert_array_equal(
+                chunked, _draw_quads(np.random.default_rng(seed), 500, 193)
+            )
 
 
 class TestPolishOracle:
