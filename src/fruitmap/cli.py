@@ -149,6 +149,11 @@ def _cmd_align(args: argparse.Namespace) -> int:
             raise DatasetError(
                 f"no fiducial for side {label!r} in dataset {args.dataset}"
             )
+    if map_a.frame_label != dataset.sides[0]:
+        raise ValueError(
+            f"--map-a is a map of side {map_a.frame_label!r}; align needs the map of side "
+            f"{dataset.sides[0]!r}, whose frame the ground truth uses, as --map-a"
+        )
     b_to_a = cross_side_transform(
         dataset.fiducials[map_a.frame_label], dataset.fiducials[map_b.frame_label]
     )

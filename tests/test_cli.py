@@ -221,6 +221,18 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1 and "side 'A'" in err, err
         assert not out.exists()
 
+    def test_align_of_swapped_sides_is_validation_error(self, pipeline, tmp_path, capsys):
+        # A merge in side B's frame would be scored against truth in side A's.
+        out = tmp_path / "merged.json"
+        code = main(["align", "--map-a", str(pipeline["map_b"]),
+                     "--map-b", str(pipeline["map_a"]), "--dataset", str(pipeline["dataset"]),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "side 'B'" in err and "side 'A'" in err, err
+        assert not out.exists()
+
     def test_only_eval_reads_ground_truth(self, pipeline, tmp_path, capsys):
         ds = tmp_path / "ds"
         for path in pipeline["dataset"].rglob("*"):

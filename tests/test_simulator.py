@@ -19,6 +19,7 @@ from fruitmap.simulator import (
     ARC_COUNT,
     ARC_SPACING,
     DEFAULT_INTRINSICS,
+    NEAR_PLANE,
     POSES_PER_ARC,
     SIDE_FROM_SCENE,
     LeafOccluder,
@@ -31,7 +32,7 @@ from fruitmap.simulator import (
     render_frame,
     simulate_dataset,
 )
-from fruitmap.simulator import _dilate_labels
+from fruitmap.simulator import _dilate_labels, _roi_from_points
 
 SMALL_SPEC = OrchardSpec(cluster_count=3, occluder_count=0, rng_seed=5)
 
@@ -298,6 +299,127 @@ class TestRenderFrame:
         assert np.min(depth1[grown]) > np.max(depth1[masks0 == 1])
 
 
+def reference_render(scene, pose, rng_seed=0):
+    """render_frame's ray cast done per pixel, with an (h, w, 3) direction array.
+
+    Noise is added as render_frame adds it; masks are not dilated, so the
+    scenes compared against it have mask_dilate_px 0.
+    """
+    to_camera = pose.inverse()
+    shape = (DEFAULT_INTRINSICS.height, DEFAULT_INTRINSICS.width)
+    depth = np.full(shape, np.inf)
+    masks = np.zeros(shape, dtype=np.uint16)
+
+    def ray_dirs(box):
+        u0, u1, v0, v1 = box
+        grid_u, grid_v = np.meshgrid(np.arange(u0, u1, dtype=float),
+                                     np.arange(v0, v1, dtype=float))
+        return np.stack([(grid_u - DEFAULT_INTRINSICS.cx) / DEFAULT_INTRINSICS.fx,
+                         (grid_v - DEFAULT_INTRINSICS.cy) / DEFAULT_INTRINSICS.fy,
+                         np.ones_like(grid_u)], axis=-1)
+
+    def keep_nearest(box, hit, s, label):
+        u0, u1, v0, v1 = box
+        window_depth = depth[v0:v1, u0:u1]
+        closer = hit & (s < window_depth)
+        window_depth[closer] = s[closer]
+        masks[v0:v1, u0:u1][closer] = label
+
+    corner_signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+    for fruit in scene.fruitlets:
+        radius = fruit.diameter / 2.0
+        center = to_camera.apply(np.asarray(fruit.center))
+        box = _roi_from_points(center + radius * corner_signs, DEFAULT_INTRINSICS)
+        if box is None:
+            continue
+        dirs = ray_dirs(box)
+        dd = np.einsum("...k,...k->...", dirs, dirs)
+        b = dirs @ center
+        disc = b * b - dd * (center @ center - radius * radius)
+        with np.errstate(invalid="ignore"):
+            s = (b - np.sqrt(disc)) / dd
+        keep_nearest(box, (disc >= 0) & (s > NEAR_PLANE), s, fruit.id + 1)
+
+    for leaf in scene.occluders:
+        center = to_camera.apply(np.asarray(leaf.center))
+        axis_u = to_camera.rotation @ np.asarray(leaf.axis_u)
+        axis_v = to_camera.rotation @ np.asarray(leaf.axis_v)
+        corners = center + leaf.half_size * np.array(
+            [su * axis_u + sv * axis_v for su in (-1, 1) for sv in (-1, 1)]
+        )
+        box = _roi_from_points(corners, DEFAULT_INTRINSICS)
+        if box is None:
+            continue
+        dirs = ray_dirs(box)
+        normal = np.cross(axis_u, axis_v)
+        denom = dirs @ normal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (center @ normal) / denom
+            points = s[..., None] * dirs - center
+        hit = (
+            (np.abs(denom) > 1e-12)
+            & (s > NEAR_PLANE)
+            & (np.abs(points @ axis_u) <= leaf.half_size)
+            & (np.abs(points @ axis_v) <= leaf.half_size)
+        )
+        keep_nearest(box, hit, s, 0)
+
+    valid = np.isfinite(depth)
+    if scene.depth_noise_sigma > 0:
+        rng = np.random.default_rng(rng_seed)
+        depth[valid] += rng.normal(0.0, scene.depth_noise_sigma, size=int(valid.sum()))
+    depth[~valid] = np.nan
+    return depth, masks
+
+
+OCCLUDED_SPEC = OrchardSpec(occluder_count=12, occluder_size=0.16, rng_seed=201)
+
+
+class TestRenderOracle:
+    @staticmethod
+    def assert_same_render(scene, pose, rng_seed):
+        depth, masks = render_frame(scene, pose, rng_seed)
+        want_depth, want_masks = reference_render(scene, pose, rng_seed)
+        assert masks.tobytes() == want_masks.tobytes()
+        assert depth.astype(np.float32).tobytes() == want_depth.astype(np.float32).tobytes()
+        np.testing.assert_allclose(depth, want_depth, rtol=1e-10, atol=0)
+        return masks
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_occluded_scene(self, side):
+        scene = generate_scene(OCCLUDED_SPEC)
+        assert scene.mask_dilate_px == 0
+        labelled = 0
+        for index, pose in enumerate(plan_trajectory(OCCLUDED_SPEC)[side][::4]):
+            labelled += int(np.count_nonzero(self.assert_same_render(scene, pose, index)))
+        assert labelled > 0
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_leaf_straddling_the_near_plane(self, side):
+        # The leaf lies in the camera-frame plane x = 0.01 and spans depths
+        # 0.03-0.09 m, so its box falls back to the whole image, the near
+        # plane cuts it, and the rays of column cx run parallel to it.
+        pose = plan_trajectory(OCCLUDED_SPEC)[side][0]
+        center, axis_u, axis_v = np.array([0.01, 0.0, 0.06]), np.eye(3)[2], np.eye(3)[1]
+        corners = center + 0.03 * np.array(
+            [su * axis_u + sv * axis_v for su in (-1, 1) for sv in (-1, 1)]
+        )
+        full = (0, DEFAULT_INTRINSICS.width, 0, DEFAULT_INTRINSICS.height)
+        assert _roi_from_points(corners, DEFAULT_INTRINSICS) == full
+        leaf = LeafOccluder(
+            center=tuple(pose.apply(center)),
+            axis_u=tuple(pose.rotation @ axis_u),
+            axis_v=tuple(pose.rotation @ axis_v),
+            half_size=0.03,
+        )
+        scene = generate_scene(OCCLUDED_SPEC)
+        scene = replace(scene, occluders=scene.occluders + (leaf,))
+        self.assert_same_render(scene, pose, 3)
+        depth, _ = render_frame(scene, pose, 3)
+        near = depth < 0.1
+        assert near.any() and np.all(depth[near] > NEAR_PLANE - 0.01)
+
+
 def reference_dilation(masks, valid, dilate_px):
     """The scipy.ndimage mask dilation: each id in turn, cross structure, border 0."""
     masks = masks.copy()
@@ -362,6 +484,23 @@ class TestDilationOracle:
             assert got.tobytes() == want.tobytes()
             grew += int((got != masks).sum())
         assert grew > 0
+
+
+def test_huge_dilation_of_a_full_rendered_frame():
+    # At a million pixels every label spans the frame; the cost must stay
+    # that of one distance computation per label, near scipy's own.
+    scene = generate_scene(OCCLUDED_SPEC)
+    depth, masks = render_frame(scene, plan_trajectory(OCCLUDED_SPEC)["B"][0])
+    assert masks.shape == (514, 616) and len(np.unique(masks)) > 3
+    valid = np.isfinite(depth)
+    start = time.perf_counter()
+    want = reference_dilation(masks, valid, 1_000_000)
+    reference_s = time.perf_counter() - start
+    got = masks.copy()
+    start = time.perf_counter()
+    _dilate_labels(got, valid & (masks == 0), 1_000_000)
+    assert time.perf_counter() - start < 5 * reference_s + 0.05
+    assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- full datasets
