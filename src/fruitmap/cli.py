@@ -2,10 +2,12 @@
 
 One executable wires the whole pipeline so a scan can be turned into an
 evaluated branch map without touching Python. Every subcommand reads an
-optional JSON config file; a flag given on the command line beats the
-config file, which beats the built-in default. Outputs are deterministic
-functions of (input bytes, config, seed), and every JSON product embeds a
-provenance block naming the config digest, the seed, and the tool version.
+optional JSON config file, whose values beat the built-in defaults. The two
+stages that draw random numbers, simulate and map, also take --seed, which
+beats the configured seed. Outputs are deterministic functions of (input
+bytes, config, seed), and every JSON product embeds a provenance block that
+names the tool version and, where the product has them, its config digest
+and seed.
 
 Exit codes: 0 success, 1 validation or usage error, 2 I/O error, 130
 interrupted (Ctrl-C). All diagnostics go to standard error; data products
@@ -18,7 +20,7 @@ import argparse
 import dataclasses
 import logging
 import sys
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import __version__
 from .alignment import cross_side_transform, merge_maps, transform_map
@@ -32,7 +34,6 @@ from .dataset import (
 )
 from .evaluation import (
     MATCH_TOLERANCE,
-    SIZE_MODES,
     emit_report,
     evaluate_map,
     report_from_json,
@@ -91,8 +92,9 @@ def _load_config(path: str | None) -> dict[str, dict]:
     }
 
 
-def _provenance(digest: str, seed: int | None) -> dict:
-    return {"config_digest": digest, "seed": seed, "tool_version": __version__}
+def _stamped(provenance: Mapping[str, object]) -> dict:
+    """provenance with the tool version appended as its last key."""
+    return {**provenance, "tool_version": __version__}
 
 
 # --------------------------------------------------------------- subcommands
@@ -106,7 +108,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scene = generate_scene(spec)
     trajectory = plan_trajectory(spec)
     dataset = export_dataset(
-        scene, trajectory, args.out, _provenance(config_digest(spec), spec.rng_seed)
+        scene, trajectory, args.out,
+        _stamped({"config_digest": config_digest(spec), "seed": spec.rng_seed}),
     )
     n_frames = sum(len(f) for f in dataset.frames.values())
     logger.info("wrote dataset %s (%d frames) to %s", dataset.dataset_id, n_frames, args.out)
@@ -123,11 +126,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
     merge_cfg = MergeConfig(merge_radius=merge.get("within_radius", WITHIN_SIDE_RADIUS))
     dataset = load_dataset(args.dataset, sides=(args.side,))
     branch_map = build_side_map(dataset, args.side, fit_cfg, merge_cfg)
-    branch_map = dataclasses.replace(
-        branch_map,
-        provenance={**branch_map.provenance, "tool_version": __version__},
+    save_branch_map(
+        args.out, dataclasses.replace(branch_map, provenance=_stamped(branch_map.provenance))
     )
-    save_branch_map(args.out, branch_map)
     logger.info("side %s: %d tracks -> %s", args.side, len(branch_map.tracks), args.out)
     return 0
 
@@ -158,15 +159,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
         dataset.fiducials[map_a.frame_label], dataset.fiducials[map_b.frame_label]
     )
     merged = merge_maps(map_a, transform_map(map_b, b_to_a, map_a.frame_label), merge_cfg)
-    merged = dataclasses.replace(
-        merged,
-        provenance={
-            **merged.provenance,
-            "seed": args.seed,
-            "tool_version": __version__,
-        },
-    )
-    save_branch_map(args.out, merged)
+    save_branch_map(args.out, dataclasses.replace(merged, provenance=_stamped(merged.provenance)))
     logger.info(
         "merged %d + %d tracks into %d -> %s",
         len(map_a.tracks), len(map_b.tracks), len(merged.tracks), args.out,
@@ -175,21 +168,13 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    section = config["eval"]
-    tolerance = args.tolerance if args.tolerance is not None else section.get(
-        "tolerance", MATCH_TOLERANCE
-    )
-    size_mode = args.size_mode if args.size_mode is not None else section.get(
-        "size_mode", "relative"
-    )
+    settings = {"tolerance": MATCH_TOLERANCE, "size_mode": "relative",
+                **_load_config(args.config)["eval"]}
     branch_map = load_branch_map(args.map)
     truth = load_ground_truth(args.truth)
-    report = evaluate_map(branch_map, truth, tolerance=tolerance, size_mode=size_mode)
+    report = evaluate_map(branch_map, truth, **settings)
     doc = report_to_json(report)
-    doc["provenance"] = _provenance(
-        json_digest({"tolerance": tolerance, "size_mode": size_mode}), args.seed
-    )
+    doc["provenance"] = _stamped({"config_digest": json_digest(settings)})
     write_json(args.out, doc, sort_keys=True)
     logger.info(
         "tp=%d fp=%d fn=%d f1=%.3f -> %s", report.tp, report.fp, report.fn,
@@ -209,7 +194,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         emit_report(report, args.out)
     else:
         doc = report_to_json(report)
-        doc["provenance"] = _provenance(json_digest({"format": "json"}), args.seed)
+        doc["provenance"] = _stamped({})
         write_json(args.out, doc, sort_keys=True)
     if args.scatter is not None:
         write_scatter(report, args.scatter)
@@ -228,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file", default=None)
-    common.add_argument("--seed", type=int, default=None, help="override the base RNG seed")
     common.add_argument(
         "--log-level",
         choices=("debug", "info", "warning", "error"),
@@ -236,11 +220,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="render a synthetic scan dataset")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")
+
+    p = sub.add_parser(
+        "simulate", parents=[common, seeded], help="render a synthetic scan dataset"
+    )
     p.add_argument("--out", required=True, help="dataset directory to create")
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("map", parents=[common], help="build one side's branch map")
+    p = sub.add_parser("map", parents=[common, seeded], help="build one side's branch map")
     p.add_argument("--dataset", required=True, help="scan dataset directory")
     p.add_argument("--side", required=True, help="side label, e.g. A")
     p.add_argument("--out", required=True, help="branch map JSON to write")
@@ -256,11 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common], help="score a branch map against ground truth")
     p.add_argument("--map", required=True, help="branch map JSON")
     p.add_argument("--truth", required=True, help="ground truth JSON")
-    p.add_argument("--tolerance", type=float, default=None, help="match radius in meters")
-    p.add_argument(
-        "--size-mode", choices=SIZE_MODES, default=None,
-        help="size RMSE normalization",
-    )
     p.add_argument("--out", required=True, help="evaluation report JSON to write")
     p.set_defaults(handler=_cmd_eval)
 

@@ -201,8 +201,8 @@ def load_ground_truth(path: Path | str) -> GroundTruth:
     """Ground truth from its JSON file; values are checked, not coerced.
 
     Each fruitlet checks its own fields, and ids must be distinct. Visibility
-    counts must be integers; their keys are fruitlet ids written as decimal
-    strings, as JSON object keys must be.
+    counts must be integers >= 0, each keyed by str(id) of a listed fruitlet,
+    since JSON object keys are strings.
     """
     doc = read_json(path)
     if not isinstance(doc.get("fruitlets"), list):
@@ -216,13 +216,16 @@ def load_ground_truth(path: Path | str) -> GroundTruth:
         if fruitlet.id in fruitlets:
             raise DatasetError(f"{path}: fruitlet entry {index}: duplicate id {fruitlet.id}")
         fruitlets[fruitlet.id] = fruitlet
+    ids = {str(fruitlet_id): fruitlet_id for fruitlet_id in fruitlets}
     visibility: dict[str, dict[int, int]] = {}
     try:
         for side, counts in doc.get("visibility", {}).items():
-            for count in counts.values():
-                if not is_int(count):
-                    raise ValueError(f"side {side}: count must be an integer, got {count!r}")
-            visibility[side] = {int(k): v for k, v in counts.items()}
+            for key, count in counts.items():
+                if not (is_int(count) and count >= 0):
+                    raise ValueError(f"side {side}: count must be an integer >= 0, got {count!r}")
+                if key not in ids:
+                    raise ValueError(f"side {side}: {key!r} is not a listed fruitlet id")
+            visibility[side] = {ids[key]: count for key, count in counts.items()}
     except (AttributeError, ValueError) as exc:
         raise DatasetError(f"{path}: invalid 'visibility': {exc}") from exc
     return GroundTruth(fruitlets=tuple(fruitlets.values()), visibility=visibility)
@@ -395,14 +398,12 @@ def write_dataset(dataset: ScanDataset, root: Path | str, provenance: dict | Non
 
 # ---------------------------------------------------------------- extraction
 
-def extract_instance_clouds(
-    frame: FrameRecord, min_points: int = DEFAULT_MIN_POINTS
-) -> list[tuple[int, np.ndarray]]:
+def extract_instance_clouds(frame: FrameRecord) -> list[tuple[int, np.ndarray]]:
     """Per-instance point clouds in the side frame, ascending instance id.
 
     A pixel contributes when its mask id is positive and its depth is finite
-    and positive. Instances with fewer contributing pixels than min_points are
-    dropped.
+    and positive. Instances with fewer contributing pixels than
+    DEFAULT_MIN_POINTS are dropped.
 
     One pass finds every contributing pixel; a stable sort on instance id then
     groups them, so each instance's pixels keep their row-major order.
@@ -415,7 +416,7 @@ def extract_instance_clouds(
     instance_ids, starts = np.unique(ids, return_index=True)
     out: list[tuple[int, np.ndarray]] = []
     for instance_id, start, stop in zip(instance_ids, starts, [*starts[1:], len(ids)]):
-        if stop - start < min_points:
+        if stop - start < DEFAULT_MIN_POINTS:
             continue
         r, c = rows[start:stop], cols[start:stop]
         cam_pts = backproject(

@@ -58,7 +58,7 @@ the cloud and `rng_seed` alone; oracle tests pin the batch to
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,7 +144,6 @@ class FitReport:
     model: SphereModel
     inlier_count: int
     accepted: bool
-    mean_abs_residual: float = field(default=float("nan"))
 
 
 def _as_cloud(points: np.ndarray) -> np.ndarray:
@@ -429,21 +428,15 @@ def ransac_sphere_fit(points: np.ndarray, config: FitConfig) -> FitReport:
                 center, radius = _geometric_refine(pts[mask], center, radius)
             except DegenerateSampleError:
                 log.warning("orthogonal refinement failed; keeping the linear fit")
-    (mask,), (resid,) = _inlier_mask(pts, center[None], np.array([radius]), min_cloud_z, config)
+    (mask,), _ = _inlier_mask(pts, center[None], np.array([radius]), min_cloud_z, config)
     count = int(mask.sum())
-    mean_resid = float(resid[mask].mean()) if count else float("inf")
 
     model = SphereModel(center=tuple(center), diameter=2.0 * radius)
     accepted = (
         count / n >= config.min_inlier_fraction
         and config.d_min <= model.diameter <= config.d_max
     )
-    return FitReport(
-        model=model,
-        inlier_count=count,
-        accepted=accepted,
-        mean_abs_residual=mean_resid,
-    )
+    return FitReport(model=model, inlier_count=count, accepted=accepted)
 
 
 def derive_seed(*keys: int) -> int:

@@ -16,7 +16,7 @@ from fruitmap import cli
 from fruitmap import dataset as dataset_module
 from fruitmap import mapping
 from fruitmap.cli import main
-from fruitmap.dataset import read_mask_raster
+from fruitmap.dataset import json_digest, read_mask_raster
 
 
 def exit_at_once(frame, fit_cfg):
@@ -106,6 +106,18 @@ class TestPipeline:
             "d1e5156902ebdfb72432f597d402e0cf9a972efd1e67d5a5829ba27e6b0d75ac"
         )
 
+    def test_provenance_names_no_seed_where_none_is_drawn(self, pipeline, tmp_path):
+        # align, eval and report draw no random numbers, and report's
+        # rendering has no settings, so each stamps only what can vary.
+        merged = json.loads(pipeline["merged"].read_text())["provenance"]
+        assert list(merged) == ["dataset_id", "config_digest", "tool_version"]
+        report = json.loads(pipeline["report"].read_text())["provenance"]
+        assert sorted(report) == ["config_digest", "tool_version"]
+        out = tmp_path / "report.json"
+        assert main(["report", "--eval", str(pipeline["report"]), "--format", "json",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"] == {"tool_version": fruitmap.__version__}
+
     def test_csv_table_shape(self, pipeline):
         lines = pipeline["table"].read_text().strip().splitlines()
         assert lines[0] == "ground_truth,calculated,accuracy,precision,recall,f1"
@@ -178,6 +190,33 @@ class TestExitCodes:
         assert main(["report", "--config", str(config), "--eval", str(pipeline["report"]),
                      "--format", "csv", "--out", str(out)]) == code
         assert str(config) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("align", ["--seed", "3"]),
+            ("eval", ["--seed", "3"]),
+            ("report", ["--seed", "3"]),
+            ("eval", ["--tolerance", "0.02"]),
+            ("eval", ["--size-mode", "relative"]),
+        ],
+        ids=["align-seed", "eval-seed", "report-seed", "eval-tolerance", "eval-size-mode"],
+    )
+    def test_removed_flag_is_usage_error(self, pipeline, tmp_path, capsys, command, flags):
+        # Only simulate and map draw random numbers, and eval's settings come
+        # from its config section alone.
+        out = tmp_path / "out.json"
+        argv = {
+            "align": ["--map-a", str(pipeline["map_a"]), "--map-b", str(pipeline["map_b"]),
+                      "--dataset", str(pipeline["dataset"])],
+            "eval": ["--map", str(pipeline["merged"]),
+                     "--truth", str(pipeline["dataset"] / "ground_truth.json")],
+            "report": ["--eval", str(pipeline["report"]), "--format", "json"],
+        }[command]
+        assert main([command, *argv, *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"unrecognized arguments: {flags[0]}" in err, err
         assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
@@ -386,31 +425,34 @@ class TestMalformedInputs:
         assert_one_line_validation_error(proc, *section)
 
     @pytest.mark.parametrize(
-        "command, config, flags, needles",
+        "command, config, needles",
         [
-            ("map", {"merge": {"within_radius": None}}, [], ("merge_radius", "None")),
-            ("map", {"merge": {"within_radius": True}}, [], ("merge_radius", "True")),
-            ("align", {"merge": {"cross_radius": [0.02]}}, [], ("merge_radius", "0.02")),
-            ("align", {"merge": {"cross_radius": "0.02"}}, [], ("merge_radius", "'0.02'")),
-            ("eval", {"eval": {"tolerance": None}}, [], ("tolerance", "None")),
-            ("eval", {"eval": {"tolerance": {}}}, [], ("tolerance", "{}")),
-            ("eval", {"eval": {"tolerance": float("nan")}}, [], ("tolerance", "nan")),
-            ("eval", {"eval": {"tolerance": True}}, [], ("tolerance", "True")),
-            ("eval", {}, ["--tolerance", "nan"], ("tolerance", "nan")),
-            ("eval", {"eval": {"tolerance": 1e-9, "size_mode": "bogus"}}, [],
+            ("map", {"merge": {"within_radius": None}}, ("merge_radius", "None")),
+            ("map", {"merge": {"within_radius": True}}, ("merge_radius", "True")),
+            ("align", {"merge": {"cross_radius": [0.02]}}, ("merge_radius", "0.02")),
+            ("align", {"merge": {"cross_radius": "0.02"}}, ("merge_radius", "'0.02'")),
+            ("eval", {"eval": {"tolerance": None}}, ("tolerance", "None")),
+            ("eval", {"eval": {"tolerance": {}}}, ("tolerance", "{}")),
+            ("eval", {"eval": {"tolerance": float("nan")}}, ("tolerance", "nan")),
+            ("eval", {"eval": {"tolerance": True}}, ("tolerance", "True")),
+            # once a --tolerance flag; the eval section is now the one way in,
+            # and a NaN there fails even beside a valid size_mode
+            ("eval", {"eval": {"tolerance": float("nan"), "size_mode": "mean_normalized"}},
+             ("tolerance", "nan")),
+            ("eval", {"eval": {"tolerance": 1e-9, "size_mode": "bogus"}},
              ("size_mode", "bogus")),
-            ("simulate", {"eval": {"tolerances": 0.02}}, [], ("eval", "tolerances")),
+            ("simulate", {"eval": {"tolerances": 0.02}}, ("eval", "tolerances")),
             # track fusion has one rule, so the key that picked one is gone
-            ("map", {"merge": {"averaging": "pairwise"}}, [], ("merge", "averaging")),
-            ("align", {"merge": {"averaging": "pairwise"}}, [], ("merge", "averaging")),
-            ("eval", {"merge": {"averaging": "pairwise"}}, [], ("merge", "averaging")),
+            ("map", {"merge": {"averaging": "pairwise"}}, ("merge", "averaging")),
+            ("align", {"merge": {"averaging": "pairwise"}}, ("merge", "averaging")),
+            ("eval", {"merge": {"averaging": "pairwise"}}, ("merge", "averaging")),
         ],
         ids=["null-within", "bool-within", "list-cross", "string-cross", "null-tolerance",
              "object-tolerance", "nan-tolerance", "bool-tolerance", "nan-tolerance-flag",
              "bogus-size-mode", "unknown-key-other-stage", "averaging-map", "averaging-align",
              "averaging-eval"],
     )
-    def test_mistyped_stage_option(self, pipeline, tmp_path, command, config, flags, needles):
+    def test_mistyped_stage_option(self, pipeline, tmp_path, command, config, needles):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))  # json writes NaN as a bare token
         out = tmp_path / "out.json"
@@ -423,7 +465,7 @@ class TestMalformedInputs:
                      "--truth", str(pipeline["dataset"] / "ground_truth.json"),
                      "--out", str(out)],
         }[command]
-        proc = run_cli([command, "--config", str(bad), *argv, *flags])
+        proc = run_cli([command, "--config", str(bad), *argv])
         assert_one_line_validation_error(proc, *needles)
         assert not out.exists()
         assert not (tmp_path / "ds").exists()
@@ -619,6 +661,19 @@ def test_public_api_is_the_readme_import():
         assert getattr(fruitmap, name) is not None, name
 
 
+def test_readme_library_example_runs():
+    # The README's "Library use" block, run verbatim, prints what it says.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library use\n.*?^```python\n(.*?)^```", readme, re.S | re.M)
+    assert block is not None, "README lost its 'Library use' python block"
+    src = str(Path(fruitmap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", block.group(1)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    tp, count_accuracy, size_rmse = proc.stdout.split()
+    assert (tp, count_accuracy, round(float(size_rmse), 2)) == ("14", "100.0", 5.64)
+
+
 class TestPrecedence:
     def test_cli_seed_beats_config_seed(self, tmp_path):
         config = tmp_path / "c.json"
@@ -636,19 +691,18 @@ class TestPrecedence:
         doc = json.loads(out.read_text())
         assert doc["provenance"]["seed"] == 7
 
-    def test_eval_tolerance_flag_beats_config(self, pipeline, tmp_path):
+    @pytest.mark.parametrize("tolerance, matched", [(1e-9, False), (0.025, True)],
+                             ids=["strict", "loose"])
+    def test_eval_tolerance_from_config(self, pipeline, tmp_path, tolerance, matched):
+        # The config's eval section is the one way to set the match radius.
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({"eval": {"tolerance": 1e-9}}))
-        out_strict = tmp_path / "strict.json"
+        config.write_text(json.dumps({"eval": {"tolerance": tolerance}}))
+        out = tmp_path / "r.json"
         assert main(["eval", "--map", str(pipeline["merged"]),
                      "--truth", str(pipeline["dataset"] / "ground_truth.json"),
-                     "--config", str(config), "--out", str(out_strict)]) == 0
-        strict = json.loads(out_strict.read_text())
-        assert strict["tp"] == 0  # nanometer tolerance matches nothing
-        out_loose = tmp_path / "loose.json"
-        assert main(["eval", "--map", str(pipeline["merged"]),
-                     "--truth", str(pipeline["dataset"] / "ground_truth.json"),
-                     "--config", str(config), "--tolerance", "0.025",
-                     "--out", str(out_loose)]) == 0
-        loose = json.loads(out_loose.read_text())
-        assert loose["tp"] > 0
+                     "--config", str(config), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["tp"] > 0) is matched  # a nanometer tolerance matches nothing
+        assert doc["provenance"]["config_digest"] == json_digest(
+            {"tolerance": tolerance, "size_mode": "relative"}
+        )

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fruitmap import dataset as dataset_module
 from fruitmap.dataset import (
     DEFAULT_MIN_POINTS,
     DatasetError,
@@ -175,6 +176,10 @@ class TestDatasetRoundTrip:
             load_ground_truth(root / "ground_truth.json")
 
 
+# A valid truth entry whose id visibility keys may name.
+FRUITLET_1 = {"id": 1, "center": [0, 0, 0], "diameter": 0.01}
+
+
 class TestValidation:
     def test_missing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -263,6 +268,16 @@ class TestValidation:
              "entry 1: duplicate id 1"),
             ({"fruitlets": [{"id": 0, "center": [0, 0, 0], "diameter": 0}]},
              r"truth\.json: fruitlet entry 0: diameter must be positive, got 0"),
+            # visibility keys are str(id) of a listed fruitlet, counts >= 0
+            ({"fruitlets": [FRUITLET_1], "visibility": {"A": {"01": 7}}}, "visibility.*'01'"),
+            ({"fruitlets": [FRUITLET_1], "visibility": {"A": {" 1": 7}}}, "visibility.*' 1'"),
+            ({"fruitlets": [FRUITLET_1], "visibility": {"A": {"1_0": 3}}},
+             "visibility.*'1_0'"),
+            ({"fruitlets": [FRUITLET_1], "visibility": {"A": {"1": 5, "01": 7}}},
+             "visibility.*'01'"),
+            ({"fruitlets": [FRUITLET_1], "visibility": {"A": {"-1": 2}}}, "visibility.*'-1'"),
+            ({"fruitlets": [FRUITLET_1], "visibility": {"A": {"2": 2}}}, "visibility.*'2'"),
+            ({"fruitlets": [FRUITLET_1], "visibility": {"A": {"1": -1}}}, "visibility.*-1"),
         ],
     )
     def test_malformed_ground_truth(self, tmp_path, doc, message):
@@ -359,12 +374,19 @@ class TestValidation:
                 np.testing.assert_array_equal(got.masks, want.masks)
 
 
+def extract_with_floor(frame, min_points):
+    """extract_instance_clouds with the module's point floor set to min_points."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset_module, "DEFAULT_MIN_POINTS", min_points)
+        return extract_instance_clouds(frame)
+
+
 class TestExtraction:
     def test_constant_depth_patch(self):
         # 10x10 patch at constant 0.4 m: one cloud of 100 points, z exactly the
         # stored float32 depth (no extra arithmetic on the z channel)
         frame = make_frame()
-        clouds = extract_instance_clouds(frame, min_points=30)
+        clouds = extract_instance_clouds(frame)
         assert len(clouds) == 1
         iid, pts = clouds[0]
         assert iid == 3
@@ -379,8 +401,8 @@ class TestExtraction:
 
     def test_min_points_threshold(self):
         frame = make_frame()
-        assert extract_instance_clouds(frame, min_points=100) != []
-        assert extract_instance_clouds(frame, min_points=101) == []
+        assert extract_with_floor(frame, 100) != []
+        assert extract_with_floor(frame, 101) == []
 
     def test_invalid_depth_pixels_dropped(self):
         frame = make_frame()
@@ -389,7 +411,7 @@ class TestExtraction:
         depth[6, 10:20] = -0.1         # and another via non-positive depth
         frame2 = FrameRecord(frame.frame_index, frame.pose, frame.intrinsics,
                              depth, frame.masks)
-        clouds = extract_instance_clouds(frame2, min_points=1)
+        clouds = extract_with_floor(frame2, 1)
         assert clouds[0][1].shape == (80, 3)
 
     def test_multiple_instances_ascending(self):
@@ -399,12 +421,12 @@ class TestExtraction:
         masks[20:24, 0:10] = 2
         depth[20:24, 0:10] = 0.3
         frame2 = FrameRecord(frame.frame_index, frame.pose, frame.intrinsics, depth, masks)
-        clouds = extract_instance_clouds(frame2, min_points=10)
+        clouds = extract_with_floor(frame2, 10)
         assert [iid for iid, _ in clouds] == [2, 3]
 
     def test_background_zero_never_extracted(self):
         frame = make_frame()
-        clouds = extract_instance_clouds(frame, min_points=1)
+        clouds = extract_with_floor(frame, 1)
         assert all(iid != 0 for iid, _ in clouds)
 
     def test_frame_shape_validation(self):
@@ -465,7 +487,7 @@ class TestExtractionOracle:
         _, sizes = np.unique(frame.masks[valid], return_counts=True)
         for min_points in (1, *sizes, *(sizes + 1)):
             assert_same_clouds(
-                extract_instance_clouds(frame, min_points=int(min_points)),
+                extract_with_floor(frame, int(min_points)),
                 reference_extract(frame, int(min_points)),
             )
 
@@ -479,7 +501,7 @@ class TestExtractionOracle:
         frame2 = FrameRecord(frame.frame_index, frame.pose, frame.intrinsics, depth, frame.masks)
         for min_points in (1, DEFAULT_MIN_POINTS):
             assert_same_clouds(
-                extract_instance_clouds(frame2, min_points=min_points),
+                extract_with_floor(frame2, min_points),
                 reference_extract(frame2, min_points),
             )
 
@@ -488,5 +510,5 @@ class TestExtractionOracle:
         blank = FrameRecord(frame.frame_index, frame.pose, frame.intrinsics, frame.depth,
                             np.zeros_like(frame.masks))
         for min_points in (0, 1):
-            assert extract_instance_clouds(blank, min_points=min_points) == []
+            assert extract_with_floor(blank, min_points) == []
             assert reference_extract(blank, min_points) == []

@@ -429,7 +429,7 @@ def reference_fit(points, config):
     center, radius = _solve_sphere(pts[mask])
     polish_in = (pts[mask], center, radius)
     center, radius = reference_refine(*polish_in)
-    mask, resid = reference_inliers(pts, center, radius, min_cloud_z, config)
+    mask, _ = reference_inliers(pts, center, radius, min_cloud_z, config)
     count = int(mask.sum())
     model = SphereModel(center=tuple(center), diameter=2.0 * radius)
     report = FitReport(
@@ -437,7 +437,6 @@ def reference_fit(points, config):
         inlier_count=count,
         accepted=(count / n >= config.min_inlier_fraction
                   and config.d_min <= model.diameter <= config.d_max),
-        mean_abs_residual=float(resid[mask].mean()),
     )
     return report, scores, picked, polish_in, (center, radius)
 
