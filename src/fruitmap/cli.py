@@ -111,7 +111,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scene, trajectory, args.out,
         _stamped({"config_digest": config_digest(spec), "seed": spec.rng_seed}),
     )
-    n_frames = sum(len(f) for f in dataset.frames.values())
+    n_frames = sum(len(poses) for poses in trajectory.values())
     logger.info("wrote dataset %s (%d frames) to %s", dataset.dataset_id, n_frames, args.out)
     return 0
 

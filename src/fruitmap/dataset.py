@@ -44,6 +44,7 @@ __all__ = [
     "load_dataset",
     "load_ground_truth",
     "write_dataset",
+    "write_frame",
     "extract_instance_clouds",
     "DEFAULT_MIN_POINTS",
     "json_digest",
@@ -127,8 +128,27 @@ class GroundTruthFruitlet:
 
 @dataclass(frozen=True)
 class GroundTruth:
+    """Fruitlets with distinct ids, and per side how many frames saw each one.
+
+    Visibility counts are integers >= 0, each keyed by a listed fruitlet's id.
+    """
+
     fruitlets: tuple[GroundTruthFruitlet, ...]
     visibility: dict[str, dict[int, int]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        ids: set[int] = set()
+        for index, fruitlet in enumerate(self.fruitlets):
+            if fruitlet.id in ids:
+                raise ValueError(f"fruitlet entry {index}: duplicate id {fruitlet.id}")
+            ids.add(fruitlet.id)
+        for side, counts in self.visibility.items():
+            where = f"invalid 'visibility': side {side}:"
+            for key, count in counts.items():
+                if not (is_int(count) and count >= 0):
+                    raise ValueError(f"{where} count must be an integer >= 0, got {count!r}")
+                if not (is_int(key) and key in ids):
+                    raise ValueError(f"{where} {key!r} is not a listed fruitlet id")
 
 
 @dataclass(frozen=True)
@@ -200,35 +220,34 @@ def _load_pose(values, where: str) -> RigidTransform:
 def load_ground_truth(path: Path | str) -> GroundTruth:
     """Ground truth from its JSON file; values are checked, not coerced.
 
-    Each fruitlet checks its own fields, and ids must be distinct. Visibility
-    counts must be integers >= 0, each keyed by str(id) of a listed fruitlet,
-    since JSON object keys are strings.
+    Each fruitlet and the GroundTruth check their own fields, and every
+    message names path. Visibility is an object of count objects per side,
+    keyed by str(id) of a listed fruitlet, since JSON object keys are strings.
     """
     doc = read_json(path)
     if not isinstance(doc.get("fruitlets"), list):
         raise DatasetError(f"{path}: missing 'fruitlets' list")
-    fruitlets: dict[int, GroundTruthFruitlet] = {}
+    fruitlets = []
     for index, entry in enumerate(doc["fruitlets"]):
         try:
-            fruitlet = from_doc(GroundTruthFruitlet, entry)
+            fruitlets.append(from_doc(GroundTruthFruitlet, entry))
         except ValueError as exc:
             raise DatasetError(f"{path}: fruitlet entry {index}: {exc}") from exc
-        if fruitlet.id in fruitlets:
-            raise DatasetError(f"{path}: fruitlet entry {index}: duplicate id {fruitlet.id}")
-        fruitlets[fruitlet.id] = fruitlet
-    ids = {str(fruitlet_id): fruitlet_id for fruitlet_id in fruitlets}
-    visibility: dict[str, dict[int, int]] = {}
+    visibility = doc.get("visibility", {})
+    if not (isinstance(visibility, dict) and all(isinstance(c, dict) for c in visibility.values())):
+        raise DatasetError(f"{path}: invalid 'visibility': expected an object of count objects")
+    # a key that is not str(id) of a listed fruitlet stays a string, which GroundTruth rejects
+    ids = {str(fruitlet.id): fruitlet.id for fruitlet in fruitlets}
     try:
-        for side, counts in doc.get("visibility", {}).items():
-            for key, count in counts.items():
-                if not (is_int(count) and count >= 0):
-                    raise ValueError(f"side {side}: count must be an integer >= 0, got {count!r}")
-                if key not in ids:
-                    raise ValueError(f"side {side}: {key!r} is not a listed fruitlet id")
-            visibility[side] = {ids[key]: count for key, count in counts.items()}
-    except (AttributeError, ValueError) as exc:
-        raise DatasetError(f"{path}: invalid 'visibility': {exc}") from exc
-    return GroundTruth(fruitlets=tuple(fruitlets.values()), visibility=visibility)
+        return GroundTruth(
+            fruitlets=tuple(fruitlets),
+            visibility={
+                side: {ids.get(key, key): count for key, count in counts.items()}
+                for side, counts in visibility.items()
+            },
+        )
+    except ValueError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
 
 
 def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDataset:
@@ -345,42 +364,44 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
 AXIS_CONVENTION = "camera: +z forward, +x right, +y down; poses camera-to-side, row-major 4x4"
 
 
+def write_frame(root: Path | str, side: str, rec: FrameRecord) -> None:
+    """Write one frame's depth raster, mask raster and frame JSON under root."""
+    side_dir = Path(root) / "sides" / side
+    for sub in ("frames", "depth", "masks"):
+        (side_dir / sub).mkdir(parents=True, exist_ok=True)
+    idx = rec.frame_index
+    write_depth_raster(side_dir / "depth" / f"{idx}.f32", rec.depth)
+    write_mask_raster(side_dir / "masks" / f"{idx}.pgm", rec.masks)
+    write_json(
+        side_dir / "frames" / f"{idx}.json",
+        {
+            "frame_index": idx,
+            "pose": rec.pose.flat16(),
+            "intrinsics": asdict(rec.intrinsics),
+            "depth": f"depth/{idx}.f32",
+            "masks": f"masks/{idx}.pgm",
+        },
+    )
+
+
 def write_dataset(dataset: ScanDataset, root: Path | str, provenance: dict | None = None) -> Path:
     """Write a dataset directory in the documented layout. Deterministic bytes.
 
-    A provenance block, when given, is the manifest's last key.
+    Frames are written (by write_frame) for the sides in dataset.frames, so a
+    dataset whose frames were already written one by one is finished by
+    passing it with no frames. The manifest, whose last key is the provenance
+    block when one is given, is written last: a write that fails part way
+    leaves no dataset that loads.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    manifest: dict[str, object] = {
-        "format_version": FORMAT_VERSION,
-        "dataset_id": dataset.dataset_id,
-        "units": "meters",
-        "axis_convention": AXIS_CONVENTION,
-        "sides": list(dataset.sides),
-    }
-    if provenance is not None:
-        manifest["provenance"] = provenance
-    write_json(root / "manifest.json", manifest)
     for side in dataset.sides:
         side_dir = root / "sides" / side
-        for sub in ("frames", "depth", "masks"):
-            (side_dir / sub).mkdir(parents=True, exist_ok=True)
+        side_dir.mkdir(parents=True, exist_ok=True)
         write_json(side_dir / "fiducial.json", {"pose": dataset.fiducials[side].flat16()})
-        for rec in dataset.frames[side]:
-            idx = rec.frame_index
-            write_depth_raster(side_dir / "depth" / f"{idx}.f32", rec.depth)
-            write_mask_raster(side_dir / "masks" / f"{idx}.pgm", rec.masks)
-            write_json(
-                side_dir / "frames" / f"{idx}.json",
-                {
-                    "frame_index": idx,
-                    "pose": rec.pose.flat16(),
-                    "intrinsics": asdict(rec.intrinsics),
-                    "depth": f"depth/{idx}.f32",
-                    "masks": f"masks/{idx}.pgm",
-                },
-            )
+    for side, records in dataset.frames.items():
+        for rec in records:
+            write_frame(root, side, rec)
     truth = dataset.ground_truth
     if truth is not None:
         write_json(
@@ -393,6 +414,16 @@ def write_dataset(dataset: ScanDataset, root: Path | str, provenance: dict | Non
                 },
             },
         )
+    manifest: dict[str, object] = {
+        "format_version": FORMAT_VERSION,
+        "dataset_id": dataset.dataset_id,
+        "units": "meters",
+        "axis_convention": AXIS_CONVENTION,
+        "sides": list(dataset.sides),
+    }
+    if provenance is not None:
+        manifest["provenance"] = provenance
+    write_json(root / "manifest.json", manifest)
     return root
 
 

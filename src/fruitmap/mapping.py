@@ -32,8 +32,6 @@ restricted to one CPU (taskset -c 0) is fitted in-process.
 from __future__ import annotations
 
 import logging
-import os
-import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -41,6 +39,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ._checks import check_types, from_doc
+from ._pool import ordered_map
 from .dataset import (
     DatasetError,
     FrameRecord,
@@ -258,15 +257,6 @@ def integrate_observation(
     store.sides.append(sides)
 
 
-def _worker_count(n_frames: int) -> int:
-    """Processes to fit a side with: one per usable CPU, at most one per frame."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_frames)
-
-
 def _fit_frame(frame: FrameRecord, fit_cfg: FitConfig) -> list[tuple[int, FitReport | ValueError]]:
     """Each masked instance's fit in one frame, ascending instance id.
 
@@ -283,42 +273,6 @@ def _fit_frame(frame: FrameRecord, fit_cfg: FitConfig) -> list[tuple[int, FitRep
         except (DegenerateSampleError, InsufficientPointsError) as exc:
             fits.append((instance_id, exc))
     return fits
-
-
-_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
-
-# A pool worker's side, set once by _init_worker in each worker process (the
-# parent never assigns it). Forked workers inherit the frames' rasters, so
-# tasks carry only a frame's position.
-_worker_side: tuple[tuple[FrameRecord, ...], FitConfig | None] = ((), None)
-
-
-def _init_worker(frames: tuple[FrameRecord, ...], fit_cfg: FitConfig, parent: int) -> None:
-    """Set a pool worker's side, and tie the worker's life to its parent's.
-
-    Ctrl-C reaches the whole process group; only the parent acts on it, and
-    its pool then stops the workers. On Linux a worker is killed when its
-    parent dies, so a map killed mid-side leaves no process behind.
-    """
-    import signal
-
-    global _worker_side
-    _worker_side = (frames, fit_cfg)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if sys.platform.startswith("linux"):
-        import ctypes
-
-        prctl = ctypes.CDLL(None, use_errno=True).prctl
-        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-        if os.getppid() != parent:  # the parent died before prctl took effect
-            os._exit(1)
-
-
-def _fit_frame_at(position: int) -> list[tuple[int, FitReport | ValueError]]:
-    """A pool task: _fit_frame on the frame at this position of the worker's side."""
-    frames, fit_cfg = _worker_side
-    return _fit_frame(frames[position], fit_cfg)
 
 
 # The layer functions _fit_frame calls, as this module imported them.
@@ -339,31 +293,17 @@ def _side_fits(
 ) -> list[list[tuple[int, FitReport | ValueError]]]:
     """Each frame's _fit_frame result, in frame order.
 
-    Frames are fitted by a pool of forked processes, one per usable CPU and at
-    most one per frame. With one worker, where processes cannot be forked, or
-    when a layer function has been replaced (_layers_replaced), they are
-    fitted in this process. A worker that dies raises ChildProcessError naming
-    the side. The pool's processes are gone when this returns or raises.
+    Frames are fitted by _pool.ordered_map, one forked process per usable CPU
+    and at most one per frame, or in this process when a layer function has
+    been replaced (_layers_replaced). A worker that dies raises
+    ChildProcessError naming the side.
     """
-    # Imported here, not at module top: no other stage pays for them.
-    import multiprocessing
-
-    workers = _worker_count(len(frames))
-    if workers < 2 or _layers_replaced() or "fork" not in multiprocessing.get_all_start_methods():
-        return [_fit_frame(frame, fit_cfg) for frame in frames]
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(frames, fit_cfg, os.getpid()),
-        ) as pool:
-            return list(pool.map(_fit_frame_at, range(len(frames))))
-    except BrokenProcessPool as exc:
-        raise ChildProcessError(f"side {side!r}: a fitting process died: {exc}") from exc
+    return ordered_map(
+        lambda position: _fit_frame(frames[position], fit_cfg),
+        len(frames),
+        f"side {side!r}: a fitting process",
+        in_process=_layers_replaced(),
+    )
 
 
 def build_side_map(

@@ -30,6 +30,11 @@ Mask labels come from geometry, standing in for a perfect detector. The
 optional mask dilation grows each label into unclaimed valid-depth pixels to
 emulate sloppy segmentation boundaries that drag background depth into a
 fruitlet's cloud.
+
+export_dataset streams a scan to disk: each frame is rendered and written by
+one task, and the tasks run in the same pool of forked processes that map
+fits frames with, so no process holds more than one frame. simulate_dataset
+renders the same frames in memory, in-process.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from typing import Mapping
 import numpy as np
 
 from ._checks import check_types, is_finite_real, is_int
+from ._pool import ordered_map
 from .dataset import (
     DEFAULT_MIN_POINTS,
     FrameRecord,
@@ -49,6 +55,7 @@ from .dataset import (
     ScanDataset,
     json_digest,
     write_dataset,
+    write_frame,
 )
 from .geometry import CameraIntrinsics, RigidTransform, project, rotation_about_axis
 from .spherefit import FitConfig, derive_seed
@@ -479,50 +486,75 @@ def _dilate_labels(masks: np.ndarray, claimable: np.ndarray, dilate_px: int) -> 
         claimable[r0:r1, c0:c1] &= ~take
 
 
-def _assemble_dataset(
-    scene: Scene, trajectory: Mapping[str, tuple[RigidTransform, ...]]
+# The renderer as this module defined it; see export_dataset.
+_RENDER_FRAME = render_frame
+
+
+def _frame_tasks(
+    trajectory: Mapping[str, tuple[RigidTransform, ...]]
+) -> list[tuple[str, int, RigidTransform]]:
+    """(side, frame index, camera-to-scene pose) of every frame, in order."""
+    return [
+        (side, frame_index, pose)
+        for side in SIDES
+        for frame_index, pose in enumerate(trajectory[side])
+    ]
+
+
+def _render_record(
+    scene: Scene, side: str, frame_index: int, pose_scene: RigidTransform
+) -> FrameRecord:
+    """One frame as a dataset stores it: camera-to-side pose, float32 depth."""
+    depth, masks = render_frame(
+        scene,
+        pose_scene,
+        rng_seed=derive_seed(scene.rng_seed, _NOISE_STREAM_TAG, SIDES.index(side), frame_index),
+    )
+    return FrameRecord(
+        frame_index=frame_index,
+        pose=SIDE_FROM_SCENE[side].compose(pose_scene),
+        intrinsics=DEFAULT_INTRINSICS,
+        depth=depth.astype(np.float32),
+        masks=masks,
+    )
+
+
+def _seen_ids(record: FrameRecord) -> list[int]:
+    """Ids of the fruitlets with at least DEFAULT_MIN_POINTS mask pixels in a frame."""
+    labels, pixels = np.unique(record.masks[record.masks > 0], return_counts=True)
+    return [int(label) - 1 for label in labels[pixels >= DEFAULT_MIN_POINTS]]
+
+
+def _dataset(
+    scene: Scene,
+    tasks: list[tuple[str, int, RigidTransform]],
+    seen: list[list[int]],
+    frames: dict[str, tuple[FrameRecord, ...]],
 ) -> ScanDataset:
-    frames: dict[str, tuple[FrameRecord, ...]] = {}
-    fiducials: dict[str, RigidTransform] = {}
-    visibility: dict[str, dict[int, int]] = {}
-    for side_index, side in enumerate(SIDES):
-        side_from_scene = SIDE_FROM_SCENE[side]
-        counts = {fruit.id: 0 for fruit in scene.fruitlets}
-        records = []
-        for frame_index, pose_scene in enumerate(trajectory[side]):
-            depth, masks = render_frame(
-                scene,
-                pose_scene,
-                rng_seed=derive_seed(scene.rng_seed, _NOISE_STREAM_TAG, side_index, frame_index),
-            )
-            labels, pixel_counts = np.unique(masks[masks > 0], return_counts=True)
-            for label, pixels in zip(labels, pixel_counts):
-                if pixels >= DEFAULT_MIN_POINTS:
-                    counts[int(label) - 1] += 1
-            records.append(
-                FrameRecord(
-                    frame_index=frame_index,
-                    pose=side_from_scene.compose(pose_scene),
-                    intrinsics=DEFAULT_INTRINSICS,
-                    depth=depth.astype(np.float32),
-                    masks=masks,
-                )
-            )
-        frames[side] = tuple(records)
-        fiducials[side] = side_from_scene.compose(FIDUCIAL_TO_SCENE)
-        visibility[side] = counts
+    """The dataset of the scene, with visibility summed from each task's seen ids."""
+    visibility = {side: {fruit.id: 0 for fruit in scene.fruitlets} for side in SIDES}
+    for (side, _, _), ids in zip(tasks, seen):
+        for fruit_id in ids:
+            visibility[side][fruit_id] += 1
     return ScanDataset(
         dataset_id=scene.dataset_id,
         sides=SIDES,
         frames=frames,
-        fiducials=fiducials,
+        fiducials={side: SIDE_FROM_SCENE[side].compose(FIDUCIAL_TO_SCENE) for side in SIDES},
         ground_truth=GroundTruth(fruitlets=scene.fruitlets, visibility=visibility),
     )
 
 
 def simulate_dataset(spec: OrchardSpec) -> ScanDataset:
-    """Generate, plan, and render a full two-side dataset in memory."""
-    return _assemble_dataset(generate_scene(spec), plan_trajectory(spec))
+    """Generate, plan, and render a full two-side dataset in memory, in this process."""
+    scene = generate_scene(spec)
+    tasks = _frame_tasks(plan_trajectory(spec))
+    records = [_render_record(scene, *task) for task in tasks]
+    frames = {
+        side: tuple(rec for (rec_side, _, _), rec in zip(tasks, records) if rec_side == side)
+        for side in SIDES
+    }
+    return _dataset(scene, tasks, [_seen_ids(rec) for rec in records], frames)
 
 
 def export_dataset(
@@ -531,7 +563,34 @@ def export_dataset(
     root: Path | str,
     provenance: dict | None = None,
 ) -> ScanDataset:
-    """Render the scene along the trajectory and write the dataset layout."""
-    dataset = _assemble_dataset(scene, trajectory)
+    """Render the scene along the trajectory and write the dataset layout.
+
+    Each frame is one task that renders it, writes its rasters and frame JSON
+    (write_frame) and returns the ids of the fruitlets it saw, so no process
+    holds more than one frame. The tasks run in a pool of forked processes,
+    one per usable CPU (_pool.ordered_map), or in this process when
+    render_frame has been replaced. The fiducials, ground truth and, last,
+    the manifest follow (write_dataset); a stale manifest is removed first,
+    so an export that fails part way leaves no dataset that loads.
+
+    Returns the dataset written, without its frames: frames is empty.
+    """
+    root = Path(root)
+    (root / "manifest.json").unlink(missing_ok=True)
+    tasks = _frame_tasks(trajectory)
+
+    def write_frame_at(position: int) -> list[int]:
+        side, frame_index, pose = tasks[position]
+        record = _render_record(scene, side, frame_index, pose)
+        write_frame(root, side, record)
+        return _seen_ids(record)
+
+    seen = ordered_map(
+        write_frame_at,
+        len(tasks),
+        "a rendering process",
+        in_process=render_frame is not _RENDER_FRAME,
+    )
+    dataset = _dataset(scene, tasks, seen, frames={})
     write_dataset(dataset, root, provenance)
     return dataset

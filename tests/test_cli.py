@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,15 +13,15 @@ from pathlib import Path
 import pytest
 
 import fruitmap
-from fruitmap import cli
+from fruitmap import _pool, cli, simulator
 from fruitmap import dataset as dataset_module
 from fruitmap import mapping
 from fruitmap.cli import main
 from fruitmap.dataset import json_digest, read_mask_raster
 
 
-def exit_at_once(frame, fit_cfg):
-    """A per-frame fit whose process dies, as one killed by the OS would."""
+def exit_at_once(*args):
+    """A per-frame task whose process dies, as one killed by the OS would."""
     os._exit(3)
 
 
@@ -230,7 +231,7 @@ class TestExitCodes:
     def test_dead_fit_worker_is_io_error(self, pipeline, tmp_path, capfd, monkeypatch):
         # A killed worker must neither hang the pool nor print a traceback,
         # and must leave no process running. capfd also sees the workers' stderr.
-        monkeypatch.setattr(mapping, "_worker_count", lambda n_frames: 2)
+        monkeypatch.setattr(_pool, "worker_count", lambda n_tasks: 2)
         monkeypatch.setattr(mapping, "_fit_frame", exit_at_once)
         out = tmp_path / "a.json"
         code = main(["map", "--dataset", str(pipeline["dataset"]), "--side", "A",
@@ -239,6 +240,21 @@ class TestExitCodes:
         err = capfd.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: side 'A': ")
         assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_render_worker_is_io_error(self, pipeline, tmp_path, capfd, monkeypatch):
+        # As for map: one line, exit 2, no process left running. A stale
+        # manifest goes first, so the half-written scan does not load.
+        monkeypatch.setattr(_pool, "worker_count", lambda n_tasks: 2)
+        monkeypatch.setattr(simulator, "_render_record", exit_at_once)
+        out = tmp_path / "scan"
+        out.mkdir()
+        shutil.copy(pipeline["dataset"] / "manifest.json", out / "manifest.json")
+        code = main(["simulate", "--config", str(pipeline["config"]), "--out", str(out)])
+        assert code == 2
+        err = capfd.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: a rendering process died: ")
+        assert not (out / "manifest.json").exists()
         assert multiprocessing.active_children() == []
 
     def test_interrupt_is_one_line_and_130(self, monkeypatch, capsys):
@@ -599,9 +615,47 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     assert json.loads(out.read_text())["tracks"]
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB and CPU affinity is settable on Linux")
+@pytest.mark.parametrize("cpus", ["all", "one"])
+def test_simulate_holds_one_frame_per_process(tmp_path, cpus):
+    # Each frame is rendered and written by the process that renders it, so
+    # neither simulate nor a worker of its pool (whose peak os.wait4 also
+    # reports) holds the scan: its peak RSS stays under half the bytes it
+    # writes (80 frames of ~1.9 MB). Holding the scan took ~206 MiB for 152 MB.
+    # A child's ru_maxrss counts the memory of the process it was started
+    # from, so a small interpreter, not this test process, starts simulate.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"simulate": {"cluster_count": 3}}))
+    out = tmp_path / "scan"
+    pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if cpus == "one" else ""
+    simulate = (
+        "import os, sys\n"
+        f"{pin}"
+        "from fruitmap import cli\n"
+        f"sys.exit(cli.main(['simulate', '--config', {str(config)!r}, '--out', {str(out)!r}]))\n"
+    )
+    measure = (
+        "import os, subprocess, sys\n"
+        f"proc = subprocess.Popen([sys.executable, '-c', {simulate!r}])\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    src = str(Path(fruitmap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", measure], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    written = sum(path.stat().st_size for path in out.rglob("*") if path.is_file())
+    assert written > 150e6
+    assert maxrss_kib * 1024 < written / 2, (maxrss_kib, written)
+
+
 def test_import_leaves_process_pools_unloaded():
-    # Only map fits in worker processes. Importing the pool modules costs
-    # ~36 ms, which every other stage would pay at startup.
+    # Only map and simulate run worker processes, and they load the pool
+    # modules themselves. Importing them costs ~36 ms, which every other
+    # stage would pay at startup.
     src = str(Path(fruitmap.__file__).resolve().parents[1])
     code = (
         "import sys, fruitmap.cli\n"

@@ -1,6 +1,7 @@
 """Dataset layout round trips, raster formats, validation, and cloud extraction."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,25 @@ class TestValidation:
         path.write_text(json.dumps(doc))  # json writes NaN as a bare token
         with pytest.raises(DatasetError, match=message):
             load_ground_truth(path)
+
+    @pytest.mark.parametrize(
+        "fruitlet_ids, visibility, message",
+        [
+            ((1, 1), {}, "entry 1: duplicate id 1"),
+            ((1,), {"A": {1: -2}}, "side A: count must be an integer >= 0, got -2"),
+            ((1,), {"A": {1: 2.0}}, "count must be an integer >= 0, got 2.0"),
+            ((1,), {"A": {1: True}}, "count must be an integer >= 0, got True"),
+            ((1,), {"A": {7: 2}}, "side A: 7 is not a listed fruitlet id"),
+            ((1,), {"A": {"1": 2}}, "'1' is not a listed fruitlet id"),
+            ((1,), {"B": {True: 2}}, "side B: True is not a listed fruitlet id"),
+        ],
+    )
+    def test_ground_truth_checks_its_own_fields(self, fruitlet_ids, visibility, message):
+        # In memory as from JSON: evaluate_map and write_dataset get checked truth.
+        fruitlets = tuple(GroundTruthFruitlet(i, (0.01 * n, 0.0, 0.0), 0.01)
+                          for n, i in enumerate(fruitlet_ids))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GroundTruth(fruitlets, visibility)
 
     def test_integer_past_the_parser_limit_names_the_file(self, tmp_path):
         path = tmp_path / "truth.json"

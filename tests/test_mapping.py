@@ -11,13 +11,12 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent import futures
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fruitmap import mapping, spherefit
+from fruitmap import _pool, mapping, spherefit
 from fruitmap.alignment import cross_side_transform, merge_maps, transform_map
 from fruitmap.dataset import DatasetError, extract_instance_clouds, json_digest
 from fruitmap.evaluation import MATCH_TOLERANCE
@@ -409,33 +408,6 @@ def golden_dataset():
     return simulate_dataset(OrchardSpec(cluster_count=3, rng_seed=17))
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """The keyword arguments of each process pool created during the test."""
-    created = []
-
-    class RecordedPool(futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            created.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordedPool)
-    return created
-
-
-@pytest.fixture
-def fit_workers(monkeypatch, pools):
-    """Fit sides with a given number of processes, whatever this machine's CPU count.
-
-    Returns a function that sets the count and returns the pools fixture.
-    """
-    def use(workers):
-        monkeypatch.setattr(mapping, "_worker_count", lambda n_frames: min(workers, n_frames))
-        return pools
-
-    return use
-
-
 def _assert_golden_map_digests(dataset):
     map_a = build_side_map(dataset, "A")
     map_b = build_side_map(dataset, "B")
@@ -447,19 +419,19 @@ def _assert_golden_map_digests(dataset):
     assert multiprocessing.active_children() == []
 
 
-def test_golden_map_digests(golden_dataset, fit_workers):
-    pools = fit_workers(2)
+def test_golden_map_digests(golden_dataset, pool_workers):
+    pools = pool_workers(2)
     _assert_golden_map_digests(golden_dataset)
     assert len(pools) == 2
 
 
-def test_golden_map_digests_in_process(golden_dataset, fit_workers):
-    pools = fit_workers(1)
+def test_golden_map_digests_in_process(golden_dataset, pool_workers):
+    pools = pool_workers(1)
     _assert_golden_map_digests(golden_dataset)
     assert pools == []
 
 
-def test_skipped_fits_log_the_same_lines_pooled_or_not(golden_dataset, fit_workers,
+def test_skipped_fits_log_the_same_lines_pooled_or_not(golden_dataset, pool_workers,
                                                         monkeypatch, caplog):
     # Clouds of instances 2 and 5 fail to fit in every frame, inside the
     # fitting process. The parent logs one warning per failure and one debug
@@ -481,7 +453,7 @@ def test_skipped_fits_log_the_same_lines_pooled_or_not(golden_dataset, fit_worke
     caplog.set_level(logging.DEBUG, logger="fruitmap.mapping")
     logged = {}
     for workers in (2, 1):
-        pools = fit_workers(workers)
+        pools = pool_workers(workers)
         caplog.clear()
         build_side_map(golden_dataset, "A")
         logged[workers] = [(r.levelname, r.getMessage())
@@ -500,10 +472,10 @@ def test_skipped_fits_log_the_same_lines_pooled_or_not(golden_dataset, fit_worke
     assert any(level == "DEBUG" for level, _ in logged[1])
 
 
-def test_replaced_layer_function_sees_every_fit(golden_dataset, fit_workers, monkeypatch):
+def test_replaced_layer_function_sees_every_fit(golden_dataset, pool_workers, monkeypatch):
     # A wrapper put in place of mapping.ransac_sphere_fit (a test double, a
     # profiler) records in its own process, so frames are fitted there.
-    pools = fit_workers(2)
+    pools = pool_workers(2)
     fit, calls = mapping.ransac_sphere_fit, []
     monkeypatch.setattr(mapping, "ransac_sphere_fit",
                         lambda points, config: (calls.append(config.rng_seed), fit(points, config))[1])
@@ -517,11 +489,11 @@ def test_replaced_layer_function_sees_every_fit(golden_dataset, fit_workers, mon
 def test_one_usable_cpu_fits_in_process(golden_dataset, pools, monkeypatch):
     # taskset -c 0 leaves map one CPU: one process, and no pool to start.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert mapping._worker_count(40) == 1
+    assert _pool.worker_count(40) == 1
     build_side_map(golden_dataset, "A")
     assert pools == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert (mapping._worker_count(40), mapping._worker_count(2)) == (3, 2)
+    assert (_pool.worker_count(40), _pool.worker_count(2)) == (3, 2)
 
 
 def _running(pid):
@@ -545,12 +517,12 @@ def _two_worker_map(busy_s, run):
     # interleave, even under PYTHONUNBUFFERED.
     code = (
         "import os, sys, time, types\n"
-        "from fruitmap import cli, mapping\n"
+        "from fruitmap import _pool, cli, mapping\n"
         "def fit(frame, fit_cfg):\n"
         "    os.write(1, b'%d\\n' % os.getpid())\n"
         f"    time.sleep({busy_s} if frame == 0 else 0)\n"
         "    return []\n"
-        "mapping._worker_count = lambda n_frames: 2\n"
+        "_pool.worker_count = lambda n_tasks: 2\n"
         "mapping._fit_frame = fit\n"
         "side = types.SimpleNamespace(frames={'A': (0, 1)}, dataset_id='x')\n"
         f"{run}\n"

@@ -1,6 +1,7 @@
 """Tests for the synthetic scan simulator: scenes, trajectories, rendering."""
 
 import hashlib
+import multiprocessing
 import time
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from fruitmap import simulator
 from fruitmap.dataset import (
     GroundTruthFruitlet,
     extract_instance_clouds,
@@ -591,16 +593,17 @@ class TestSimulateDataset:
 
 
 class TestExportDataset:
-    def test_export_then_load_round_trips(self, tmp_path):
+    def test_export_then_load_round_trips(self, tmp_path, small_dataset):
         scene = generate_scene(SMALL_SPEC)
         traj = plan_trajectory(SMALL_SPEC)
         ds = export_dataset(scene, traj, tmp_path / "scan")
+        assert ds.frames == {}  # written frame by frame, never returned
         loaded = load_dataset(tmp_path / "scan")
-        assert loaded.dataset_id == ds.dataset_id
+        assert loaded.dataset_id == ds.dataset_id == small_dataset.dataset_id
         assert loaded.sides == ds.sides
         for side in ds.sides:
-            assert len(loaded.frames[side]) == len(ds.frames[side])
-            for fa, fb in zip(ds.frames[side], loaded.frames[side]):
+            assert len(loaded.frames[side]) == len(small_dataset.frames[side]) == 40
+            for fa, fb in zip(small_dataset.frames[side], loaded.frames[side]):
                 assert fa.depth.tobytes() == fb.depth.tobytes()
                 assert np.array_equal(fa.masks, fb.masks)
                 assert np.allclose(fa.pose.matrix4(), fb.pose.matrix4(), atol=0)
@@ -610,8 +613,7 @@ class TestExportDataset:
                 atol=0,
             )
         truth = load_ground_truth(tmp_path / "scan" / "ground_truth.json")
-        assert truth.fruitlets == ds.ground_truth.fruitlets
-        assert truth.visibility == ds.ground_truth.visibility
+        assert truth == ds.ground_truth == small_dataset.ground_truth
 
     def test_exported_tree_has_expected_layout(self, tmp_path):
         scene = generate_scene(SMALL_SPEC)
@@ -636,16 +638,44 @@ class TestExportDataset:
 GOLDEN_DATASET_DIGEST = "012498db4180d6743a5b0be5c3969ecff9c51bb13e749d9d95782471ffaf03d7"
 
 
-def test_golden_dataset_digest(tmp_path):
-    spec = OrchardSpec(cluster_count=3, occluder_count=4, occluder_size=0.16,
-                       mask_dilate_px=1, rng_seed=29)
-    trajectory = {side: poses[::5] for side, poses in plan_trajectory(spec).items()}
+GOLDEN_SPEC = OrchardSpec(cluster_count=3, occluder_count=4, occluder_size=0.16,
+                          mask_dilate_px=1, rng_seed=29)
+
+
+def _export_golden_digest(root):
+    """Export the golden scan (every 5th pose, 8 frames a side) to root; its digest."""
+    trajectory = {side: poses[::5] for side, poses in plan_trajectory(GOLDEN_SPEC).items()}
     provenance = {"config_digest": "0" * 64, "seed": 29, "tool_version": "0.1.0"}
-    root = tmp_path / "scan"
-    export_dataset(generate_scene(spec), trajectory, root, provenance)
+    export_dataset(generate_scene(GOLDEN_SPEC), trajectory, root, provenance)
     digest = hashlib.sha256()
     files = sorted(path for path in root.rglob("*") if path.is_file())
     for path in files:
         digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
     assert len(files) == 4 + 2 * 3 * 8  # manifest, truth, fiducials; 8 frames per side
-    assert digest.hexdigest() == GOLDEN_DATASET_DIGEST
+    return digest.hexdigest()
+
+
+def test_golden_dataset_digest(tmp_path):
+    assert _export_golden_digest(tmp_path / "scan") == GOLDEN_DATASET_DIGEST
+
+
+@pytest.mark.parametrize("workers", [2, 1])
+def test_golden_dataset_digest_whatever_the_process_count(tmp_path, pool_workers, workers):
+    # Frames are rendered and written by forked workers, or in-process with one.
+    pools = pool_workers(workers)
+    assert _export_golden_digest(tmp_path / "scan") == GOLDEN_DATASET_DIGEST
+    assert len(pools) == (1 if workers == 2 else 0)
+    assert multiprocessing.active_children() == []
+
+
+def test_replaced_render_frame_sees_every_frame(tmp_path, pool_workers, monkeypatch):
+    # A wrapper put in place of simulator.render_frame (a test double, a
+    # profiler) records in its own process, so frames are rendered there.
+    pools = pool_workers(2)
+    render, calls = simulator.render_frame, []
+    monkeypatch.setattr(simulator, "render_frame",
+                        lambda scene, pose, rng_seed: (calls.append(rng_seed),
+                                                       render(scene, pose, rng_seed))[1])
+    assert _export_golden_digest(tmp_path / "scan") == GOLDEN_DATASET_DIGEST
+    assert pools == []
+    assert len(calls) == len(set(calls)) == 2 * 8
