@@ -4,8 +4,9 @@ map fits a side's frames and simulate renders and writes a scan's frames
 through ordered_map: one process per usable CPU, at most one per task, and
 results in task order, so outputs do not depend on the number of processes.
 Workers are forked, so the task itself, with the inputs it closes over
-(frames, a scene), reaches them without being pickled; only task positions
-and results cross the pipes.
+(a side's frame list, a scene), reaches them without being pickled; only
+task positions and results cross the pipes, and an exception a task raises
+reaches the caller.
 
 multiprocessing and concurrent.futures are imported by ordered_map itself,
 so importing the package does not load them.

@@ -12,8 +12,13 @@ A scan dataset is a directory:
 Frame JSON carries the camera-to-side pose (row-major 4x4), pinhole intrinsics,
 and relative paths to its two rasters. Invalid depth pixels are non-finite or
 non-positive. Mask value 0 is background; any positive value is an instance id.
-Everything is validated eagerly at load time with diagnostics naming the
-offending file.
+
+load_dataset validates everything but the pixels at load time, with
+diagnostics naming the offending file: the JSON documents, the frame indices,
+the raster paths, each depth raster's byte count and each mask raster's P5
+header and sample byte count. A loaded side's frames are a sequence that
+reads a frame's two rasters, with the same checks, each time that frame is
+accessed, so a process fitting frames one at a time holds one frame's pixels.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence, overload
 
 import numpy as np
 
@@ -45,6 +51,7 @@ __all__ = [
     "load_ground_truth",
     "write_dataset",
     "write_frame",
+    "remove_frames",
     "extract_instance_clouds",
     "DEFAULT_MIN_POINTS",
     "json_digest",
@@ -155,7 +162,7 @@ class GroundTruth:
 class ScanDataset:
     dataset_id: str
     sides: tuple[str, ...]
-    frames: dict[str, tuple[FrameRecord, ...]]  # the sides whose frames were loaded
+    frames: dict[str, Sequence[FrameRecord]]    # the sides whose frames were loaded
     fiducials: dict[str, RigidTransform]        # fiducial-to-side pose per side
     ground_truth: GroundTruth | None = None
 
@@ -167,15 +174,22 @@ def write_depth_raster(path: Path, depth: np.ndarray) -> None:
     path.write_bytes(arr.tobytes(order="C"))
 
 
-def read_depth_raster(path: Path, width: int, height: int) -> np.ndarray:
-    data = path.read_bytes()
+def _check_depth_bytes(path: Path, size: int, width: int, height: int) -> None:
     expected = width * height * 4
-    if len(data) != expected:
+    if size != expected:
         raise DatasetError(
-            f"{path}: depth raster holds {len(data)} bytes, expected {expected} "
+            f"{path}: depth raster holds {size} bytes, expected {expected} "
             f"for {width}x{height} float32"
         )
-    return np.frombuffer(data, dtype="<f4").reshape(height, width).copy()
+
+
+def read_depth_raster(path: Path, width: int, height: int) -> np.ndarray:
+    """The depth raster at path, read straight into the array returned."""
+    with path.open("rb") as f:
+        _check_depth_bytes(path, os.fstat(f.fileno()).st_size, width, height)
+        depth = np.empty((height, width), dtype="<f4")
+        _check_depth_bytes(path, f.readinto(depth), width, height)  # the file may shrink meanwhile
+    return depth
 
 
 def write_mask_raster(path: Path, masks: np.ndarray) -> None:
@@ -189,24 +203,94 @@ def write_mask_raster(path: Path, masks: np.ndarray) -> None:
     path.write_bytes(header + arr.astype(">u2").tobytes(order="C"))
 
 
-def read_mask_raster(path: Path) -> np.ndarray:
-    data = path.read_bytes()
-    m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
+_PGM_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def _mask_layout(path: Path, head: bytes, size: int) -> tuple[int, int, int]:
+    """Width, height and header length of the size-byte mask raster at path.
+
+    head holds the file's first bytes, its whole header among them.
+    """
+    m = _PGM_HEADER.match(head)
     if not m:
         raise DatasetError(f"{path}: not a binary PGM (P5) file")
     w, h, maxval = int(m.group(1)), int(m.group(2)), int(m.group(3))
     if maxval != 65535:
         raise DatasetError(f"{path}: mask PGM maxval must be 65535, got {maxval}")
-    pixels = data[m.end():]
-    expected = w * h * 2
-    if len(pixels) != expected:
+    samples, expected = size - m.end(), w * h * 2
+    if samples != expected:
         raise DatasetError(
-            f"{path}: mask raster holds {len(pixels)} sample bytes, expected {expected}"
+            f"{path}: mask raster holds {samples} sample bytes, expected {expected}"
         )
-    return np.frombuffer(pixels, dtype=">u2").reshape(h, w).astype(np.uint16)
+    return w, h, m.end()
+
+
+def read_mask_raster(path: Path) -> np.ndarray:
+    data = path.read_bytes()
+    w, h, offset = _mask_layout(path, data, len(data))
+    return np.frombuffer(data, dtype=">u2", offset=offset).reshape(h, w).astype(np.uint16)
 
 
 # ---------------------------------------------------------------- loading
+
+@dataclass(frozen=True)
+class _FrameFiles:
+    """What load_dataset keeps of a frame: all but its pixels."""
+
+    frame_index: int
+    pose: RigidTransform
+    intrinsics: CameraIntrinsics
+    depth: Path
+    masks: Path
+
+
+def _check_dimensions(files: _FrameFiles, mask_width: int, mask_height: int) -> None:
+    intr = files.intrinsics
+    if (mask_width, mask_height) != (intr.width, intr.height):
+        raise DatasetError(
+            f"dimension mismatch: {files.masks} is {mask_width}x{mask_height} "
+            f"but {files.depth} is {intr.width}x{intr.height}"
+        )
+
+
+def _check_rasters(files: _FrameFiles) -> None:
+    """load_dataset's raster checks: byte counts and the mask header, not pixels."""
+    intr = files.intrinsics
+    with files.depth.open("rb") as f:
+        _check_depth_bytes(files.depth, os.fstat(f.fileno()).st_size, intr.width, intr.height)
+    with files.masks.open("rb") as f:
+        head = f.read(4096)
+        if not _PGM_HEADER.match(head):
+            head += f.read()  # a header padded past the first read, or none
+        w, h, _ = _mask_layout(files.masks, head, os.fstat(f.fileno()).st_size)
+    _check_dimensions(files, w, h)
+
+
+class _LoadedFrames(Sequence[FrameRecord]):
+    """One side's frames from disk; indexing reads the frame's rasters then."""
+
+    def __init__(self, files: tuple[_FrameFiles, ...]) -> None:
+        self._files = files
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+    @overload
+    def __getitem__(self, index: int) -> FrameRecord: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> _LoadedFrames: ...
+
+    def __getitem__(self, index: int | slice) -> FrameRecord | _LoadedFrames:
+        if isinstance(index, slice):
+            return _LoadedFrames(self._files[index])
+        files = self._files[index]
+        intr = files.intrinsics
+        depth = read_depth_raster(files.depth, intr.width, intr.height)
+        masks = read_mask_raster(files.masks)
+        _check_dimensions(files, masks.shape[1], masks.shape[0])
+        return FrameRecord(files.frame_index, files.pose, intr, depth, masks)
+
 
 def _load_pose(values, where: str) -> RigidTransform:
     if not (isinstance(values, list) and all(map(is_finite_real, values))):
@@ -251,11 +335,17 @@ def load_ground_truth(path: Path | str) -> GroundTruth:
 
 
 def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDataset:
-    """Load and eagerly validate a scan dataset directory.
+    """Load and validate a scan dataset directory, every pixel excepted.
 
-    Every side's fiducial is read. Frames are read only for the named sides,
-    or for every side when sides is None, so `sides=()` reads no raster. A
-    named side the manifest does not list raises DatasetError.
+    Every side's fiducial is read. Frames are loaded only for the named
+    sides, or for every side when sides is None, so `sides=()` opens no
+    raster. A named side the manifest does not list raises DatasetError.
+
+    Each frame's JSON, index, raster paths, depth byte count and mask header
+    and sample byte count are checked here, and a frame keeps its pose,
+    intrinsics and raster paths. Its pixels are read, by read_depth_raster
+    and read_mask_raster with their checks again, each time the frame is
+    accessed: frames[side][i] reads frame i alone.
 
     Ground truth is not read: the result's ground_truth is None, and
     load_ground_truth reads ground_truth.json for evaluation. The field is set
@@ -293,7 +383,7 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
         if side not in all_sides:
             raise DatasetError(f"side {side!r} not in dataset (has {sorted(all_sides)})")
 
-    frames: dict[str, tuple[FrameRecord, ...]] = {}
+    frames: dict[str, Sequence[FrameRecord]] = {}
     fiducials: dict[str, RigidTransform] = {}
     for side in all_sides:
         side_dir = root / "sides" / side
@@ -335,24 +425,16 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
             except ValueError as exc:
                 raise DatasetError(f"{frame_path}: invalid intrinsics: {exc}") from exc
             pose = _load_pose(doc["pose"], str(frame_path))
-            depth_path, mask_path = rasters
-            depth = read_depth_raster(depth_path, intr.width, intr.height)
-            masks = read_mask_raster(mask_path)
-            if masks.shape != depth.shape:
-                raise DatasetError(
-                    f"dimension mismatch: {mask_path} is {masks.shape[1]}x{masks.shape[0]} "
-                    f"but {depth_path} is {intr.width}x{intr.height}"
-                )
-            records.append(
-                FrameRecord(frame_index=idx, pose=pose, intrinsics=intr, depth=depth, masks=masks)
-            )
+            files = _FrameFiles(idx, pose, intr, *rasters)
+            _check_rasters(files)
+            records.append(files)
         records.sort(key=lambda r: r.frame_index)
         indices = [r.frame_index for r in records]
         if indices != list(range(len(records))):
             raise DatasetError(
                 f"side {side}: frame indices {indices} are not gap-free from 0"
             )
-        frames[side] = tuple(records)
+        frames[side] = _LoadedFrames(tuple(records))
 
     return ScanDataset(
         dataset_id=dataset_id, sides=all_sides, frames=frames, fiducials=fiducials
@@ -384,14 +466,25 @@ def write_frame(root: Path | str, side: str, rec: FrameRecord) -> None:
     )
 
 
+def remove_frames(root: Path | str, side: str) -> None:
+    """Remove a side's frame JSON, depth and mask files from the dataset at root."""
+    side_dir = Path(root) / "sides" / side
+    for pattern in ("frames/*.json", "depth/*.f32", "masks/*.pgm"):
+        for path in side_dir.glob(pattern):
+            path.unlink()
+
+
 def write_dataset(dataset: ScanDataset, root: Path | str, provenance: dict | None = None) -> Path:
     """Write a dataset directory in the documented layout. Deterministic bytes.
 
-    Frames are written (by write_frame) for the sides in dataset.frames, so a
-    dataset whose frames were already written one by one is finished by
-    passing it with no frames. The manifest, whose last key is the provenance
-    block when one is given, is written last: a write that fails part way
-    leaves no dataset that loads.
+    Frames are written (by write_frame) for the sides in dataset.frames, each
+    side's old frames removed first (remove_frames), so a shorter scan
+    written over a longer one loads as itself. A dataset loaded from root is
+    read from the files this removes: write it elsewhere. A dataset whose
+    frames were already written one by one is finished by passing it with no
+    frames. The manifest, whose last key is the provenance block when one is
+    given, is written last: a write that fails part way leaves no dataset
+    that loads.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -400,6 +493,7 @@ def write_dataset(dataset: ScanDataset, root: Path | str, provenance: dict | Non
         side_dir.mkdir(parents=True, exist_ok=True)
         write_json(side_dir / "fiducial.json", {"pose": dataset.fiducials[side].flat16()})
     for side, records in dataset.frames.items():
+        remove_frames(root, side)
         for rec in records:
             write_frame(root, side, rec)
     truth = dataset.ground_truth

@@ -26,7 +26,9 @@ generator state.
 build_side_map fits a side's frames in parallel, in one forked process per
 usable CPU, and integrates the fits in frame order in the calling process. So
 the map is byte-identical whatever the number of processes, and a side
-restricted to one CPU (taskset -c 0) is fitted in-process.
+restricted to one CPU (taskset -c 0) is fitted in-process. Each task reads
+its own frame (a loaded dataset reads a frame's rasters when it is accessed),
+so no process holds more than one frame's pixels.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -289,17 +291,24 @@ def _layers_replaced() -> bool:
 
 
 def _side_fits(
-    frames: tuple[FrameRecord, ...], fit_cfg: FitConfig, side: str
-) -> list[list[tuple[int, FitReport | ValueError]]]:
-    """Each frame's _fit_frame result, in frame order.
+    frames: Sequence[FrameRecord], fit_cfg: FitConfig, side: str
+) -> list[tuple[int, list[tuple[int, FitReport | ValueError]]]]:
+    """Each frame's index and _fit_frame result, in frame order.
 
     Frames are fitted by _pool.ordered_map, one forked process per usable CPU
     and at most one per frame, or in this process when a layer function has
-    been replaced (_layers_replaced). A worker that dies raises
-    ChildProcessError naming the side.
+    been replaced (_layers_replaced). Each task reads its frame, so the
+    process that fits a frame is the one that reads its rasters, and a
+    raster that fails its checks then raises there. A worker that dies
+    raises ChildProcessError naming the side.
     """
+
+    def fit_at(position: int) -> tuple[int, list[tuple[int, FitReport | ValueError]]]:
+        frame = frames[position]
+        return frame.frame_index, _fit_frame(frame, fit_cfg)
+
     return ordered_map(
-        lambda position: _fit_frame(frames[position], fit_cfg),
+        fit_at,
         len(frames),
         f"side {side!r}: a fitting process",
         in_process=_layers_replaced(),
@@ -319,8 +328,10 @@ def build_side_map(
     id order. Each observation's RANSAC is seeded from (base seed, frame
     index, instance id), so the map is byte-identical whatever the number of
     processes. Degenerate or under-populated clouds are logged and skipped;
-    fits that fail the acceptance gate are skipped silently. A fitting
-    process that dies raises ChildProcessError.
+    fits that fail the acceptance gate are skipped silently. A raster that
+    fails its checks when its frame is read raises that DatasetError or
+    OSError, whichever process read it; a fitting process that dies raises
+    ChildProcessError.
     """
     fit_cfg = fit_cfg if fit_cfg is not None else FitConfig()
     merge_cfg = merge_cfg if merge_cfg is not None else MergeConfig()
@@ -328,21 +339,20 @@ def build_side_map(
         raise DatasetError(
             f"side {side!r} not in dataset (has {sorted(dataset.frames)})"
         )
-    frames = dataset.frames[side]
     store = TrackStore()
-    for frame, fits in zip(frames, _side_fits(frames, fit_cfg, side)):
+    for frame_index, fits in _side_fits(dataset.frames[side], fit_cfg, side):
         for instance_id, fit in fits:
             if not isinstance(fit, FitReport):
                 logger.warning(
                     "sphere fit failed, frame %d instance %d: %s",
-                    frame.frame_index,
+                    frame_index,
                     instance_id,
                     fit,
                 )
             elif not fit.accepted:
                 logger.debug(
                     "fit rejected, frame %d instance %d: inliers=%d diameter=%.4f",
-                    frame.frame_index,
+                    frame_index,
                     instance_id,
                     fit.inlier_count,
                     fit.model.diameter,

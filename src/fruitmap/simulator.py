@@ -54,6 +54,7 @@ from .dataset import (
     GroundTruthFruitlet,
     ScanDataset,
     json_digest,
+    remove_frames,
     write_dataset,
     write_frame,
 )
@@ -570,13 +571,17 @@ def export_dataset(
     holds more than one frame. The tasks run in a pool of forked processes,
     one per usable CPU (_pool.ordered_map), or in this process when
     render_frame has been replaced. The fiducials, ground truth and, last,
-    the manifest follow (write_dataset); a stale manifest is removed first,
-    so an export that fails part way leaves no dataset that loads.
+    the manifest follow (write_dataset). A stale manifest and each side's
+    frames already under root (remove_frames) are removed first, so an export
+    that fails part way leaves no dataset that loads, and a shorter scan
+    leaves no old frame behind.
 
     Returns the dataset written, without its frames: frames is empty.
     """
     root = Path(root)
     (root / "manifest.json").unlink(missing_ok=True)
+    for side in SIDES:
+        remove_frames(root, side)
     tasks = _frame_tasks(trajectory)
 
     def write_frame_at(position: int) -> list[int]:

@@ -130,11 +130,14 @@ class TestPipeline:
         assert len(lines) == 1 + len(doc["size_pairs"])
 
     def test_map_rerun_is_byte_identical(self, pipeline, tmp_path, monkeypatch):
-        # map reads only its own side's rasters
-        read = []
+        # map reads only its own side's rasters, each frame's once. The
+        # processes that fit the frames read them, so reads are logged to a
+        # file that every process appends to.
+        log = tmp_path / "reads.txt"
 
         def recording_read(path):
-            read.append(path.relative_to(pipeline["dataset"]).parts[:2])
+            with log.open("a") as f:
+                f.write("/".join(path.relative_to(pipeline["dataset"]).parts[:2]) + "\n")
             return read_mask_raster(path)
 
         monkeypatch.setattr(dataset_module, "read_mask_raster", recording_read)
@@ -142,7 +145,8 @@ class TestPipeline:
         assert main(["map", "--dataset", str(pipeline["dataset"]), "--side", "A",
                      "--out", str(out)]) == 0
         assert out.read_bytes() == pipeline["map_a"].read_bytes()
-        assert read and set(read) == {("sides", "A")}
+        read = log.read_text().splitlines()
+        assert len(read) == 40 and set(read) == {"sides/A"}
 
     def test_align_reads_no_raster(self, pipeline, tmp_path, monkeypatch):
         def no_read(*args):
@@ -650,6 +654,91 @@ def test_simulate_holds_one_frame_per_process(tmp_path, cpus):
     written = sum(path.stat().st_size for path in out.rglob("*") if path.is_file())
     assert written > 150e6
     assert maxrss_kib * 1024 < written / 2, (maxrss_kib, written)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB and CPU affinity is settable on Linux")
+@pytest.mark.parametrize("cpus", ["all", "one"])
+def test_map_holds_one_frame_per_process(pipeline, tmp_path, cpus):
+    # Each frame's rasters are read by the process that fits it, so neither
+    # map nor a worker of its pool holds the side: its peak RSS stays under
+    # the raster bytes of the side it maps (40 frames of ~1.9 MB). Loading
+    # the side before fitting it took ~109 MiB for 76 MB. As for simulate, a
+    # small interpreter starts map.
+    dataset, out = pipeline["dataset"], tmp_path / "a.json"
+    pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n" if cpus == "one" else ""
+    run_map = (
+        "import os, sys\n"
+        f"{pin}"
+        "from fruitmap import cli\n"
+        f"sys.exit(cli.main(['map', '--dataset', {str(dataset)!r}, '--side', 'A', "
+        f"'--out', {str(out)!r}]))\n"
+    )
+    measure = (
+        "import os, subprocess, sys\n"
+        f"proc = subprocess.Popen([sys.executable, '-c', {run_map!r}])\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    src = str(Path(fruitmap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", measure], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert out.read_bytes() == pipeline["map_a"].read_bytes()
+    side = dataset / "sides" / "A"
+    rasters = sum(path.stat().st_size for path in [*side.glob("depth/*"), *side.glob("masks/*")])
+    assert rasters > 75e6
+    assert maxrss_kib * 1024 < rasters, (maxrss_kib, rasters)
+
+
+def first_frames(pipeline, ds, count):
+    """The dataset with side A's first count frames alone, copied to ds."""
+    for kept in ("manifest.json", "sides/A/fiducial.json", "sides/B/fiducial.json"):
+        (ds / kept).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(pipeline["dataset"] / kept, ds / kept)
+    for sub, suffix in (("frames", "json"), ("depth", "f32"), ("masks", "pgm")):
+        (ds / "sides" / "A" / sub).mkdir()
+        for index in range(count):
+            name = f"sides/A/{sub}/{index}.{suffix}"
+            shutil.copyfile(pipeline["dataset"] / name, ds / name)
+    return ds
+
+
+@pytest.mark.parametrize("workers", [2, 1], ids=["pooled", "in-process"])
+@pytest.mark.parametrize("raster", ["depth/2.f32", "masks/2.pgm"])
+@pytest.mark.parametrize("damage, exit_code", [("truncate", 1), ("delete", 2)])
+def test_raster_damaged_after_loading_is_one_line(pipeline, tmp_path, capfd, monkeypatch,
+                                                  pool_workers, workers, raster, damage,
+                                                  exit_code):
+    # Loading checks a raster's size and header; its pixels are read when the
+    # frame is fitted. A raster cut short or removed in between ends map as
+    # loading would have: the documented exit code and one line naming the
+    # file, with no traceback (capfd also sees the workers' stderr) and no
+    # worker left running.
+    ds = first_frames(pipeline, tmp_path / "ds", 4)
+    path = ds / "sides" / "A" / raster
+    load = cli.load_dataset
+
+    def load_then_damage(root, sides):
+        dataset = load(root, sides)
+        if damage == "truncate":
+            path.write_bytes(path.read_bytes()[:-2])
+        else:
+            path.unlink()
+        return dataset
+
+    monkeypatch.setattr(cli, "load_dataset", load_then_damage)
+    pools = pool_workers(workers)
+    out = tmp_path / "a.json"
+    code = main(["map", "--dataset", str(ds), "--side", "A", "--out", str(out)])
+    err = capfd.readouterr().err
+    assert code == exit_code, err
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(path) in err, err
+    assert len(pools) == (1 if workers == 2 else 0)
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_import_leaves_process_pools_unloaded():

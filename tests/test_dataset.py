@@ -164,6 +164,65 @@ class TestDatasetRoundTrip:
         with pytest.raises(FileNotFoundError):
             load_dataset(root)
 
+    def test_load_reads_pixels_per_frame_on_access(self, tmp_path, monkeypatch):
+        # Loading checks raster sizes and headers and reads no pixels; each
+        # access to a frame reads its two rasters, and that frame's alone.
+        ds = make_dataset()
+        root = write_dataset(ds, tmp_path / "scan")
+        reads = []
+        for name in ("read_depth_raster", "read_mask_raster"):
+            read = getattr(dataset_module, name)
+            monkeypatch.setattr(dataset_module, name,
+                                lambda path, *shape, read=read: (reads.append(path.name),
+                                                                 read(path, *shape))[1])
+        back = load_dataset(root)
+        assert reads == []
+        assert len(back.frames["A"]) == 2 and len(back.frames["A"][1:]) == 1
+        assert reads == []
+        frame = back.frames["A"][1]
+        assert reads == ["1.f32", "1.pgm"]
+        want = ds.frames["A"][1]
+        assert frame.frame_index == 1 and frame.intrinsics == want.intrinsics
+        np.testing.assert_array_equal(frame.depth.view(np.uint32), want.depth.view(np.uint32))
+        np.testing.assert_array_equal(frame.masks, want.masks)
+        assert frame.depth.flags.writeable and frame.masks.flags.writeable
+
+    def test_raster_damaged_after_loading_raises_on_access(self, tmp_path):
+        # A frame's rasters are checked again when it is read, with the
+        # messages loading gives.
+        root = write_dataset(make_dataset(), tmp_path / "scan")
+        back = load_dataset(root)
+        depth = root / "sides" / "A" / "depth" / "1.f32"
+        depth.write_bytes(depth.read_bytes()[:-4])
+        with pytest.raises(DatasetError, match=r"1\.f32: depth raster holds 3068 bytes, "
+                                               r"expected 3072 for 32x24 float32"):
+            back.frames["A"][1]
+        write_mask_raster(root / "sides" / "A" / "masks" / "0.pgm",
+                          np.zeros((10, 10), dtype=np.uint16))
+        with pytest.raises(DatasetError, match=r"dimension mismatch: .*0\.pgm is 10x10 "
+                                               r"but .*0\.f32 is 32x24"):
+            back.frames["A"][0]
+        (root / "sides" / "B" / "masks" / "0.pgm").unlink()
+        with pytest.raises(FileNotFoundError, match=r"0\.pgm"):
+            back.frames["B"][0]
+
+    def test_write_over_a_longer_scan_removes_its_frames(self, tmp_path):
+        # A scan with fewer frames written over one with more loads as itself.
+        root = write_dataset(make_dataset(), tmp_path / "scan")
+        (root / "sides" / "A" / "depth" / "7.f32").write_bytes(b"stale")
+        short = ScanDataset(dataset_id="short", sides=("A", "B"),
+                            frames={"A": (make_frame(0),), "B": (make_frame(0),)},
+                            fiducials={"A": RigidTransform.identity(),
+                                       "B": RigidTransform.identity()})
+        write_dataset(short, root)
+        back = load_dataset(root)
+        assert back.dataset_id == "short"
+        assert {side: len(frames) for side, frames in back.frames.items()} == {"A": 1, "B": 1}
+        for side in ("A", "B"):
+            files = sorted(p.relative_to(root / "sides" / side).as_posix()
+                           for p in (root / "sides" / side).rglob("*") if p.is_file())
+            assert files == ["depth/0.f32", "fiducial.json", "frames/0.json", "masks/0.pgm"]
+
     def test_side_filter_rejects_unknown_side(self, tmp_path):
         write_dataset(make_dataset(), tmp_path / "scan")
         with pytest.raises(DatasetError, match=r"side 'C' not in dataset \(has \['A', 'B'\]\)"):

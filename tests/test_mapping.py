@@ -520,11 +520,12 @@ def _two_worker_map(busy_s, run):
         "from fruitmap import _pool, cli, mapping\n"
         "def fit(frame, fit_cfg):\n"
         "    os.write(1, b'%d\\n' % os.getpid())\n"
-        f"    time.sleep({busy_s} if frame == 0 else 0)\n"
+        f"    time.sleep({busy_s} if frame.frame_index == 0 else 0)\n"
         "    return []\n"
         "_pool.worker_count = lambda n_tasks: 2\n"
         "mapping._fit_frame = fit\n"
-        "side = types.SimpleNamespace(frames={'A': (0, 1)}, dataset_id='x')\n"
+        "frames = tuple(types.SimpleNamespace(frame_index=i) for i in (0, 1))\n"
+        "side = types.SimpleNamespace(frames={'A': frames}, dataset_id='x')\n"
         f"{run}\n"
     )
     src = str(Path(mapping.__file__).resolve().parents[1])

@@ -668,6 +668,18 @@ def test_golden_dataset_digest_whatever_the_process_count(tmp_path, pool_workers
     assert multiprocessing.active_children() == []
 
 
+def test_export_over_a_longer_scan_removes_its_frames(tmp_path):
+    # An 8-frame-per-side export into a directory holding a 40-frame scan
+    # leaves no frame of the old scan behind: it loads as 8 frames per side,
+    # with the bytes of a fresh export.
+    root = tmp_path / "scan"
+    export_dataset(generate_scene(SMALL_SPEC), plan_trajectory(SMALL_SPEC), root)
+    assert len(load_dataset(root).frames["A"]) == 40
+    assert _export_golden_digest(root) == GOLDEN_DATASET_DIGEST
+    loaded = load_dataset(root)
+    assert {side: len(frames) for side, frames in loaded.frames.items()} == {"A": 8, "B": 8}
+
+
 def test_replaced_render_frame_sees_every_frame(tmp_path, pool_workers, monkeypatch):
     # A wrapper put in place of simulator.render_frame (a test double, a
     # profiler) records in its own process, so frames are rendered there.
