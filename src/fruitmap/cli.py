@@ -145,6 +145,13 @@ def _cmd_align(args: argparse.Namespace) -> int:
             "align needs one map per side"
         )
     dataset = load_dataset(args.dataset, sides=())
+    for path, branch_map in ((args.map_a, map_a), (args.map_b, map_b)):
+        map_id = branch_map.provenance.get("dataset_id", "")
+        if map_id != dataset.dataset_id:
+            raise ValueError(
+                f"{path} is a map of dataset {map_id!r}, but {args.dataset} "
+                f"is dataset {dataset.dataset_id!r}"
+            )
     for label in (map_a.frame_label, map_b.frame_label):
         if label not in dataset.fiducials:
             raise DatasetError(

@@ -13,12 +13,13 @@ Frame JSON carries the camera-to-side pose (row-major 4x4), pinhole intrinsics,
 and relative paths to its two rasters. Invalid depth pixels are non-finite or
 non-positive. Mask value 0 is background; any positive value is an instance id.
 
-load_dataset validates everything but the pixels at load time, with
-diagnostics naming the offending file: the JSON documents, the frame indices,
-the raster paths, each depth raster's byte count and each mask raster's P5
-header and sample byte count. A loaded side's frames are a sequence that
-reads a frame's two rasters, with the same checks, each time that frame is
-accessed, so a process fitting frames one at a time holds one frame's pixels.
+load_dataset validates the JSON documents, the frame indices and the raster
+paths, with diagnostics naming the offending file, and opens no raster. A
+loaded side's frames are a sequence that reads and checks a frame's two
+rasters each time that frame is accessed: the depth byte count, the mask's P5
+header and sample byte count, and that the two rasters' dimensions match. So
+a raster is checked in the process that reads it, and a process fitting
+frames one at a time holds one frame's pixels.
 """
 
 from __future__ import annotations
@@ -206,29 +207,20 @@ def write_mask_raster(path: Path, masks: np.ndarray) -> None:
 _PGM_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 
-def _mask_layout(path: Path, head: bytes, size: int) -> tuple[int, int, int]:
-    """Width, height and header length of the size-byte mask raster at path.
-
-    head holds the file's first bytes, its whole header among them.
-    """
-    m = _PGM_HEADER.match(head)
+def read_mask_raster(path: Path) -> np.ndarray:
+    data = path.read_bytes()
+    m = _PGM_HEADER.match(data)
     if not m:
         raise DatasetError(f"{path}: not a binary PGM (P5) file")
     w, h, maxval = int(m.group(1)), int(m.group(2)), int(m.group(3))
     if maxval != 65535:
         raise DatasetError(f"{path}: mask PGM maxval must be 65535, got {maxval}")
-    samples, expected = size - m.end(), w * h * 2
+    samples, expected = len(data) - m.end(), w * h * 2
     if samples != expected:
         raise DatasetError(
             f"{path}: mask raster holds {samples} sample bytes, expected {expected}"
         )
-    return w, h, m.end()
-
-
-def read_mask_raster(path: Path) -> np.ndarray:
-    data = path.read_bytes()
-    w, h, offset = _mask_layout(path, data, len(data))
-    return np.frombuffer(data, dtype=">u2", offset=offset).reshape(h, w).astype(np.uint16)
+    return np.frombuffer(data, dtype=">u2", offset=m.end()).reshape(h, w).astype(np.uint16)
 
 
 # ---------------------------------------------------------------- loading
@@ -244,30 +236,8 @@ class _FrameFiles:
     masks: Path
 
 
-def _check_dimensions(files: _FrameFiles, mask_width: int, mask_height: int) -> None:
-    intr = files.intrinsics
-    if (mask_width, mask_height) != (intr.width, intr.height):
-        raise DatasetError(
-            f"dimension mismatch: {files.masks} is {mask_width}x{mask_height} "
-            f"but {files.depth} is {intr.width}x{intr.height}"
-        )
-
-
-def _check_rasters(files: _FrameFiles) -> None:
-    """load_dataset's raster checks: byte counts and the mask header, not pixels."""
-    intr = files.intrinsics
-    with files.depth.open("rb") as f:
-        _check_depth_bytes(files.depth, os.fstat(f.fileno()).st_size, intr.width, intr.height)
-    with files.masks.open("rb") as f:
-        head = f.read(4096)
-        if not _PGM_HEADER.match(head):
-            head += f.read()  # a header padded past the first read, or none
-        w, h, _ = _mask_layout(files.masks, head, os.fstat(f.fileno()).st_size)
-    _check_dimensions(files, w, h)
-
-
 class _LoadedFrames(Sequence[FrameRecord]):
-    """One side's frames from disk; indexing reads the frame's rasters then."""
+    """One side's frames from disk; indexing reads and checks the frame's rasters then."""
 
     def __init__(self, files: tuple[_FrameFiles, ...]) -> None:
         self._files = files
@@ -288,7 +258,11 @@ class _LoadedFrames(Sequence[FrameRecord]):
         intr = files.intrinsics
         depth = read_depth_raster(files.depth, intr.width, intr.height)
         masks = read_mask_raster(files.masks)
-        _check_dimensions(files, masks.shape[1], masks.shape[0])
+        if masks.shape != depth.shape:
+            raise DatasetError(
+                f"dimension mismatch: {files.masks} is {masks.shape[1]}x{masks.shape[0]} "
+                f"but {files.depth} is {intr.width}x{intr.height}"
+            )
         return FrameRecord(files.frame_index, files.pose, intr, depth, masks)
 
 
@@ -338,14 +312,15 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
     """Load and validate a scan dataset directory, every pixel excepted.
 
     Every side's fiducial is read. Frames are loaded only for the named
-    sides, or for every side when sides is None, so `sides=()` opens no
-    raster. A named side the manifest does not list raises DatasetError.
+    sides, or for every side when sides is None. A named side the manifest
+    does not list raises DatasetError.
 
-    Each frame's JSON, index, raster paths, depth byte count and mask header
-    and sample byte count are checked here, and a frame keeps its pose,
-    intrinsics and raster paths. Its pixels are read, by read_depth_raster
-    and read_mask_raster with their checks again, each time the frame is
-    accessed: frames[side][i] reads frame i alone.
+    Each frame's JSON, index and raster paths are checked here, and a frame
+    keeps its pose, intrinsics and raster paths; no raster is opened. Its
+    rasters are read and checked, by read_depth_raster and read_mask_raster
+    and then against each other, each time the frame is accessed:
+    frames[side][i] reads frame i alone, and a missing or malformed raster
+    raises there.
 
     Ground truth is not read: the result's ground_truth is None, and
     load_ground_truth reads ground_truth.json for evaluation. The field is set
@@ -425,9 +400,7 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
             except ValueError as exc:
                 raise DatasetError(f"{frame_path}: invalid intrinsics: {exc}") from exc
             pose = _load_pose(doc["pose"], str(frame_path))
-            files = _FrameFiles(idx, pose, intr, *rasters)
-            _check_rasters(files)
-            records.append(files)
+            records.append(_FrameFiles(idx, pose, intr, *rasters))
         records.sort(key=lambda r: r.frame_index)
         indices = [r.frame_index for r in records]
         if indices != list(range(len(records))):

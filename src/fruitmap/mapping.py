@@ -36,7 +36,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -290,31 +290,6 @@ def _layers_replaced() -> bool:
     return (extract_instance_clouds, downsample_points, ransac_sphere_fit) != _LAYERS
 
 
-def _side_fits(
-    frames: Sequence[FrameRecord], fit_cfg: FitConfig, side: str
-) -> list[tuple[int, list[tuple[int, FitReport | ValueError]]]]:
-    """Each frame's index and _fit_frame result, in frame order.
-
-    Frames are fitted by _pool.ordered_map, one forked process per usable CPU
-    and at most one per frame, or in this process when a layer function has
-    been replaced (_layers_replaced). Each task reads its frame, so the
-    process that fits a frame is the one that reads its rasters, and a
-    raster that fails its checks then raises there. A worker that dies
-    raises ChildProcessError naming the side.
-    """
-
-    def fit_at(position: int) -> tuple[int, list[tuple[int, FitReport | ValueError]]]:
-        frame = frames[position]
-        return frame.frame_index, _fit_frame(frame, fit_cfg)
-
-    return ordered_map(
-        fit_at,
-        len(frames),
-        f"side {side!r}: a fitting process",
-        in_process=_layers_replaced(),
-    )
-
-
 def build_side_map(
     dataset: ScanDataset,
     side: str,
@@ -323,15 +298,19 @@ def build_side_map(
 ) -> BranchMap:
     """Fit every masked instance in every frame of one side and integrate.
 
-    Frames are fitted in parallel, one process per usable CPU (see
-    _side_fits), and integrated in frame_index order, instances in ascending
-    id order. Each observation's RANSAC is seeded from (base seed, frame
-    index, instance id), so the map is byte-identical whatever the number of
-    processes. Degenerate or under-populated clouds are logged and skipped;
-    fits that fail the acceptance gate are skipped silently. A raster that
-    fails its checks when its frame is read raises that DatasetError or
-    OSError, whichever process read it; a fitting process that dies raises
-    ChildProcessError.
+    Frames are fitted by _pool.ordered_map, one forked process per usable CPU
+    and at most one per frame, or in this process when a layer function has
+    been replaced (_layers_replaced). They are integrated in frame_index
+    order, instances in ascending id order. Each observation's RANSAC is
+    seeded from (base seed, frame index, instance id), so the map is
+    byte-identical whatever the number of processes. Degenerate or
+    under-populated clouds are logged and skipped; fits that fail the
+    acceptance gate are skipped silently.
+
+    Each task reads its frame, so the process that fits a frame reads and
+    checks its rasters: a raster that fails its checks raises that
+    DatasetError or OSError, whichever process read it. A fitting process
+    that dies raises ChildProcessError naming the side.
     """
     fit_cfg = fit_cfg if fit_cfg is not None else FitConfig()
     merge_cfg = merge_cfg if merge_cfg is not None else MergeConfig()
@@ -339,8 +318,16 @@ def build_side_map(
         raise DatasetError(
             f"side {side!r} not in dataset (has {sorted(dataset.frames)})"
         )
+    frames = dataset.frames[side]
+
+    def fit_at(position: int) -> tuple[int, list[tuple[int, FitReport | ValueError]]]:
+        frame = frames[position]
+        return frame.frame_index, _fit_frame(frame, fit_cfg)
+
     store = TrackStore()
-    for frame_index, fits in _side_fits(dataset.frames[side], fit_cfg, side):
+    for frame_index, fits in ordered_map(
+        fit_at, len(frames), f"side {side!r}: a fitting process", in_process=_layers_replaced()
+    ):
         for instance_id, fit in fits:
             if not isinstance(fit, FitReport):
                 logger.warning(

@@ -170,6 +170,8 @@ class OrchardSpec:
             raise ValueError("min_separation must be positive")
         if self.mask_dilate_px < 0:
             raise ValueError("mask_dilate_px must be non-negative")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,8 @@ class FitConfig:
             raise ValueError(f"need 0 < d_min < d_max, got [{self.d_min}, {self.d_max}]")
         if self.z_rule not in ("literal", "background_reject"):
             raise ValueError(f"unknown z_rule {self.z_rule!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,45 @@ class TestExitCodes:
         assert "side 'B'" in err and "side 'A'" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--map-a", "--map-b"])
+    def test_align_of_another_scans_map_is_validation_error(self, pipeline, tmp_path, capsys,
+                                                            flag):
+        # A map's provenance names the scan it was made from; merging it with
+        # another scan's fiducials would place its tracks wrongly.
+        maps = {"--map-a": pipeline["map_a"], "--map-b": pipeline["map_b"]}
+        doc = json.loads(maps[flag].read_text())
+        own_id = doc["provenance"]["dataset_id"]
+        doc["provenance"]["dataset_id"] = other_id = "0" * len(own_id)
+        maps[flag] = tmp_path / "other.json"
+        maps[flag].write_text(json.dumps(doc))
+        out = tmp_path / "merged.json"
+        code = main(["align", "--map-a", str(maps["--map-a"]), "--map-b", str(maps["--map-b"]),
+                     "--dataset", str(pipeline["dataset"]), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert str(maps[flag]) in err and own_id in err and other_id in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "map", "map-config"])
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys, command):
+        # The seed is checked before any input is read, so a missing dataset
+        # does not hide it.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fit": {"rng_seed": -5}}))
+        out = tmp_path / "out"
+        argv = {
+            "simulate": ["simulate", "--seed", "-1"],
+            "map": ["map", "--dataset", str(tmp_path / "missing"), "--side", "A", "--seed", "-1"],
+            "map-config": ["map", "--dataset", str(tmp_path / "missing"), "--side", "A",
+                           "--config", str(config)],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        value = "-5" if command == "map-config" else "-1"
+        assert err == f"error: rng_seed must be non-negative, got {value}\n", err
+        assert not out.exists()
+
     def test_only_eval_reads_ground_truth(self, pipeline, tmp_path, capsys):
         ds = tmp_path / "ds"
         for path in pipeline["dataset"].rglob("*"):
@@ -709,27 +748,19 @@ def first_frames(pipeline, ds, count):
 @pytest.mark.parametrize("workers", [2, 1], ids=["pooled", "in-process"])
 @pytest.mark.parametrize("raster", ["depth/2.f32", "masks/2.pgm"])
 @pytest.mark.parametrize("damage, exit_code", [("truncate", 1), ("delete", 2)])
-def test_raster_damaged_after_loading_is_one_line(pipeline, tmp_path, capfd, monkeypatch,
-                                                  pool_workers, workers, raster, damage,
-                                                  exit_code):
-    # Loading checks a raster's size and header; its pixels are read when the
-    # frame is fitted. A raster cut short or removed in between ends map as
-    # loading would have: the documented exit code and one line naming the
-    # file, with no traceback (capfd also sees the workers' stderr) and no
-    # worker left running.
+def test_raster_damaged_after_loading_is_one_line(pipeline, tmp_path, capfd, pool_workers,
+                                                  workers, raster, damage, exit_code):
+    # Loading opens no raster; each is read and checked when its frame is
+    # fitted, in the process that fits it. A raster cut short or removed ends
+    # map with the documented exit code and one line naming the file, with no
+    # traceback (capfd also sees the workers' stderr) and no worker left
+    # running.
     ds = first_frames(pipeline, tmp_path / "ds", 4)
     path = ds / "sides" / "A" / raster
-    load = cli.load_dataset
-
-    def load_then_damage(root, sides):
-        dataset = load(root, sides)
-        if damage == "truncate":
-            path.write_bytes(path.read_bytes()[:-2])
-        else:
-            path.unlink()
-        return dataset
-
-    monkeypatch.setattr(cli, "load_dataset", load_then_damage)
+    if damage == "truncate":
+        path.write_bytes(path.read_bytes()[:-2])
+    else:
+        path.unlink()
     pools = pool_workers(workers)
     out = tmp_path / "a.json"
     code = main(["map", "--dataset", str(ds), "--side", "A", "--out", str(out)])

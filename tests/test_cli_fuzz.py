@@ -1,23 +1,24 @@
 """Fuzzed CLI inputs: every malformed file ends in a documented exit code.
 
 Each example writes one malformed input (a config, a dataset manifest,
-fiducial, frame or ground truth, a branch map or an evaluation report) and
-runs a command that reads it through `main`, in process. An exception
-escaping `main` fails the test: from a shell it would be a traceback. The
-exit code must be 0, 1 (validation) or 2 (I/O), and nothing written to
-stderr may be a traceback.
+fiducial, frame, depth or mask raster or ground truth, a branch map or an
+evaluation report) and runs a command that reads it through `main`, in
+process. An exception escaping `main` fails the test: from a shell it would
+be a traceback. The exit code must be 0, 1 (validation) or 2 (I/O), and
+nothing written to stderr may be a traceback.
 """
 
 import contextlib
 import copy
 import io
 import json
+import multiprocessing
 import shutil
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fruitmap.cli import main
@@ -74,6 +75,24 @@ def malformed(draw, doc, values=ANY_JSON):
         return json.dumps(doc).encode()
 
 
+@st.composite
+def malformed_raster(draw, data):
+    """Bytes for a file meant to hold the raster data: data cut short or
+    extended, its leading bytes (a mask's P5 header) replaced, or any bytes."""
+    kind = draw(st.sampled_from(["truncate", "extend", "header", "bytes"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "extend":
+        return data + draw(st.binary(min_size=1, max_size=8))
+    if kind == "header":
+        fields = st.integers(0, 2**17) | st.text("0123456789 -+.xe", max_size=6)
+        head = draw(st.binary(max_size=16) | st.builds(
+            "{} {} {} {}\n".format, st.sampled_from(["P5", "P2", "P6", "P5 "]),
+            fields, fields, fields).map(str.encode))
+        return head + data[draw(st.integers(0, 24)):]
+    return draw(st.binary(max_size=24))
+
+
 def run(argv):
     """Exit code and stderr of one in-process CLI run."""
     stderr = io.StringIO()
@@ -126,6 +145,23 @@ def scan(tmp_path_factory):
     return paths
 
 
+def dataset_with(scan, tmp, name, text):
+    """The scan's dataset under tmp, with the file at name holding text.
+
+    Every other file is a link to the scan's own, shared read-only.
+    """
+    ds = tmp / "ds"
+    ds.mkdir()
+    for path in scan["dataset"].rglob("*"):
+        link = ds / path.relative_to(scan["dataset"])
+        if path.is_dir():
+            link.mkdir()
+        elif path != scan["dataset"] / name:
+            link.symlink_to(path)
+    (ds / name).write_bytes(text)
+    return ds
+
+
 def argv_for(command, scan, out, *, dataset=None, map_b=None, merged=None, report=None):
     dataset = dataset or scan["dataset"]
     return {
@@ -170,16 +206,7 @@ def test_malformed_dataset_file(scan, name, commands, data):
     text = data.draw(malformed(json.loads((scan["dataset"] / name).read_text())))
     command = data.draw(st.sampled_from(commands))
     with tempfile.TemporaryDirectory() as tmp:
-        # Every other file is a link to the scan's own, shared read-only.
-        ds = Path(tmp) / "ds"
-        ds.mkdir()
-        for path in scan["dataset"].rglob("*"):
-            link = ds / path.relative_to(scan["dataset"])
-            if path.is_dir():
-                link.mkdir()
-            elif path != scan["dataset"] / name:
-                link.symlink_to(path)
-        (ds / name).write_bytes(text)
+        ds = dataset_with(scan, Path(tmp), name, text)
         assert_clean_exit(argv_for(command, scan, Path(tmp) / "out", dataset=ds))
 
 
@@ -203,3 +230,21 @@ def test_malformed_report(scan, data):
         bad = Path(tmp) / "report.json"
         bad.write_bytes(text)
         assert_clean_exit(argv_for("report", scan, Path(tmp) / "out.csv", report=bad))
+
+
+@pytest.mark.parametrize("name", ["sides/A/depth/1.f32", "sides/A/masks/1.pgm"],
+                         ids=["depth", "mask"])
+@settings(FUZZ, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_raster(scan, capfd, name, data):
+    # Rasters are read in the processes that fit their frames, so capfd,
+    # which also sees those processes' stderr, looks for tracebacks.
+    text = data.draw(malformed_raster((scan["dataset"] / name).read_bytes()))
+    capfd.readouterr()
+    with tempfile.TemporaryDirectory() as tmp:
+        ds = dataset_with(scan, Path(tmp), name, text)
+        code = main([str(arg) for arg in argv_for("map", scan, Path(tmp) / "out", dataset=ds)])
+    err = capfd.readouterr().err
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err, err
+    assert multiprocessing.active_children() == []

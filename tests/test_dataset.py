@@ -152,7 +152,7 @@ class TestDatasetRoundTrip:
         ds = make_dataset()
         root = write_dataset(ds, tmp_path / "scan")
         for raster in [*root.glob("sides/B/depth/*"), *root.glob("sides/B/masks/*")]:
-            raster.unlink()  # side B's frames can no longer load
+            raster.unlink()  # side B's frames can no longer be read
         only_a = load_dataset(root, sides=("A",))
         assert only_a.sides == ("A", "B") and set(only_a.frames) == {"A"}
         assert set(only_a.fiducials) == {"A", "B"}
@@ -161,12 +161,13 @@ class TestDatasetRoundTrip:
         no_frames = load_dataset(root, sides=())
         assert no_frames.frames == {} and set(no_frames.fiducials) == {"A", "B"}
         assert load_ground_truth(root / "ground_truth.json") == ds.ground_truth
+        every_side = load_dataset(root)
         with pytest.raises(FileNotFoundError):
-            load_dataset(root)
+            every_side.frames["B"][0]
 
     def test_load_reads_pixels_per_frame_on_access(self, tmp_path, monkeypatch):
-        # Loading checks raster sizes and headers and reads no pixels; each
-        # access to a frame reads its two rasters, and that frame's alone.
+        # Loading reads no raster; each access to a frame reads its two
+        # rasters, and that frame's alone.
         ds = make_dataset()
         root = write_dataset(ds, tmp_path / "scan")
         reads = []
@@ -187,9 +188,34 @@ class TestDatasetRoundTrip:
         np.testing.assert_array_equal(frame.masks, want.masks)
         assert frame.depth.flags.writeable and frame.masks.flags.writeable
 
+    @pytest.mark.parametrize("damage", ["truncate", "delete"])
+    @pytest.mark.parametrize("raster", ["depth", "masks"])
+    def test_load_opens_no_raster(self, tmp_path, raster, damage):
+        # Loading checks each frame's JSON and raster paths alone, so a side
+        # whose rasters are cut short or gone still loads; reading each frame
+        # then raises the raster's own message.
+        root = write_dataset(make_dataset(), tmp_path / "scan")
+        for path in (root / "sides" / "A" / raster).iterdir():
+            if damage == "truncate":
+                path.write_bytes(path.read_bytes()[:-2])
+            else:
+                path.unlink()
+        frames = load_dataset(root).frames["A"]
+        assert len(frames) == 2
+        for index in range(2):
+            if damage == "delete":
+                error, message = FileNotFoundError, rf"{index}\.(f32|pgm)"
+            elif raster == "depth":
+                error, message = DatasetError, (rf"{index}\.f32: depth raster holds 3070 bytes, "
+                                                r"expected 3072 for 32x24 float32")
+            else:
+                error, message = DatasetError, (rf"{index}\.pgm: mask raster holds 1534 sample "
+                                                r"bytes, expected 1536")
+            with pytest.raises(error, match=message):
+                frames[index]
+
     def test_raster_damaged_after_loading_raises_on_access(self, tmp_path):
-        # A frame's rasters are checked again when it is read, with the
-        # messages loading gives.
+        # A frame's rasters are checked when it is read, not when it is loaded.
         root = write_dataset(make_dataset(), tmp_path / "scan")
         back = load_dataset(root)
         depth = root / "sides" / "A" / "depth" / "1.f32"
@@ -257,8 +283,9 @@ class TestValidation:
         # shrink one mask raster so it no longer matches its depth raster
         write_mask_raster(root / "sides" / "A" / "masks" / "0.pgm",
                           np.zeros((10, 10), dtype=np.uint16))
+        frames = load_dataset(root).frames["A"]
         with pytest.raises(DatasetError) as err:
-            load_dataset(root)
+            frames[0]
         assert "masks/0.pgm" in str(err.value).replace("\\", "/")
         assert "depth/0.f32" in str(err.value).replace("\\", "/") or "0.f32" in str(err.value)
 
@@ -283,8 +310,9 @@ class TestValidation:
     def test_missing_depth_file(self, tmp_path):
         root = write_dataset(make_dataset(), tmp_path / "scan")
         (root / "sides" / "A" / "depth" / "0.f32").unlink()
+        frames = load_dataset(root).frames["A"]
         with pytest.raises(FileNotFoundError, match="0.f32"):
-            load_dataset(root)
+            frames[0]
 
     def test_bad_pose_rejected(self, tmp_path):
         root = write_dataset(make_dataset(), tmp_path / "scan")

@@ -176,6 +176,7 @@ class TestGenerateScene:
             {"cluster_count": True},
             {"occluder_count": 2.0},
             {"rng_seed": "5"},
+            {"rng_seed": -1},     # numpy seeds only from non-negative integers
             {"fruitlets_per_cluster": 3},
             {"fruitlets_per_cluster": (1, 2.5)},
             {"diameter_range": (0.01, float("nan"))},

@@ -273,6 +273,12 @@ class TestRansac:
         with pytest.raises(ValueError, match=field_name):
             FitConfig(**{field_name: value})
 
+    @pytest.mark.parametrize("value", [-1, -(2**63)])
+    def test_config_rejects_negative_seed(self, value):
+        # numpy seeds only from non-negative integers
+        with pytest.raises(ValueError, match=rf"rng_seed must be non-negative, got {value}"):
+            FitConfig(rng_seed=value)
+
     @pytest.mark.parametrize(
         "field_name", ["inlier_tolerance", "min_inlier_fraction", "d_min", "d_max"]
     )
