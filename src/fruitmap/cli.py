@@ -61,7 +61,7 @@ _CONFIG_KEYS = {
     "simulate": tuple(f.name for f in dataclasses.fields(OrchardSpec)),
     "fit": tuple(f.name for f in dataclasses.fields(FitConfig)),
     "merge": ("within_radius", "cross_radius"),
-    "eval": ("tolerance", "size_mode"),
+    "eval": ("tolerance",),
 }
 
 
@@ -175,10 +175,11 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    settings = {"tolerance": MATCH_TOLERANCE, "size_mode": "relative",
-                **_load_config(args.config)["eval"]}
+    settings = {"tolerance": MATCH_TOLERANCE, **_load_config(args.config)["eval"]}
     branch_map = load_branch_map(args.map)
     truth = load_ground_truth(args.truth)
+    if not truth.fruitlets:
+        raise ValueError(f"{args.truth}: no fruitlets, so count accuracy is undefined")
     report = evaluate_map(branch_map, truth, **settings)
     doc = report_to_json(report)
     doc["provenance"] = _stamped({"config_digest": json_digest(settings)})

@@ -20,6 +20,10 @@ rasters each time that frame is accessed: the depth byte count, the mask's P5
 header and sample byte count, and that the two rasters' dimensions match. So
 a raster is checked in the process that reads it, and a process fitting
 frames one at a time holds one frame's pixels.
+
+write_dataset and simulator.export_dataset first clear an old scan at root
+(clear_scan) and write the manifest last, so a write that stops part way
+leaves no dataset that loads.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ __all__ = [
     "load_ground_truth",
     "write_dataset",
     "write_frame",
-    "remove_frames",
+    "clear_scan",
     "extract_instance_clouds",
     "DEFAULT_MIN_POINTS",
     "json_digest",
@@ -420,10 +424,8 @@ AXIS_CONVENTION = "camera: +z forward, +x right, +y down; poses camera-to-side, 
 
 
 def write_frame(root: Path | str, side: str, rec: FrameRecord) -> None:
-    """Write one frame's depth raster, mask raster and frame JSON under root."""
+    """Write one frame's rasters and frame JSON into the directories clear_scan made."""
     side_dir = Path(root) / "sides" / side
-    for sub in ("frames", "depth", "masks"):
-        (side_dir / sub).mkdir(parents=True, exist_ok=True)
     idx = rec.frame_index
     write_depth_raster(side_dir / "depth" / f"{idx}.f32", rec.depth)
     write_mask_raster(side_dir / "masks" / f"{idx}.pgm", rec.masks)
@@ -439,34 +441,42 @@ def write_frame(root: Path | str, side: str, rec: FrameRecord) -> None:
     )
 
 
-def remove_frames(root: Path | str, side: str) -> None:
-    """Remove a side's frame JSON, depth and mask files from the dataset at root."""
-    side_dir = Path(root) / "sides" / side
-    for pattern in ("frames/*.json", "depth/*.f32", "masks/*.pgm"):
-        for path in side_dir.glob(pattern):
-            path.unlink()
+def clear_scan(root: Path | str, sides: Iterable[str]) -> None:
+    """Remove root's manifest, then its ground truth and the named sides' frame files.
+
+    Each named side's frame directories are left empty, and made if missing.
+    """
+    root = Path(root)
+    (root / "manifest.json").unlink(missing_ok=True)
+    (root / "ground_truth.json").unlink(missing_ok=True)
+    for side in sides:
+        for sub, pattern in (("frames", "*.json"), ("depth", "*.f32"), ("masks", "*.pgm")):
+            directory = root / "sides" / side / sub
+            directory.mkdir(parents=True, exist_ok=True)
+            for path in directory.glob(pattern):
+                path.unlink()
 
 
 def write_dataset(dataset: ScanDataset, root: Path | str, provenance: dict | None = None) -> Path:
     """Write a dataset directory in the documented layout. Deterministic bytes.
 
-    Frames are written (by write_frame) for the sides in dataset.frames, each
-    side's old frames removed first (remove_frames), so a shorter scan
-    written over a longer one loads as itself. A dataset loaded from root is
-    read from the files this removes: write it elsewhere. A dataset whose
-    frames were already written one by one is finished by passing it with no
-    frames. The manifest, whose last key is the provenance block when one is
-    given, is written last: a write that fails part way leaves no dataset
-    that loads.
+    clear_scan first removes an old scan's manifest, ground truth and, for
+    the sides in dataset.frames, frames, so a shorter scan written over a
+    longer one loads as itself. A dataset loaded from root is read from the
+    files this removes: write it elsewhere. Frames are written by
+    write_frame; a dataset whose frames were already written one by one is
+    finished by passing it with no frames. The manifest, whose last key is
+    the provenance block when one is given, is written last: a write that
+    fails part way leaves no dataset that loads.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
+    clear_scan(root, dataset.frames)
     for side in dataset.sides:
         side_dir = root / "sides" / side
         side_dir.mkdir(parents=True, exist_ok=True)
         write_json(side_dir / "fiducial.json", {"pose": dataset.fiducials[side].flat16()})
     for side, records in dataset.frames.items():
-        remove_frames(root, side)
         for rec in records:
             write_frame(root, side, rec)
     truth = dataset.ground_truth

@@ -21,7 +21,6 @@ from .mapping import BranchMap
 
 __all__ = [
     "MATCH_TOLERANCE",
-    "SIZE_MODES",
     "MatchResult",
     "EvalReport",
     "match_fruitlets",
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 MATCH_TOLERANCE = 0.025  # m, center-to-center
-SIZE_MODES = ("relative", "mean_normalized")
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,8 @@ def match_fruitlets(
     matched. Ties on distance fall to the smaller track id, then truth id.
     Both inputs must be expressed in the same coordinate frame.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (is_finite_real(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
     tracks = branch_map.tracks
     fruit = truth.fruitlets
     candidates: list[tuple[float, int, int]] = []
@@ -151,13 +149,11 @@ def count_accuracy(calculated: int, ground_truth: int) -> float:
     return (1.0 - abs(calculated - ground_truth) / ground_truth) * 100.0
 
 
-def size_rmse_percent(
-    pairs: Iterable[tuple[float, float]], mode: str = "relative"
-) -> float:
-    """Size error over matched (truth_diameter, estimated_diameter) pairs.
+def size_rmse_percent(pairs: Iterable[tuple[float, float]]) -> float:
+    """RMSE of per-fruit relative size errors, in percent.
 
-    "relative" is RMSE of per-fruit relative errors; "mean_normalized" is the
-    absolute RMSE divided by the mean truth diameter. Both are percentages.
+    Taken over matched (truth_diameter, estimated_diameter) pairs: the
+    paper's "within 5.9% RMSE of their true size".
     """
     arr = np.asarray(list(pairs), dtype=float)
     if arr.size == 0:
@@ -165,29 +161,20 @@ def size_rmse_percent(
     truth, est = arr[:, 0], arr[:, 1]
     if np.any(truth <= 0):
         raise ValueError("truth diameters must be positive")
-    if mode == "relative":
-        return float(100.0 * np.sqrt(np.mean(((est - truth) / truth) ** 2)))
-    if mode == "mean_normalized":
-        return float(100.0 * np.sqrt(np.mean((est - truth) ** 2)) / np.mean(truth))
-    raise ValueError(f"unknown size RMSE mode {mode!r}")
+    return float(100.0 * np.sqrt(np.mean(((est - truth) / truth) ** 2)))
 
 
 def evaluate_map(
     branch_map: BranchMap,
     truth: GroundTruth,
     tolerance: float = MATCH_TOLERANCE,
-    size_mode: str = "relative",
 ) -> EvalReport:
     """Match and roll every metric into one report.
 
-    tp + fp always equals the map's track count and tp + fn the truth count.
-    size_rmse_pct is None when nothing matched. Both options are checked up
-    front, so a bad size_mode fails even when nothing matches.
+    match_fruitlets checks the tolerance. tp + fp always equals the map's
+    track count and tp + fn the truth count. size_rmse_pct, the per-fruit
+    relative error of size_rmse_percent, is None when nothing matched.
     """
-    if not (is_finite_real(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
-    if size_mode not in SIZE_MODES:
-        raise ValueError(f"size_mode must be one of {', '.join(SIZE_MODES)}, got {size_mode!r}")
     result = match_fruitlets(branch_map, truth, tolerance)
     tp = len(result.pairs)
     fp = len(result.unmatched_tracks)
@@ -207,7 +194,7 @@ def evaluate_map(
         recall=recall,
         f1=f1,
         count_accuracy_pct=count_accuracy(len(branch_map.tracks), len(truth.fruitlets)),
-        size_rmse_pct=size_rmse_percent(size_pairs, size_mode) if size_pairs else None,
+        size_rmse_pct=size_rmse_percent(size_pairs) if size_pairs else None,
         size_pairs=size_pairs,
     )
 

@@ -53,8 +53,8 @@ from .dataset import (
     GroundTruth,
     GroundTruthFruitlet,
     ScanDataset,
+    clear_scan,
     json_digest,
-    remove_frames,
     write_dataset,
     write_frame,
 )
@@ -573,17 +573,15 @@ def export_dataset(
     holds more than one frame. The tasks run in a pool of forked processes,
     one per usable CPU (_pool.ordered_map), or in this process when
     render_frame has been replaced. The fiducials, ground truth and, last,
-    the manifest follow (write_dataset). A stale manifest and each side's
-    frames already under root (remove_frames) are removed first, so an export
-    that fails part way leaves no dataset that loads, and a shorter scan
-    leaves no old frame behind.
+    the manifest follow (write_dataset). An old scan's manifest, ground truth
+    and frames under root are removed first (clear_scan), so an export that
+    fails part way leaves no dataset that loads, and a shorter scan leaves
+    no old frame behind.
 
     Returns the dataset written, without its frames: frames is empty.
     """
     root = Path(root)
-    (root / "manifest.json").unlink(missing_ok=True)
-    for side in SIDES:
-        remove_frames(root, side)
+    clear_scan(root, SIDES)
     tasks = _frame_tasks(trajectory)
 
     def write_frame_at(position: int) -> list[int]:

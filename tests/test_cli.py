@@ -1,6 +1,7 @@
 """End-to-end and contract tests for the command-line pipeline."""
 
 import ast
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -18,6 +19,10 @@ from fruitmap import dataset as dataset_module
 from fruitmap import mapping
 from fruitmap.cli import main
 from fruitmap.dataset import json_digest, read_mask_raster
+from fruitmap.evaluation import MATCH_TOLERANCE
+from fruitmap.mapping import CROSS_SIDE_RADIUS, WITHIN_SIDE_RADIUS
+from fruitmap.simulator import OrchardSpec
+from fruitmap.spherefit import FitConfig
 
 
 def exit_at_once(*args):
@@ -102,9 +107,9 @@ class TestPipeline:
         assert doc["tp"] + doc["fp"] == len(merged["tracks"])
         assert doc["tp"] + doc["fn"] == len(truth["fruitlets"])
         assert doc["provenance"]["tool_version"]
-        # the hash of {"tolerance": 0.025, "size_mode": "relative"}, the defaults
+        # the hash of {"tolerance": 0.025}, the default
         assert doc["provenance"]["config_digest"] == (
-            "d1e5156902ebdfb72432f597d402e0cf9a972efd1e67d5a5829ba27e6b0d75ac"
+            "6342732652380feb69eec51eab15a864b23210f0a43289bd265f6b7b8626b2b2"
         )
 
     def test_provenance_names_no_seed_where_none_is_drawn(self, pipeline, tmp_path):
@@ -445,6 +450,16 @@ class TestMalformedInputs:
                         "--out", str(tmp_path / "r.json")])
         assert_one_line_validation_error(proc, str(bad), "entry 1", *needles)
 
+    def test_truth_without_fruitlets(self, pipeline, tmp_path):
+        # Count accuracy divides by the number of true fruitlets.
+        bad = tmp_path / "truth.json"
+        bad.write_text(json.dumps({"fruitlets": []}))
+        out = tmp_path / "r.json"
+        proc = run_cli(["eval", "--map", str(pipeline["map_a"]), "--truth", str(bad),
+                        "--out", str(out)])
+        assert_one_line_validation_error(proc, str(bad), "count accuracy is undefined")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "name, patch, needles",
         [
@@ -494,12 +509,8 @@ class TestMalformedInputs:
             ("eval", {"eval": {"tolerance": {}}}, ("tolerance", "{}")),
             ("eval", {"eval": {"tolerance": float("nan")}}, ("tolerance", "nan")),
             ("eval", {"eval": {"tolerance": True}}, ("tolerance", "True")),
-            # once a --tolerance flag; the eval section is now the one way in,
-            # and a NaN there fails even beside a valid size_mode
-            ("eval", {"eval": {"tolerance": float("nan"), "size_mode": "mean_normalized"}},
-             ("tolerance", "nan")),
-            ("eval", {"eval": {"tolerance": 1e-9, "size_mode": "bogus"}},
-             ("size_mode", "bogus")),
+            # size error has one metric, so the key that picked one is gone
+            ("eval", {"eval": {"size_mode": "relative"}}, ("unknown eval option", "size_mode")),
             ("simulate", {"eval": {"tolerances": 0.02}}, ("eval", "tolerances")),
             # track fusion has one rule, so the key that picked one is gone
             ("map", {"merge": {"averaging": "pairwise"}}, ("merge", "averaging")),
@@ -507,9 +518,8 @@ class TestMalformedInputs:
             ("eval", {"merge": {"averaging": "pairwise"}}, ("merge", "averaging")),
         ],
         ids=["null-within", "bool-within", "list-cross", "string-cross", "null-tolerance",
-             "object-tolerance", "nan-tolerance", "bool-tolerance", "nan-tolerance-flag",
-             "bogus-size-mode", "unknown-key-other-stage", "averaging-map", "averaging-align",
-             "averaging-eval"],
+             "object-tolerance", "nan-tolerance", "bool-tolerance", "bogus-size-mode",
+             "unknown-key-other-stage", "averaging-map", "averaging-align", "averaging-eval"],
     )
     def test_mistyped_stage_option(self, pipeline, tmp_path, command, config, needles):
         bad = tmp_path / "bad.json"
@@ -848,6 +858,25 @@ def test_readme_library_example_runs():
     assert (tp, count_accuracy, round(float(size_rmse), 2)) == ("14", "100.0", 5.64)
 
 
+def test_readme_config_block_shows_the_defaults(pipeline, tmp_path):
+    # The README's "Configuration" block passes every command's section and
+    # key checks, and shows each setting at its default.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Configuration\n.*?^```json\n(.*?)^```", readme, re.S | re.M)
+    assert block is not None, "README lost its 'Configuration' json block"
+    config = tmp_path / "config.json"
+    config.write_text(block.group(1))
+    assert main(["report", "--config", str(config), "--eval", str(pipeline["report"]),
+                 "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
+    defaults = {
+        "simulate": dataclasses.asdict(OrchardSpec()),
+        "fit": dataclasses.asdict(FitConfig()),
+        "merge": {"within_radius": WITHIN_SIDE_RADIUS, "cross_radius": CROSS_SIDE_RADIUS},
+        "eval": {"tolerance": MATCH_TOLERANCE},
+    }
+    assert json.loads(block.group(1)) == json.loads(json.dumps(defaults))  # tuples as lists
+
+
 class TestPrecedence:
     def test_cli_seed_beats_config_seed(self, tmp_path):
         config = tmp_path / "c.json"
@@ -877,6 +906,4 @@ class TestPrecedence:
                      "--config", str(config), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert (doc["tp"] > 0) is matched  # a nanometer tolerance matches nothing
-        assert doc["provenance"]["config_digest"] == json_digest(
-            {"tolerance": tolerance, "size_mode": "relative"}
-        )
+        assert doc["provenance"]["config_digest"] == json_digest({"tolerance": tolerance})

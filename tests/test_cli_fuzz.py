@@ -30,7 +30,7 @@ VALID_CONFIG = {
             "min_inlier_fraction": 0.3, "d_min": 0.004, "d_max": 0.04,
             "z_rule": "literal", "rng_seed": 3},
     "merge": {"within_radius": 0.01, "cross_radius": 0.02},
-    "eval": {"tolerance": 0.02, "size_mode": "relative"},
+    "eval": {"tolerance": 0.02},
 }
 FUZZ = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 

@@ -249,6 +249,38 @@ class TestDatasetRoundTrip:
                            for p in (root / "sides" / side).rglob("*") if p.is_file())
             assert files == ["depth/0.f32", "fiducial.json", "frames/0.json", "masks/0.pgm"]
 
+    def test_write_that_fails_part_way_over_a_scan_leaves_none_that_loads(
+            self, tmp_path, monkeypatch):
+        # The old manifest goes before the first new frame is written, so the
+        # old id cannot load over a mix of new and old frames.
+        def scan(dataset_id):
+            return ScanDataset(dataset_id=dataset_id, sides=("A", "B"),
+                               frames={side: tuple(map(make_frame, range(12)))
+                                       for side in ("A", "B")},
+                               fiducials={"A": RigidTransform.identity(),
+                                          "B": RigidTransform.identity()})
+
+        root = write_dataset(scan("old"), tmp_path / "scan")
+        write_frame = dataset_module.write_frame
+        written = []
+
+        def write_ten_frames(*args):
+            if len(written) == 10:
+                raise OSError("no space left on device")
+            written.append(args)
+            write_frame(*args)
+
+        monkeypatch.setattr(dataset_module, "write_frame", write_ten_frames)
+        with pytest.raises(OSError, match="no space left"):
+            write_dataset(scan("new"), root)
+        with pytest.raises(FileNotFoundError, match=r"manifest\.json"):
+            load_dataset(root)
+
+    def test_write_without_truth_over_a_scan_removes_its_truth(self, tmp_path):
+        root = write_dataset(make_dataset(), tmp_path / "scan")
+        write_dataset(make_dataset(with_truth=False), root)
+        assert not (root / "ground_truth.json").exists()
+
     def test_side_filter_rejects_unknown_side(self, tmp_path):
         write_dataset(make_dataset(), tmp_path / "scan")
         with pytest.raises(DatasetError, match=r"side 'C' not in dataset \(has \['A', 'B'\]\)"):

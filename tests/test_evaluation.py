@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -129,8 +130,11 @@ class TestMatchFruitlets:
         assert result.pairs == () and result.unmatched_truth == (0,)
 
     def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            match_fruitlets(map_of([]), truth_of([]), tolerance=0.0)
+        # A NaN tolerance would match nothing, and inf everything in reach.
+        for tolerance in (0.0, float("nan"), float("inf"), True, "0.02"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"tolerance must be a finite number > 0, got {tolerance!r}")):
+                match_fruitlets(map_of([]), truth_of([]), tolerance=tolerance)
 
     def test_one_to_one_enforced_by_type(self):
         with pytest.raises(ValueError):
@@ -200,12 +204,6 @@ class TestSizeRmse:
     def test_two_pair_hand_arithmetic(self):
         assert size_rmse_percent([(10.0, 9.0), (20.0, 22.0)]) == pytest.approx(10.0)
 
-    def test_mean_normalized_mode(self):
-        # abs RMSE sqrt(2.5), mean truth 15
-        expected = 100.0 * np.sqrt(2.5) / 15.0
-        got = size_rmse_percent([(10.0, 9.0), (20.0, 22.0)], mode="mean_normalized")
-        assert got == pytest.approx(expected)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             size_rmse_percent([])
@@ -213,10 +211,6 @@ class TestSizeRmse:
     def test_nonpositive_truth_rejected(self):
         with pytest.raises(ValueError):
             size_rmse_percent([(0.0, 0.01)])
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            size_rmse_percent([(1.0, 1.0)], mode="median")
 
 
 # ---------------------------------------------------------------- evaluate_map
@@ -257,12 +251,6 @@ class TestEvaluateMap:
         assert (report.tp, report.fp, report.fn) == (0, 1, 1)
         assert report.f1 == 0.0
 
-    def test_size_mode_flows_through(self):
-        branch_map, truth = self.build()
-        relative = evaluate_map(branch_map, truth)
-        normalized = evaluate_map(branch_map, truth, size_mode="mean_normalized")
-        assert relative.size_rmse_pct != pytest.approx(normalized.size_rmse_pct)
-
     @pytest.mark.parametrize(
         "options, needle",
         [
@@ -272,13 +260,10 @@ class TestEvaluateMap:
             ({"tolerance": "0.025"}, "tolerance"),
             ({"tolerance": float("nan")}, "tolerance"),
             ({"tolerance": 0.0}, "tolerance"),
-            ({"tolerance": 1e-9, "size_mode": "bogus"}, "bogus"),
         ],
-        ids=["null", "object", "bool", "string", "nan", "zero", "mode-without-match"],
+        ids=["null", "object", "bool", "string", "nan", "zero"],
     )
     def test_options_checked_before_matching(self, options, needle):
-        # A nanometer tolerance matches nothing, so the size mode is never
-        # used; it is rejected all the same.
         branch_map, truth = self.build()
         with pytest.raises(ValueError, match=needle):
             evaluate_map(branch_map, truth, **options)

@@ -309,8 +309,8 @@ class TestTypes:
             "8f83cf2f760ad7746dc25022ded5d734d319db3bfd0b4663e1b89ea02654bd89"
         )
         assert generate_scene(OrchardSpec(rng_seed=17)).dataset_id == "3a0dd38f777f"
-        assert json_digest({"tolerance": MATCH_TOLERANCE, "size_mode": "relative"}) == (
-            "d1e5156902ebdfb72432f597d402e0cf9a972efd1e67d5a5829ba27e6b0d75ac"
+        assert json_digest({"tolerance": MATCH_TOLERANCE}) == (
+            "6342732652380feb69eec51eab15a864b23210f0a43289bd265f6b7b8626b2b2"
         )
         # ...and still sensitive to every field
         assert config_digest(FitConfig(rng_seed=1), MergeConfig()) != config_digest(
