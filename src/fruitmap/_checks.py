@@ -1,21 +1,61 @@
-"""Field checks for every record, built from JSON or in memory.
+"""Field checks for every record, built from JSON or in memory, and the one
+JSON boundary.
 
 Python's json module parses NaN and Infinity, and bool is a subclass of int,
 so range comparisons alone let such values through. A record checks its own
 fields in __post_init__ through check_types, and from_doc builds any record
 from a JSON object, so the same checks and messages hold on both paths.
+read_json and write_json are the one reader and writer of every JSON
+document, and json_digest the one provenance hash.
+
+This module imports no numpy, so the stages that only read and write JSON
+(report, --version) start without it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 import numbers
+import sys
+from pathlib import Path
 from typing import Iterable, TypeVar
 
-import numpy as np
-
 Record = TypeVar("Record")
+
+
+class DatasetError(ValueError):
+    """A scan dataset failed validation."""
+
+
+def json_digest(doc: object) -> str:
+    """sha256 hex digest of doc's sorted-key JSON; the one provenance hash."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def read_json(path: Path | str) -> dict:
+    """The JSON object in path; the one reader of every JSON document.
+
+    Undecodable bytes, malformed JSON, nesting or integers larger than the
+    parser allows (RFC 8259 section 9 lets it set such limits) and a top level
+    that is not an object raise DatasetError naming path. A file that cannot
+    be opened raises the OSError from opening it.
+    """
+    data = Path(path).read_bytes()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # decode and parse errors are ValueErrors
+        raise DatasetError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DatasetError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def write_json(path: Path | str, doc: object, sort_keys: bool = False) -> None:
+    """Write doc as indented JSON; evaluation and report documents sort their keys."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
 
 
 def is_int(value: object) -> bool:
@@ -35,8 +75,9 @@ def is_finite_real(value: object) -> bool:
 
 def is_finite_point(value: object) -> bool:
     """A list, tuple or 1-D array of three finite reals."""
+    numpy = sys.modules.get("numpy")  # not loaded: value cannot be an ndarray
     return (
-        isinstance(value, (list, tuple, np.ndarray))
+        isinstance(value, (list, tuple) if numpy is None else (list, tuple, numpy.ndarray))
         and len(value) == 3
         and all(map(is_finite_real, value))
     )

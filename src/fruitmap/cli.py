@@ -9,6 +9,11 @@ bytes, config, seed), and every JSON product embeds a provenance block that
 names the tool version and, where the product has them, its config digest
 and seed.
 
+Each stage imports only the modules it runs: a subcommand imports the names
+it uses from the pipeline's modules when it starts (_bind), and the package
+itself resolves its seven names on first use. So `--version` and report
+start without numpy, and the other stages load only their own modules.
+
 Exit codes: 0 success, 1 validation or usage error, 2 I/O error, 130
 interrupted (Ctrl-C). All diagnostics go to standard error; data products
 only ever go to files.
@@ -18,48 +23,74 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import logging
 import sys
 from typing import Mapping, Sequence
 
 from . import __version__
-from .alignment import cross_side_transform, merge_maps, transform_map
-from .dataset import (
-    DatasetError,
-    json_digest,
-    load_dataset,
-    load_ground_truth,
-    read_json,
-    write_json,
-)
-from .evaluation import (
-    MATCH_TOLERANCE,
-    emit_report,
-    evaluate_map,
-    report_from_json,
-    report_to_json,
-    write_scatter,
-)
-from .mapping import (
-    CROSS_SIDE_RADIUS,
-    WITHIN_SIDE_RADIUS,
-    MergeConfig,
-    build_side_map,
-    config_digest,
-    load_branch_map,
-    save_branch_map,
-)
-from .simulator import OrchardSpec, export_dataset, generate_scene, plan_trajectory
-from .spherefit import FitConfig
+from ._checks import DatasetError, json_digest, read_json, write_json
 
 __all__ = ["main"]
 
 logger = logging.getLogger("fruitmap.cli")
 
-# The one table of config sections and the keys each one allows.
+# The names the subcommands use from the pipeline's modules, by module. Each
+# is imported on first use (see _bind), so a stage imports only what it runs.
+_LAZY = {
+    "alignment": ("cross_side_transform", "merge_maps", "transform_map"),
+    "dataset": ("load_dataset", "load_ground_truth"),
+    "evaluation": (
+        "MATCH_TOLERANCE",
+        "emit_report",
+        "evaluate_map",
+        "report_from_json",
+        "report_to_json",
+        "write_scatter",
+    ),
+    "mapping": (
+        "CROSS_SIDE_RADIUS",
+        "WITHIN_SIDE_RADIUS",
+        "MergeConfig",
+        "build_side_map",
+        "config_digest",
+        "load_branch_map",
+        "save_branch_map",
+    ),
+    "simulator": ("OrchardSpec", "export_dataset", "generate_scene", "plan_trajectory"),
+    "spherefit": ("FitConfig",),
+}
+
+
+def __getattr__(name: str) -> object:
+    """A _LAZY name, imported from its module and cached here (PEP 562)."""
+    module = next((module for module, names in _LAZY.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Set each of names on this module, unless it is set already.
+
+    A function's global lookup never calls the module __getattr__, so each
+    subcommand binds the names it uses before it uses them. A name already
+    set here wins, so a caller may replace one before main runs, as
+    bench/launch.py does to time the stages' layer calls.
+    """
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
+
+
+# The one table of config sections and the keys each one allows: a tuple of
+# keys, or the name of the dataclass whose fields are the keys. A dataclass
+# is imported only when a config file names its section.
 _CONFIG_KEYS = {
-    "simulate": tuple(f.name for f in dataclasses.fields(OrchardSpec)),
-    "fit": tuple(f.name for f in dataclasses.fields(FitConfig)),
+    "simulate": "OrchardSpec",
+    "fit": "FitConfig",
     "merge": ("within_radius", "cross_radius"),
     "eval": ("tolerance",),
 }
@@ -80,7 +111,11 @@ def _load_config(path: str | None) -> dict[str, dict]:
             )
         if not isinstance(section, dict):
             raise ValueError(f"config {path}: section {key!r} must be an object")
-        unknown = sorted(set(section) - set(_CONFIG_KEYS[key]))
+        allowed = _CONFIG_KEYS[key]
+        if isinstance(allowed, str):
+            _bind(allowed)
+            allowed = tuple(f.name for f in dataclasses.fields(globals()[allowed]))
+        unknown = sorted(set(section) - set(allowed))
         if unknown:
             raise ValueError(f"config {path}: unknown {key} option(s): {', '.join(unknown)}")
     return {
@@ -100,6 +135,7 @@ def _stamped(provenance: Mapping[str, object]) -> dict:
 # --------------------------------------------------------------- subcommands
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _bind("OrchardSpec", "generate_scene", "plan_trajectory", "export_dataset", "config_digest")
     config = _load_config(args.config)
     kwargs = config["simulate"]
     if args.seed is not None:
@@ -117,6 +153,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
+    _bind(
+        "FitConfig", "MergeConfig", "WITHIN_SIDE_RADIUS", "load_dataset", "build_side_map",
+        "save_branch_map",
+    )
     config = _load_config(args.config)
     fit_kwargs = config["fit"]
     if args.seed is not None:
@@ -134,6 +174,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
+    _bind(
+        "MergeConfig", "CROSS_SIDE_RADIUS", "load_branch_map", "load_dataset",
+        "cross_side_transform", "merge_maps", "transform_map", "save_branch_map",
+    )
     config = _load_config(args.config)
     merge = config["merge"]
     merge_cfg = MergeConfig(merge_radius=merge.get("cross_radius", CROSS_SIDE_RADIUS))
@@ -175,6 +219,10 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    _bind(
+        "MATCH_TOLERANCE", "load_branch_map", "load_ground_truth", "evaluate_map",
+        "report_to_json",
+    )
     settings = {"tolerance": MATCH_TOLERANCE, **_load_config(args.config)["eval"]}
     branch_map = load_branch_map(args.map)
     truth = load_ground_truth(args.truth)
@@ -192,6 +240,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    _bind("report_from_json", "emit_report", "report_to_json", "write_scatter")
     _load_config(args.config)
     doc = read_json(args.eval)
     try:

@@ -28,8 +28,6 @@ leaves no dataset that loads.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import os
 import re
@@ -39,7 +37,18 @@ from typing import Iterable, Sequence, overload
 
 import numpy as np
 
-from ._checks import check_types, from_doc, is_finite_real, is_int
+# DatasetError and the JSON boundary live in _checks, which imports no numpy,
+# so that report runs without it; __all__ re-exports them from here.
+from ._checks import (
+    DatasetError,
+    check_types,
+    from_doc,
+    is_finite_real,
+    is_int,
+    json_digest,
+    read_json,
+    write_json,
+)
 from .geometry import CameraIntrinsics, RigidTransform, backproject
 
 __all__ = [
@@ -68,38 +77,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_MIN_POINTS = 30
 FORMAT_VERSION = "1"
-
-
-class DatasetError(ValueError):
-    """A scan dataset failed validation."""
-
-
-def json_digest(doc: object) -> str:
-    """sha256 hex digest of doc's sorted-key JSON; the one provenance hash."""
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
-
-
-def read_json(path: Path | str) -> dict:
-    """The JSON object in path; the one reader of every JSON document.
-
-    Undecodable bytes, malformed JSON, nesting or integers larger than the
-    parser allows (RFC 8259 section 9 lets it set such limits) and a top level
-    that is not an object raise DatasetError naming path. A file that cannot
-    be opened raises the OSError from opening it.
-    """
-    data = Path(path).read_bytes()
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # decode and parse errors are ValueErrors
-        raise DatasetError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DatasetError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc
-
-
-def write_json(path: Path | str, doc: object, sort_keys: bool = False) -> None:
-    """Write doc as indented JSON; evaluation and report documents sort their keys."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)

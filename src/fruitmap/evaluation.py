@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+from ._checks import DatasetError, check_types, from_doc, is_finite_real
 
-from ._checks import check_types, from_doc, is_finite_real
-from .dataset import DatasetError, GroundTruth
-from .mapping import BranchMap
+if TYPE_CHECKING:  # annotations only: report reads and writes JSON without numpy
+    from .dataset import GroundTruth
+    from .mapping import BranchMap
 
 __all__ = [
     "MATCH_TOLERANCE",
@@ -98,6 +98,8 @@ def match_fruitlets(
     """
     if not (is_finite_real(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
+    import numpy as np
+
     tracks = branch_map.tracks
     fruit = truth.fruitlets
     candidates: list[tuple[float, int, int]] = []
@@ -155,6 +157,8 @@ def size_rmse_percent(pairs: Iterable[tuple[float, float]]) -> float:
     Taken over matched (truth_diameter, estimated_diameter) pairs: the
     paper's "within 5.9% RMSE of their true size".
     """
+    import numpy as np
+
     arr = np.asarray(list(pairs), dtype=float)
     if arr.size == 0:
         raise ValueError("size_rmse_percent needs at least one pair")

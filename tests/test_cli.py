@@ -797,6 +797,105 @@ def test_import_leaves_process_pools_unloaded():
     assert proc.stdout.split() == ["[]"]
 
 
+# Modules that neither `fruitmap --version` nor report needs; importing them
+# was most of each stage's start-up.
+UNUSED_BY_REPORT = ("numpy", "fruitmap.simulator", "fruitmap.spherefit", "fruitmap.mapping",
+                    "fruitmap._pool")
+
+
+@pytest.mark.parametrize("stage", ["version", "report"])
+def test_version_and_report_start_without_numpy(tmp_path, stage):
+    # Each stage imports only the modules it runs. Run as `python -m
+    # fruitmap` in a fresh interpreter, which then lists what it loaded.
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({
+        "tp": 2, "fp": 1, "fn": 0, "precision": 2 / 3, "recall": 1.0, "f1": 0.8,
+        "count_accuracy_pct": 50.0, "size_rmse_pct": 4.5,
+        "size_pairs": [[0.02, 0.019], [0.015, 0.0158]],
+    }))
+    table, sizes = tmp_path / "t.csv", tmp_path / "s.csv"
+    argv = {
+        "version": ["--version"],
+        "report": ["report", "--eval", str(report), "--format", "csv", "--out", str(table),
+                   "--scatter", str(sizes)],
+    }[stage]
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('fruitmap', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code)\n"
+        f"print(sorted(set({UNUSED_BY_REPORT!r}) & set(sys.modules)))\n"
+    )
+    src = str(Path(fruitmap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["exit 0", "[]"], proc.stdout + proc.stderr
+    if stage == "report":
+        assert table.read_text().splitlines()[1] == "2,3,50.00,0.67,1.00,0.80"
+        assert sizes.read_text().splitlines()[1:] == ["0.02,0.019", "0.015,0.0158"]
+
+
+# The fruitmap.cli names that bench/launch.py's LAYER_CALLS replaces to time
+# the stages' layer calls; keep in step with that table.
+BENCH_CLI_NAMES = ("generate_scene", "plan_trajectory", "load_dataset", "build_side_map",
+                   "merge_maps", "evaluate_map", "report_from_json", "emit_report",
+                   "write_scatter")
+
+
+def test_stages_call_replaced_cli_names(pipeline, tmp_path):
+    # A fresh fruitmap.cli imports a stage's modules when the stage runs, but
+    # getattr still finds each name the bench replaces, and a stage calls the
+    # replacement set before main runs, as bench/launch.py sets it.
+    report, table, sizes = tmp_path / "r.json", tmp_path / "t.csv", tmp_path / "s.csv"
+    stages = [
+        ["eval", "--map", str(pipeline["merged"]),
+         "--truth", str(pipeline["dataset"] / "ground_truth.json"), "--out", str(report)],
+        ["report", "--eval", str(report), "--format", "csv", "--out", str(table),
+         "--scatter", str(sizes)],
+    ]
+    code = (
+        "import importlib, sys\n"
+        "from fruitmap import cli\n"
+        "called = []\n"
+        "def replacement(name, fn):\n"
+        "    def replaced(*args, **kwargs):\n"
+        "        called.append(name)\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return replaced\n"
+        f"for name in {BENCH_CLI_NAMES!r}:\n"
+        "    fn = getattr(cli, name)\n"
+        "    assert getattr(importlib.import_module(fn.__module__), name) is fn, name\n"
+        "    setattr(cli, name, replacement(name, fn))\n"
+        f"for argv in {stages!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(*called)\n"
+    )
+    src = str(Path(fruitmap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["evaluate_map", "report_from_json", "emit_report",
+                                   "write_scatter"]
+    for ours, theirs in ((report, "report"), (table, "table"), (sizes, "scatter")):
+        assert ours.read_bytes() == pipeline[theirs].read_bytes(), theirs
+
+
+def test_names_resolve_on_first_use():
+    # PEP 562: the package and the CLI import a name from its module on
+    # first use; a name neither defines is still an error.
+    assert set(fruitmap.__all__) <= set(dir(fruitmap))
+    assert fruitmap.OrchardSpec is OrchardSpec
+    with pytest.raises(AttributeError, match="'nope'"):
+        fruitmap.nope
+    with pytest.raises(ImportError, match="'nope'"):
+        from fruitmap import nope  # noqa: F401
+    assert cli.FitConfig is FitConfig
+    with pytest.raises(AttributeError, match="'nope'"):
+        cli.nope
+
+
 def test_runtime_sources_do_not_import_scipy():
     # The runtime needs numpy alone; scipy is in the test extra only.
     package = Path(fruitmap.__file__).resolve().parent
@@ -816,13 +915,13 @@ def test_runtime_sources_do_not_import_scipy():
     assert offenders == []
 
 
-def test_only_dataset_module_touches_json():
-    # dataset.read_json and dataset.write_json are the one JSON boundary: no
+def test_only_checks_module_touches_json():
+    # _checks.read_json and _checks.write_json are the one JSON boundary: no
     # other module parses, serializes, or reads or writes a text file.
     package = Path(fruitmap.__file__).resolve().parent
     offenders = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "dataset.py":
+        if path.name == "_checks.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             func = node.func if isinstance(node, ast.Call) else None

@@ -6,11 +6,16 @@ a new field cannot skip its check.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fruitmap._checks import from_doc
+import fruitmap
+from fruitmap._checks import from_doc, is_finite_point
 from fruitmap.dataset import GroundTruthFruitlet
 from fruitmap.evaluation import EvalReport
 from fruitmap.geometry import CameraIntrinsics
@@ -92,6 +97,33 @@ def test_array_center_is_a_point(cls):
     assert cls(**{**doc, "center": np.array(doc["center"])}) == cls(**doc)
     with pytest.raises(ValueError, match="center"):
         cls(**{**doc, "center": np.zeros((3, 1))})
+
+
+def test_finite_point_arrays():
+    # _checks finds numpy's ndarray through sys.modules, so records still
+    # take a 3-element finite array and name every other array as before.
+    assert is_finite_point(np.array([0.0, 0.0, 0.4]))
+    doc = VALID[GroundTruthFruitlet]
+    for center, shown in (
+        (np.array([0.0, 0.0]), "array([0., 0.])"),
+        (np.array([0.0, NAN, 0.4]), "array([0. , nan, 0.4])"),
+        (np.array([True, False, True]), "array([ True, False,  True])"),
+    ):
+        assert not is_finite_point(center)
+        with pytest.raises(ValueError) as info:
+            GroundTruthFruitlet(**{**doc, "center": center})
+        assert str(info.value) == f"center must be 3 coordinates, each a finite number, got {shown}"
+
+
+def test_checks_module_loads_no_numpy():
+    # The record checks and the JSON boundary serve report and --version,
+    # which run without numpy.
+    src = str(Path(fruitmap.__file__).resolve().parents[1])
+    code = "import sys, fruitmap._checks\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("cls, name", REQUIRED, ids=list(map(case_id, REQUIRED)))
