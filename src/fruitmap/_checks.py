@@ -6,7 +6,8 @@ so range comparisons alone let such values through. A record checks its own
 fields in __post_init__ through check_types, and from_doc builds any record
 from a JSON object, so the same checks and messages hold on both paths.
 read_json and write_json are the one reader and writer of every JSON
-document, and json_digest the one provenance hash.
+document, json_digest the one provenance hash, and config_digest that hash
+over config dataclasses.
 
 This module imports no numpy, so the stages that only read and write JSON
 (report, --version) start without it.
@@ -33,6 +34,11 @@ class DatasetError(ValueError):
 def json_digest(doc: object) -> str:
     """sha256 hex digest of doc's sorted-key JSON; the one provenance hash."""
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def config_digest(*configs: object) -> str:
+    """json_digest over the fields of the given config dataclasses, in order."""
+    return json_digest([dataclasses.asdict(cfg) for cfg in configs])  # type: ignore[call-overload]
 
 
 def read_json(path: Path | str) -> dict:

@@ -20,15 +20,9 @@ through the same store.
 
 from __future__ import annotations
 
+from ._checks import config_digest
 from .geometry import RigidTransform
-from .mapping import (
-    CROSS_SIDE_RADIUS,
-    BranchMap,
-    MergeConfig,
-    TrackStore,
-    config_digest,
-    integrate_observation,
-)
+from .mapping import CROSS_SIDE_RADIUS, BranchMap, MergeConfig, TrackStore, integrate_observation
 
 __all__ = ["cross_side_transform", "transform_map", "merge_maps"]
 

@@ -9,10 +9,11 @@ bytes, config, seed), and every JSON product embeds a provenance block that
 names the tool version and, where the product has them, its config digest
 and seed.
 
-Each stage imports only the modules it runs: a subcommand imports the names
-it uses from the pipeline's modules when it starts (_bind), and the package
-itself resolves its seven names on first use. So `--version` and report
-start without numpy, and the other stages load only their own modules.
+Each stage imports only the modules it runs: a subcommand binds the public
+names (the __all__) of the pipeline modules it runs when it starts (_bind),
+and the package itself resolves its seven names on first use. So `--version`
+and report start without numpy, and the other stages load only their own
+modules.
 
 Exit codes: 0 success, 1 validation or usage error, 2 I/O error, 130
 interrupted (Ctrl-C). All diagnostics go to standard error; data products
@@ -23,74 +24,66 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
 import logging
 import sys
+from types import ModuleType
 from typing import Mapping, Sequence
 
 from . import __version__
-from ._checks import DatasetError, json_digest, read_json, write_json
+from ._checks import DatasetError, config_digest, json_digest, read_json, write_json
 
 __all__ = ["main"]
 
 logger = logging.getLogger("fruitmap.cli")
 
-# The names the subcommands use from the pipeline's modules, by module. Each
-# is imported on first use (see _bind), so a stage imports only what it runs.
-_LAZY = {
-    "alignment": ("cross_side_transform", "merge_maps", "transform_map"),
-    "dataset": ("load_dataset", "load_ground_truth"),
-    "evaluation": (
-        "MATCH_TOLERANCE",
-        "emit_report",
-        "evaluate_map",
-        "report_from_json",
-        "report_to_json",
-        "write_scatter",
-    ),
-    "mapping": (
-        "CROSS_SIDE_RADIUS",
-        "WITHIN_SIDE_RADIUS",
-        "MergeConfig",
-        "build_side_map",
-        "config_digest",
-        "load_branch_map",
-        "save_branch_map",
-    ),
-    "simulator": ("OrchardSpec", "export_dataset", "generate_scene", "plan_trajectory"),
-    "spherefit": ("FitConfig",),
-}
+# The pipeline's modules, in the order __getattr__ searches them: evaluation,
+# which loads no numpy, then the rest leaves first. No name is in the __all__
+# of two of them, so the order a stage binds its modules in cannot matter.
+_MODULES = ("evaluation", "geometry", "spherefit", "dataset", "mapping", "simulator", "alignment")
+
+
+def _module(name: str) -> ModuleType:
+    """The pipeline module fruitmap.<name>, imported as an import statement would.
+
+    importlib.import_module bypasses the timing that `python -X importtime`
+    reports; __import__ does not, so that report lists every module a stage loads.
+    """
+    return __import__(f"{__package__}.{name}", fromlist=["__all__"])
+
+
+def _bind(*modules: str) -> None:
+    """Import modules and set each name in their __all__ here, unless it is set already.
+
+    A function's global lookup never calls the module __getattr__, so each
+    subcommand binds the modules it runs before it uses their names. A name
+    already set here wins, so a caller may replace one before main runs, as
+    bench/launch.py does to time the stages' layer calls.
+    """
+    for module in modules:
+        imported = _module(module)
+        for name in imported.__all__:
+            globals().setdefault(name, getattr(imported, name))
 
 
 def __getattr__(name: str) -> object:
-    """A _LAZY name, imported from its module and cached here (PEP 562)."""
-    module = next((module for module, names in _LAZY.items() if name in names), None)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__package__}.{module}"), name)
-    globals()[name] = value
-    return value
+    """A public name of the first of _MODULES that has it, bound here (PEP 562).
 
-
-def _bind(*names: str) -> None:
-    """Set each of names on this module, unless it is set already.
-
-    A function's global lookup never calls the module __getattr__, so each
-    subcommand binds the names it uses before it uses them. A name already
-    set here wins, so a caller may replace one before main runs, as
-    bench/launch.py does to time the stages' layer calls.
+    Dunder names are not searched: the import system probes for __path__ and
+    the like, and must not import every module to learn they are absent.
     """
-    for name in names:
-        if name not in globals():
-            __getattr__(name)
+    for module in () if name.startswith("__") else _MODULES:
+        _bind(module)
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # The one table of config sections and the keys each one allows: a tuple of
-# keys, or the name of the dataclass whose fields are the keys. A dataclass
-# is imported only when a config file names its section.
+# keys, or "module.Name" of the dataclass whose fields are the keys. That
+# module is imported only when a config file names its section.
 _CONFIG_KEYS = {
-    "simulate": "OrchardSpec",
-    "fit": "FitConfig",
+    "simulate": "simulator.OrchardSpec",
+    "fit": "spherefit.FitConfig",
     "merge": ("within_radius", "cross_radius"),
     "eval": ("tolerance",),
 }
@@ -113,8 +106,9 @@ def _load_config(path: str | None) -> dict[str, dict]:
             raise ValueError(f"config {path}: section {key!r} must be an object")
         allowed = _CONFIG_KEYS[key]
         if isinstance(allowed, str):
-            _bind(allowed)
-            allowed = tuple(f.name for f in dataclasses.fields(globals()[allowed]))
+            module, name = allowed.split(".")
+            record = getattr(_module(module), name)
+            allowed = tuple(f.name for f in dataclasses.fields(record))
         unknown = sorted(set(section) - set(allowed))
         if unknown:
             raise ValueError(f"config {path}: unknown {key} option(s): {', '.join(unknown)}")
@@ -135,7 +129,7 @@ def _stamped(provenance: Mapping[str, object]) -> dict:
 # --------------------------------------------------------------- subcommands
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _bind("OrchardSpec", "generate_scene", "plan_trajectory", "export_dataset", "config_digest")
+    _bind("simulator")
     config = _load_config(args.config)
     kwargs = config["simulate"]
     if args.seed is not None:
@@ -153,10 +147,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    _bind(
-        "FitConfig", "MergeConfig", "WITHIN_SIDE_RADIUS", "load_dataset", "build_side_map",
-        "save_branch_map",
-    )
+    _bind("spherefit", "dataset", "mapping")
     config = _load_config(args.config)
     fit_kwargs = config["fit"]
     if args.seed is not None:
@@ -174,10 +165,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    _bind(
-        "MergeConfig", "CROSS_SIDE_RADIUS", "load_branch_map", "load_dataset",
-        "cross_side_transform", "merge_maps", "transform_map", "save_branch_map",
-    )
+    _bind("dataset", "mapping", "alignment")
     config = _load_config(args.config)
     merge = config["merge"]
     merge_cfg = MergeConfig(merge_radius=merge.get("cross_radius", CROSS_SIDE_RADIUS))
@@ -219,15 +207,18 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    _bind(
-        "MATCH_TOLERANCE", "load_branch_map", "load_ground_truth", "evaluate_map",
-        "report_to_json",
-    )
+    _bind("dataset", "mapping", "evaluation")
     settings = {"tolerance": MATCH_TOLERANCE, **_load_config(args.config)["eval"]}
     branch_map = load_branch_map(args.map)
     truth = load_ground_truth(args.truth)
     if not truth.fruitlets:
         raise ValueError(f"{args.truth}: no fruitlets, so count accuracy is undefined")
+    map_id = branch_map.provenance.get("dataset_id", "")
+    if truth.dataset_id is not None and truth.dataset_id != map_id:
+        raise ValueError(
+            f"{args.map} is a map of dataset {map_id!r}, but {args.truth} "
+            f"is the ground truth of dataset {truth.dataset_id!r}"
+        )
     report = evaluate_map(branch_map, truth, **settings)
     doc = report_to_json(report)
     doc["provenance"] = _stamped({"config_digest": json_digest(settings)})
@@ -240,7 +231,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    _bind("report_from_json", "emit_report", "report_to_json", "write_scatter")
+    _bind("evaluation")
     _load_config(args.config)
     doc = read_json(args.eval)
     try:

@@ -28,7 +28,6 @@ leaves no dataset that loads.
 
 from __future__ import annotations
 
-import logging
 import os
 import re
 from dataclasses import asdict, dataclass, field
@@ -37,15 +36,14 @@ from typing import Iterable, Sequence, overload
 
 import numpy as np
 
-# DatasetError and the JSON boundary live in _checks, which imports no numpy,
-# so that report runs without it; __all__ re-exports them from here.
+# DatasetError lives in _checks, which imports no numpy, so that report runs
+# without it; __all__ re-exports it, since this module's loaders raise it.
 from ._checks import (
     DatasetError,
     check_types,
     from_doc,
     is_finite_real,
     is_int,
-    json_digest,
     read_json,
     write_json,
 )
@@ -68,12 +66,7 @@ __all__ = [
     "clear_scan",
     "extract_instance_clouds",
     "DEFAULT_MIN_POINTS",
-    "json_digest",
-    "read_json",
-    "write_json",
 ]
-
-log = logging.getLogger(__name__)
 
 DEFAULT_MIN_POINTS = 30
 FORMAT_VERSION = "1"
@@ -120,12 +113,16 @@ class GroundTruth:
     """Fruitlets with distinct ids, and per side how many frames saw each one.
 
     Visibility counts are integers >= 0, each keyed by a listed fruitlet's id.
+    dataset_id names the scan the fruitlets belong to; None when unknown.
     """
 
     fruitlets: tuple[GroundTruthFruitlet, ...]
     visibility: dict[str, dict[int, int]] = field(default_factory=dict)
+    dataset_id: str | None = None
 
     def __post_init__(self) -> None:
+        if not (self.dataset_id is None or isinstance(self.dataset_id, str)):
+            raise ValueError(f"dataset_id must be a string, got {self.dataset_id!r}")
         ids: set[int] = set()
         for index, fruitlet in enumerate(self.fruitlets):
             if fruitlet.id in ids:
@@ -262,6 +259,7 @@ def load_ground_truth(path: Path | str) -> GroundTruth:
     Each fruitlet and the GroundTruth check their own fields, and every
     message names path. Visibility is an object of count objects per side,
     keyed by str(id) of a listed fruitlet, since JSON object keys are strings.
+    dataset_id, the id of the scan the file was written with, may be absent.
     """
     doc = read_json(path)
     if not isinstance(doc.get("fruitlets"), list):
@@ -284,6 +282,7 @@ def load_ground_truth(path: Path | str) -> GroundTruth:
                 side: {ids.get(key, key): count for key, count in counts.items()}
                 for side, counts in visibility.items()
             },
+            dataset_id=doc.get("dataset_id"),
         )
     except ValueError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
@@ -461,6 +460,7 @@ def write_dataset(dataset: ScanDataset, root: Path | str, provenance: dict | Non
         write_json(
             root / "ground_truth.json",
             {
+                "dataset_id": dataset.dataset_id,
                 "fruitlets": [asdict(f) for f in truth.fruitlets],
                 "visibility": {
                     side: {str(k): v for k, v in sorted(counts.items())}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from ._checks import DatasetError, check_types, from_doc, is_finite_real
 
@@ -223,32 +223,23 @@ def report_from_json(doc: object) -> EvalReport:
         raise DatasetError(f"malformed evaluation report: {exc}") from exc
 
 
-_CSV_COLUMNS = ("ground_truth", "calculated", "accuracy", "precision", "recall", "f1")
-
-
-def _csv_row(report: EvalReport) -> list[str]:
-    return [
-        str(report.tp + report.fn),
-        str(report.tp + report.fp),
-        f"{report.count_accuracy_pct:.2f}",
-        f"{report.precision:.2f}",
-        f"{report.recall:.2f}",
-        f"{report.f1:.2f}",
-    ]
-
-
-def emit_report(report: EvalReport | Sequence[EvalReport], path: Path | str) -> Path:
-    """Write the CSV count table: one row per report, values rounded to 2 places.
+def emit_report(report: EvalReport, path: Path | str) -> Path:
+    """Write the CSV count table: a header and report's row, values rounded to 2 places.
 
     Report JSON comes from report_to_json, which keeps full precision.
     """
     path = Path(path)
-    reports = [report] if isinstance(report, EvalReport) else list(report)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_CSV_COLUMNS)
-        for rep in reports:
-            writer.writerow(_csv_row(rep))
+        writer.writerow(("ground_truth", "calculated", "accuracy", "precision", "recall", "f1"))
+        writer.writerow((
+            str(report.tp + report.fn),
+            str(report.tp + report.fp),
+            f"{report.count_accuracy_pct:.2f}",
+            f"{report.precision:.2f}",
+            f"{report.recall:.2f}",
+            f"{report.f1:.2f}",
+        ))
     return path
 
 

@@ -62,6 +62,9 @@ class StereoRig:
     baseline: float
 
     def __post_init__(self) -> None:
+        wrong = ([] if isinstance(self.intrinsics, CameraIntrinsics)
+                 else [f"intrinsics must be CameraIntrinsics, got {self.intrinsics!r}"])
+        check_types(self, reals=("baseline",), also=wrong)
         if self.baseline <= 0:
             raise ValueError(f"baseline must be positive, got {self.baseline}")
 

@@ -34,23 +34,15 @@ so no process holds more than one frame's pixels.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._checks import check_types, from_doc
+from ._checks import DatasetError, check_types, config_digest, from_doc, read_json, write_json
 from ._pool import ordered_map
-from .dataset import (
-    DatasetError,
-    FrameRecord,
-    ScanDataset,
-    extract_instance_clouds,
-    json_digest,
-    read_json,
-    write_json,
-)
+from .dataset import FrameRecord, ScanDataset, extract_instance_clouds
 from .spherefit import (
     DegenerateSampleError,
     FitConfig,
@@ -68,7 +60,6 @@ __all__ = [
     "FruitletTrack",
     "BranchMap",
     "TrackStore",
-    "config_digest",
     "integrate_observation",
     "build_side_map",
     "map_to_json",
@@ -156,11 +147,6 @@ class BranchMap:
         ids = [t.id for t in self.tracks]
         if len(set(ids)) != len(ids):
             raise ValueError("track ids must be unique within a map")
-
-
-def config_digest(*configs: object) -> str:
-    """sha256 over the sorted-key JSON of the given config dataclasses."""
-    return json_digest([asdict(cfg) for cfg in configs])  # type: ignore[call-overload]
 
 
 class TrackStore:

@@ -45,7 +45,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._checks import check_types, is_finite_real, is_int
+from ._checks import check_types, is_finite_real, is_int, json_digest
 from ._pool import ordered_map
 from .dataset import (
     DEFAULT_MIN_POINTS,
@@ -54,7 +54,6 @@ from .dataset import (
     GroundTruthFruitlet,
     ScanDataset,
     clear_scan,
-    json_digest,
     write_dataset,
     write_frame,
 )
@@ -544,7 +543,7 @@ def _dataset(
         sides=SIDES,
         frames=frames,
         fiducials={side: SIDE_FROM_SCENE[side].compose(FIDUCIAL_TO_SCENE) for side in SIDES},
-        ground_truth=GroundTruth(fruitlets=scene.fruitlets, visibility=visibility),
+        ground_truth=GroundTruth(scene.fruitlets, visibility, dataset_id=scene.dataset_id),
     )
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import json
 import multiprocessing
 import os
@@ -18,7 +19,8 @@ from fruitmap import _pool, cli, simulator
 from fruitmap import dataset as dataset_module
 from fruitmap import mapping
 from fruitmap.cli import main
-from fruitmap.dataset import json_digest, read_mask_raster
+from fruitmap._checks import json_digest
+from fruitmap.dataset import read_mask_raster
 from fruitmap.evaluation import MATCH_TOLERANCE
 from fruitmap.mapping import CROSS_SIDE_RADIUS, WITHIN_SIDE_RADIUS
 from fruitmap.simulator import OrchardSpec
@@ -450,6 +452,22 @@ class TestMalformedInputs:
                         "--out", str(tmp_path / "r.json")])
         assert_one_line_validation_error(proc, str(bad), "entry 1", *needles)
 
+    @pytest.mark.parametrize("other_id", ["0" * 12, 5], ids=["another-scan", "mistyped"])
+    def test_truth_of_another_scan_is_validation_error(self, pipeline, tmp_path, other_id):
+        # The truth names the scan it was written with: a map scored against
+        # another scan's fruitlets would get a meaningless F1.
+        truth = json.loads((pipeline["dataset"] / "ground_truth.json").read_text())
+        own_id = truth["dataset_id"]
+        truth["dataset_id"] = other_id
+        bad, out = tmp_path / "truth.json", tmp_path / "r.json"
+        bad.write_text(json.dumps(truth))
+        proc = run_cli(["eval", "--map", str(pipeline["merged"]), "--truth", str(bad),
+                        "--out", str(out)])
+        needles = ((str(pipeline["merged"]), own_id, repr(other_id)) if isinstance(other_id, str)
+                   else ("dataset_id must be a string, got 5",))
+        assert_one_line_validation_error(proc, str(bad), *needles)
+        assert not out.exists()
+
     def test_truth_without_fruitlets(self, pipeline, tmp_path):
         # Count accuracy divides by the number of true fruitlets.
         bad = tmp_path / "truth.json"
@@ -835,6 +853,63 @@ def test_version_and_report_start_without_numpy(tmp_path, stage):
     if stage == "report":
         assert table.read_text().splitlines()[1] == "2,3,50.00,0.67,1.00,0.80"
         assert sizes.read_text().splitlines()[1:] == ["0.02,0.019", "0.015,0.0158"]
+
+
+# The fruitmap modules each stage loads besides fruitmap, fruitmap.cli and
+# fruitmap._checks: the modules it runs and the ones they import.
+STAGE_MODULES = {
+    "simulate": {"simulator", "dataset", "geometry", "spherefit", "_pool"},
+    "map": {"mapping", "dataset", "geometry", "spherefit", "_pool"},
+    "align": {"alignment", "mapping", "dataset", "geometry", "spherefit", "_pool"},
+    "eval": {"evaluation", "mapping", "dataset", "geometry", "spherefit", "_pool"},
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGE_MODULES))
+def test_stage_loads_only_its_modules(pipeline, tmp_path, stage):
+    # Run as `python -m fruitmap` in a fresh interpreter, which then lists
+    # the fruitmap modules it loaded. simulate loads no mapping.
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "--seed", "17"],
+        "map": ["map", "--dataset", str(pipeline["dataset"]), "--side", "A"],
+        "align": ["align", "--map-a", str(pipeline["map_a"]), "--map-b", str(pipeline["map_b"]),
+                  "--dataset", str(pipeline["dataset"])],
+        "eval": ["eval", "--map", str(pipeline["merged"]),
+                 "--truth", str(pipeline["dataset"] / "ground_truth.json")],
+    }[stage]
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('fruitmap', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code)\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'fruitmap'))\n"
+    )
+    src = str(Path(fruitmap.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    exit_line, loaded = proc.stdout.splitlines()[-2:]
+    assert exit_line == "exit 0", proc.stdout + proc.stderr
+    expected = {"fruitmap", "fruitmap.cli", "fruitmap._checks",
+                *(f"fruitmap.{module}" for module in STAGE_MODULES[stage])}
+    assert set(loaded.split()) == expected
+
+
+def test_no_name_is_public_in_two_pipeline_modules():
+    # A stage binds every __all__ name of the modules it runs onto
+    # fruitmap.cli. Each name has one home, so the order of binding cannot
+    # matter. cli._MODULES lists every pipeline module.
+    package = Path(fruitmap.__file__).resolve().parent
+    assert set(cli._MODULES) == {path.stem for path in package.glob("*.py")
+                                 if not path.stem.startswith("_")} - {"cli"}
+    homes = {}
+    for module in cli._MODULES:
+        for name in importlib.import_module(f"fruitmap.{module}").__all__:
+            homes.setdefault(name, []).append(module)
+    assert {name: found for name, found in homes.items() if len(found) > 1} == {}
 
 
 # The fruitmap.cli names that bench/launch.py's LAYER_CALLS replaces to time

@@ -1,5 +1,6 @@
 """Dataset layout round trips, raster formats, validation, and cloud extraction."""
 
+import dataclasses
 import json
 import re
 
@@ -160,7 +161,9 @@ class TestDatasetRoundTrip:
             np.testing.assert_array_equal(got.masks, want.masks)
         no_frames = load_dataset(root, sides=())
         assert no_frames.frames == {} and set(no_frames.fiducials) == {"A", "B"}
-        assert load_ground_truth(root / "ground_truth.json") == ds.ground_truth
+        # the written truth names the scan it belongs to
+        truth = dataclasses.replace(ds.ground_truth, dataset_id="abc123")
+        assert load_ground_truth(root / "ground_truth.json") == truth
         every_side = load_dataset(root)
         with pytest.raises(FileNotFoundError):
             every_side.frames["B"][0]

@@ -7,13 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from fruitmap.dataset import (
-    DatasetError,
-    GroundTruth,
-    GroundTruthFruitlet,
-    read_json,
-    write_json,
-)
+from fruitmap._checks import read_json, write_json
+from fruitmap.dataset import DatasetError, GroundTruth, GroundTruthFruitlet
 from fruitmap.evaluation import (
     EvalReport,
     MatchResult,
@@ -333,11 +328,6 @@ class TestReporting:
         row = lines[1].split(",")
         assert row[0] == "52" and row[1] == "63"
         assert row[2] == "78.85"
-
-    def test_csv_one_row_per_report(self, tmp_path):
-        reports = [sample_report(), sample_report()]
-        path = emit_report(reports, tmp_path / "table.csv")
-        assert len(path.read_text().strip().splitlines()) == 3
 
     def test_scatter_rows_match_size_pairs(self, tmp_path):
         report = sample_report()

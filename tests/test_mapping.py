@@ -18,7 +18,8 @@ import pytest
 
 from fruitmap import _pool, mapping, spherefit
 from fruitmap.alignment import cross_side_transform, merge_maps, transform_map
-from fruitmap.dataset import DatasetError, extract_instance_clouds, json_digest
+from fruitmap._checks import config_digest, json_digest
+from fruitmap.dataset import DatasetError, extract_instance_clouds
 from fruitmap.evaluation import MATCH_TOLERANCE
 from fruitmap.mapping import (
     CROSS_SIDE_RADIUS,
@@ -27,7 +28,6 @@ from fruitmap.mapping import (
     MergeConfig,
     TrackStore,
     build_side_map,
-    config_digest,
     integrate_observation,
     load_branch_map,
     map_from_json,

@@ -1,4 +1,4 @@
-"""Every JSON record checks its own fields, through its constructor and from_doc.
+"""Every record checks its own fields, through its constructor and from_doc.
 
 The cases are generated from each record's dataclass fields: a field whose
 annotation has no entry in WRONG fails test_every_field_has_wrong_values, so
@@ -18,7 +18,7 @@ import fruitmap
 from fruitmap._checks import from_doc, is_finite_point
 from fruitmap.dataset import GroundTruthFruitlet
 from fruitmap.evaluation import EvalReport
-from fruitmap.geometry import CameraIntrinsics
+from fruitmap.geometry import CameraIntrinsics, StereoRig
 from fruitmap.mapping import BranchMap, FruitletTrack
 
 VALID = {
@@ -32,12 +32,13 @@ VALID = {
     CameraIntrinsics: {"fx": 40.0, "fy": 40.0, "cx": 16.0, "cy": 12.0, "width": 32,
                        "height": 24},
 }
+VALID[StereoRig] = {"intrinsics": CameraIntrinsics(**VALID[CameraIntrinsics]), "baseline": 0.1}
 
 NAN = float("nan")
 HUGE = 10 ** 400  # a JSON integer too large for a float
 WRONG = {
     "int": [True, 1.5, "1"],
-    "float": ["0.5", NAN, None, HUGE],
+    "float": ["0.5", NAN, None, HUGE, True, float("inf")],
     "float | None": ["0.5", NAN, HUGE],
     "tuple[float, float, float]": [[0.1, 0.2], ["0.1", 0.0, 0.4], [0.0, NAN, 0.4],
                                    [0.0, HUGE, 0.4]],
@@ -46,6 +47,7 @@ WRONG = {
     "tuple[FruitletTrack, ...]": [7, [VALID[FruitletTrack]]],
     "Mapping[str, object]": [[], "seed"],
     "tuple[tuple[float, float], ...]": [[[0.01]], {"a": 1}, [[0.01, "0.01"]]],
+    "CameraIntrinsics": [VALID[CameraIntrinsics], None],
 }
 
 FIELDS = [(cls, f) for cls in VALID for f in dataclasses.fields(cls)]

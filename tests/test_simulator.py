@@ -636,7 +636,7 @@ class TestExportDataset:
 # depth and mask rasters, ground truth with its visibility counts) for a scene
 # with depth noise, occluders and mask dilation. A change that alters dataset
 # output on purpose updates it and says so in CHANGES.md.
-GOLDEN_DATASET_DIGEST = "012498db4180d6743a5b0be5c3969ecff9c51bb13e749d9d95782471ffaf03d7"
+GOLDEN_DATASET_DIGEST = "97dfb5b2adc94cd2dfe9f60a2a7f03f819128ce0a912e3197e57c317ba90deb9"
 
 
 GOLDEN_SPEC = OrchardSpec(cluster_count=3, occluder_count=4, occluder_size=0.16,
