@@ -21,9 +21,9 @@ _MODULES = {
     "OrchardSpec": "simulator",
     "simulate_dataset": "simulator",
     "build_side_map": "mapping",
-    "cross_side_transform": "alignment",
-    "transform_map": "alignment",
-    "merge_maps": "alignment",
+    "cross_side_transform": "mapping",
+    "transform_map": "mapping",
+    "merge_maps": "mapping",
     "evaluate_map": "evaluation",
 }
 

@@ -39,7 +39,7 @@ logger = logging.getLogger("fruitmap.cli")
 # The pipeline's modules, in the order __getattr__ searches them: evaluation,
 # which loads no numpy, then the rest leaves first. No name is in the __all__
 # of two of them, so the order a stage binds its modules in cannot matter.
-_MODULES = ("evaluation", "geometry", "spherefit", "dataset", "mapping", "simulator", "alignment")
+_MODULES = ("evaluation", "geometry", "spherefit", "dataset", "mapping", "simulator")
 
 
 def _module(name: str) -> ModuleType:
@@ -165,7 +165,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    _bind("dataset", "mapping", "alignment")
+    _bind("dataset", "mapping")
     config = _load_config(args.config)
     merge = config["merge"]
     merge_cfg = MergeConfig(merge_radius=merge.get("cross_radius", CROSS_SIDE_RADIUS))
@@ -218,6 +218,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(
             f"{args.map} is a map of dataset {map_id!r}, but {args.truth} "
             f"is the ground truth of dataset {truth.dataset_id!r}"
+        )
+    if truth.frame_label is not None and branch_map.frame_label not in (truth.frame_label, "merged"):
+        raise ValueError(
+            f"{args.map} is a map in frame {branch_map.frame_label!r}, but {args.truth} "
+            f"is in frame {truth.frame_label!r}"
         )
     report = evaluate_map(branch_map, truth, **settings)
     doc = report_to_json(report)

@@ -12,6 +12,8 @@ A scan dataset is a directory:
 Frame JSON carries the camera-to-side pose (row-major 4x4), pinhole intrinsics,
 and relative paths to its two rasters. Invalid depth pixels are non-finite or
 non-positive. Mask value 0 is background; any positive value is an instance id.
+The ground truth JSON carries dataset_id, frame_label (the first side, whose
+frame its centers are in), the fruitlets and their per-side visibility counts.
 
 load_dataset validates the JSON documents, the frame indices and the raster
 paths, with diagnostics naming the offending file, and opens no raster. A
@@ -113,16 +115,20 @@ class GroundTruth:
     """Fruitlets with distinct ids, and per side how many frames saw each one.
 
     Visibility counts are integers >= 0, each keyed by a listed fruitlet's id.
-    dataset_id names the scan the fruitlets belong to; None when unknown.
+    dataset_id names the scan the fruitlets belong to, and frame_label the
+    side whose frame the centers are in; each is None when unknown.
     """
 
     fruitlets: tuple[GroundTruthFruitlet, ...]
     visibility: dict[str, dict[int, int]] = field(default_factory=dict)
     dataset_id: str | None = None
+    frame_label: str | None = None
 
     def __post_init__(self) -> None:
-        if not (self.dataset_id is None or isinstance(self.dataset_id, str)):
-            raise ValueError(f"dataset_id must be a string, got {self.dataset_id!r}")
+        for name in ("dataset_id", "frame_label"):
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, str)):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         ids: set[int] = set()
         for index, fruitlet in enumerate(self.fruitlets):
             if fruitlet.id in ids:
@@ -259,7 +265,8 @@ def load_ground_truth(path: Path | str) -> GroundTruth:
     Each fruitlet and the GroundTruth check their own fields, and every
     message names path. Visibility is an object of count objects per side,
     keyed by str(id) of a listed fruitlet, since JSON object keys are strings.
-    dataset_id, the id of the scan the file was written with, may be absent.
+    dataset_id, the id of the scan the file was written with, and frame_label
+    may be absent.
     """
     doc = read_json(path)
     if not isinstance(doc.get("fruitlets"), list):
@@ -283,6 +290,7 @@ def load_ground_truth(path: Path | str) -> GroundTruth:
                 for side, counts in visibility.items()
             },
             dataset_id=doc.get("dataset_id"),
+            frame_label=doc.get("frame_label"),
         )
     except ValueError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
@@ -461,6 +469,7 @@ def write_dataset(dataset: ScanDataset, root: Path | str, provenance: dict | Non
             root / "ground_truth.json",
             {
                 "dataset_id": dataset.dataset_id,
+                "frame_label": dataset.sides[0],
                 "fruitlets": [asdict(f) for f in truth.fruitlets],
                 "visibility": {
                     side: {str(k): v for k, v in sorted(counts.items())}

@@ -1,4 +1,4 @@
-"""Per-side fruitlet map assembly.
+"""Fruitlet map assembly: each side's track map, then the two sides' merge.
 
 A BranchMap accumulates accepted sphere fits across the frames of one scan
 side. Association is greedy: each observation merges into the nearest existing
@@ -17,11 +17,10 @@ within the merge radius, therefore holds for every map this module produces.
 
 Tracks under construction live in a TrackStore, which integrate_observation
 updates in place; the store builds the frozen, validated BranchMap once, at
-the end, and BranchMap values stay immutable. The cross-side merge in
-alignment.py goes through the same store. Building is deterministic for a
-fixed dataset, config, and base seed because every observation's fit is
-seeded from (base seed, frame index, instance id) rather than from shared
-generator state.
+the end, and BranchMap values stay immutable. Only this module reads or
+writes a store's rows. Building is deterministic for a fixed dataset, config,
+and base seed because every observation's fit is seeded from (base seed,
+frame index, instance id) rather than from shared generator state.
 
 build_side_map fits a side's frames in parallel, in one forked process per
 usable CPU, and integrates the fits in frame order in the calling process. So
@@ -29,6 +28,15 @@ the map is byte-identical whatever the number of processes, and a side
 restricted to one CPU (taskset -c 0) is fitted in-process. Each task reads
 its own frame (a loaded dataset reads a frame's rasters when it is accessed),
 so no process holds more than one frame's pixels.
+
+The two sides' maps fuse through the same store. Both sides record a pose of
+one physical fiducial, so a point expressed relative to it lands on identical
+side-A coordinates through either side's chain: the fiducial alone registers
+side B to side A. The merge is fixed as B-into-A, and the direction is part of
+the contract: side A's tracks come first, so they keep the low ids and survive
+the collapses a merge triggers, and the order in which side-B tracks arrive
+decides which of them collapse. A side-B track weighs its tally, so a sighting
+counts the same whichever side made it.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import numpy as np
 from ._checks import DatasetError, check_types, config_digest, from_doc, read_json, write_json
 from ._pool import ordered_map
 from .dataset import FrameRecord, ScanDataset, extract_instance_clouds
+from .geometry import RigidTransform
 from .spherefit import (
     DegenerateSampleError,
     FitConfig,
@@ -62,6 +71,9 @@ __all__ = [
     "TrackStore",
     "integrate_observation",
     "build_side_map",
+    "cross_side_transform",
+    "transform_map",
+    "merge_maps",
     "map_to_json",
     "map_from_json",
     "save_branch_map",
@@ -124,7 +136,7 @@ class BranchMap:
 
     frame_label names the frame the centers live in: a side label for
     single-side maps, "merged" for a combined map (expressed in side A's
-    frame by the alignment stage).
+    frame by merge_maps).
     """
 
     frame_label: str
@@ -224,8 +236,8 @@ def integrate_observation(
 
     The observation joins the nearest track when the center distance is at or
     below cfg.merge_radius; ties resolve to the earliest-seen track. weight > 1
-    lets a whole track from another map count as its observation tally (the
-    alignment stage uses this); plain fits use the default 1.
+    lets a whole track from another map count as its observation tally
+    (merge_maps uses this); plain fits use the default 1.
     """
     if weight < 1:
         raise ValueError("weight must be a positive observation count")
@@ -340,6 +352,55 @@ def build_side_map(
             "dataset_id": dataset.dataset_id,
             "config_digest": config_digest(fit_cfg, merge_cfg),
             "seed": fit_cfg.rng_seed,
+        },
+    )
+
+
+def cross_side_transform(pose_a: RigidTransform, pose_b: RigidTransform) -> RigidTransform:
+    """Rigid transform taking side-B coordinates to side-A coordinates.
+
+    Both poses are fiducial-to-side poses of the same physical fiducial; the
+    result is pose_a composed with the inverse of pose_b.
+    """
+    return pose_a.compose(pose_b.inverse())
+
+
+def transform_map(
+    branch_map: BranchMap, transform: RigidTransform, frame_label: str
+) -> BranchMap:
+    """Re-express every track center in a new frame; diameters are unchanged."""
+    store = TrackStore(branch_map.tracks)
+    store.centers = transform.apply(store.centers)
+    return store.build(frame_label, branch_map.provenance)
+
+
+def merge_maps(
+    map_a: BranchMap, map_b_in_a: BranchMap, cfg: MergeConfig | None = None
+) -> BranchMap:
+    """Fold side-B tracks into side A's map; both inputs share one frame.
+
+    Side-B tracks are integrated in their stored order, each weighted by its
+    observation count, under the cross-side merge radius. Track ids are then
+    reassigned densely in first-seen order. Raises ValueError when the inputs
+    carry different frame labels (one of them was not re-expressed).
+    """
+    if map_a.frame_label != map_b_in_a.frame_label:
+        raise ValueError(
+            "frame label mismatch: "
+            f"{map_a.frame_label!r} vs {map_b_in_a.frame_label!r}"
+        )
+    cfg = cfg if cfg is not None else MergeConfig(merge_radius=CROSS_SIDE_RADIUS)
+    store = TrackStore(map_a.tracks)
+    for track in map_b_in_a.tracks:
+        integrate_observation(
+            store, track.center, track.diameter, cfg, sides=track.sides, weight=track.observations
+        )
+    store.ids = list(range(len(store.ids)))
+    return store.build(
+        "merged",
+        {
+            "dataset_id": map_a.provenance.get("dataset_id", ""),
+            "config_digest": config_digest(cfg),
         },
     )
 

@@ -543,7 +543,9 @@ def _dataset(
         sides=SIDES,
         frames=frames,
         fiducials={side: SIDE_FROM_SCENE[side].compose(FIDUCIAL_TO_SCENE) for side in SIDES},
-        ground_truth=GroundTruth(scene.fruitlets, visibility, dataset_id=scene.dataset_id),
+        ground_truth=GroundTruth(
+            scene.fruitlets, visibility, dataset_id=scene.dataset_id, frame_label=SIDES[0]
+        ),
     )
 
 

@@ -1,9 +1,9 @@
-"""Fiducial-based cross-side registration and map merging."""
+"""Fiducial-based cross-side registration and map merging (fruitmap.mapping)."""
 
 import numpy as np
 import pytest
 
-from fruitmap.alignment import cross_side_transform, merge_maps, transform_map
+from fruitmap import mapping
 from fruitmap.geometry import RigidTransform, rotation_about_axis
 from fruitmap.mapping import (
     CROSS_SIDE_RADIUS,
@@ -11,7 +11,10 @@ from fruitmap.mapping import (
     FruitletTrack,
     MergeConfig,
     TrackStore,
+    cross_side_transform,
     integrate_observation,
+    merge_maps,
+    transform_map,
 )
 
 
@@ -104,6 +107,22 @@ class TestMergeMaps:
         b = BranchMap("B", tracks=(track(0, (0.0, 0.0, 0.4), sides=("B",)),))
         with pytest.raises(ValueError, match="frame label"):
             merge_maps(a, b)
+
+    def test_replaced_integrate_observation_sees_every_side_b_track(self, monkeypatch):
+        # merge_maps looks integrate_observation up in fruitmap.mapping when it
+        # runs, so a replacement there (a test double, a tracer) sees each
+        # side-B track, whenever it was put in place.
+        original, seen = mapping.integrate_observation, []
+
+        def counting(store, center, *args, **kwargs):
+            seen.append(tuple(center))
+            original(store, center, *args, **kwargs)
+
+        monkeypatch.setattr(mapping, "integrate_observation", counting)
+        a = self.make_a([(0.0, 0.0, 0.4)])
+        b = self.make_b_in_a([(0.005, 0.0, 0.4), (0.2, 0.0, 0.4), (0.4, 0.0, 0.4)])
+        assert len(merge_maps(a, b).tracks) == 3
+        assert seen == [t.center for t in b.tracks]
 
     def test_ids_reassigned_densely(self):
         a = self.make_a([(0.0, 0.0, 0.4)])

@@ -239,6 +239,26 @@ class TestExitCodes:
         assert main(["--version"]) == 0
         assert "fruitmap" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("level", [None, "info"], ids=["default", "info"])
+    def test_log_level_sets_what_stderr_shows(self, pipeline, tmp_path, level):
+        # A stage that succeeds prints nothing at the default level, and its
+        # one summary line at info; data products never go to stdout.
+        out = tmp_path / "a.json"
+        flags = [] if level is None else ["--log-level", level]
+        proc = run_cli(["map", "--dataset", str(pipeline["dataset"]), "--side", "A",
+                        "--out", str(out), *flags])
+        assert proc.returncode == 0 and proc.stdout == "", proc.stderr
+        tracks = len(json.loads(out.read_text())["tracks"])
+        summary = f"INFO fruitmap.cli: side A: {tracks} tracks -> {out}\n"
+        assert proc.stderr == ("" if level is None else summary)
+
+    def test_unknown_log_level_is_usage_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "a.json"
+        assert main(["map", "--dataset", str(pipeline["dataset"]), "--side", "A",
+                     "--out", str(out), "--log-level", "verbose"]) == 1
+        assert "--log-level: invalid choice: 'verbose'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dead_fit_worker_is_io_error(self, pipeline, tmp_path, capfd, monkeypatch):
         # A killed worker must neither hang the pool nor print a traceback,
         # and must leave no process running. capfd also sees the workers' stderr.
@@ -467,6 +487,33 @@ class TestMalformedInputs:
                    else ("dataset_id must be a string, got 5",))
         assert_one_line_validation_error(proc, str(bad), *needles)
         assert not out.exists()
+
+    def test_map_in_another_frame_than_the_truth_is_validation_error(self, pipeline, tmp_path):
+        # Side B's centers are in side B's frame and the truth's in side A's,
+        # so scoring one against the other would give a meaningless F1.
+        truth, out = pipeline["dataset"] / "ground_truth.json", tmp_path / "r.json"
+        proc = run_cli(["eval", "--map", str(pipeline["map_b"]), "--truth", str(truth),
+                        "--out", str(out)])
+        assert_one_line_validation_error(proc, f"{pipeline['map_b']} is a map in frame 'B'",
+                                         f"{truth} is in frame 'A'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", [None, 5], ids=["absent", "mistyped"])
+    def test_truth_frame_label_may_be_absent_not_mistyped(self, pipeline, tmp_path, label):
+        # A truth that does not name its frame scores a map of any frame.
+        truth = json.loads((pipeline["dataset"] / "ground_truth.json").read_text())
+        del truth["frame_label"]
+        if label is not None:
+            truth["frame_label"] = label
+        other, out = tmp_path / "truth.json", tmp_path / "r.json"
+        other.write_text(json.dumps(truth))
+        proc = run_cli(["eval", "--map", str(pipeline["map_b"]), "--truth", str(other),
+                        "--out", str(out)])
+        if label is None:
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        else:
+            assert_one_line_validation_error(proc, str(other), "frame_label must be a string, got 5")
+            assert not out.exists()
 
     def test_truth_without_fruitlets(self, pipeline, tmp_path):
         # Count accuracy divides by the number of true fruitlets.
@@ -860,7 +907,7 @@ def test_version_and_report_start_without_numpy(tmp_path, stage):
 STAGE_MODULES = {
     "simulate": {"simulator", "dataset", "geometry", "spherefit", "_pool"},
     "map": {"mapping", "dataset", "geometry", "spherefit", "_pool"},
-    "align": {"alignment", "mapping", "dataset", "geometry", "spherefit", "_pool"},
+    "align": {"mapping", "dataset", "geometry", "spherefit", "_pool"},
     "eval": {"evaluation", "mapping", "dataset", "geometry", "spherefit", "_pool"},
 }
 

@@ -162,7 +162,7 @@ class TestDatasetRoundTrip:
         no_frames = load_dataset(root, sides=())
         assert no_frames.frames == {} and set(no_frames.fiducials) == {"A", "B"}
         # the written truth names the scan it belongs to
-        truth = dataclasses.replace(ds.ground_truth, dataset_id="abc123")
+        truth = dataclasses.replace(ds.ground_truth, dataset_id="abc123", frame_label="A")
         assert load_ground_truth(root / "ground_truth.json") == truth
         every_side = load_dataset(root)
         with pytest.raises(FileNotFoundError):

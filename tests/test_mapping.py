@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from fruitmap import _pool, mapping, spherefit
-from fruitmap.alignment import cross_side_transform, merge_maps, transform_map
 from fruitmap._checks import config_digest, json_digest
 from fruitmap.dataset import DatasetError, extract_instance_clouds
 from fruitmap.evaluation import MATCH_TOLERANCE
@@ -28,11 +27,14 @@ from fruitmap.mapping import (
     MergeConfig,
     TrackStore,
     build_side_map,
+    cross_side_transform,
     integrate_observation,
     load_branch_map,
     map_from_json,
     map_to_json,
+    merge_maps,
     save_branch_map,
+    transform_map,
 )
 from fruitmap.simulator import OrchardSpec, generate_scene, simulate_dataset
 from fruitmap.spherefit import (

@@ -636,7 +636,7 @@ class TestExportDataset:
 # depth and mask rasters, ground truth with its visibility counts) for a scene
 # with depth noise, occluders and mask dilation. A change that alters dataset
 # output on purpose updates it and says so in CHANGES.md.
-GOLDEN_DATASET_DIGEST = "97dfb5b2adc94cd2dfe9f60a2a7f03f819128ce0a912e3197e57c317ba90deb9"
+GOLDEN_DATASET_DIGEST = "87a87f363372ec7ca15b642046ac476d7e6866a8ac3a47c11d62d176dc510450"
 
 
 GOLDEN_SPEC = OrchardSpec(cluster_count=3, occluder_count=4, occluder_size=0.16,
