@@ -11,9 +11,9 @@ and seed.
 
 Each stage imports only the modules it runs: a subcommand binds the public
 names (the __all__) of the pipeline modules it runs when it starts (_bind),
-and the package itself resolves its seven names on first use. So `--version`
-and report start without numpy, and the other stages load only their own
-modules.
+and the package itself resolves its seven names on first use. So `--version`,
+eval and report start without numpy, and the other stages load only their
+own modules.
 
 Exit codes: 0 success, 1 validation or usage error, 2 I/O error, 130
 interrupted (Ctrl-C). All diagnostics go to standard error; data products
@@ -36,10 +36,11 @@ __all__ = ["main"]
 
 logger = logging.getLogger("fruitmap.cli")
 
-# The pipeline's modules, in the order __getattr__ searches them: evaluation,
-# which loads no numpy, then the rest leaves first. No name is in the __all__
-# of two of them, so the order a stage binds its modules in cannot matter.
-_MODULES = ("evaluation", "geometry", "spherefit", "dataset", "mapping", "simulator")
+# The pipeline's modules, in the order __getattr__ searches them: records and
+# evaluation, which load no numpy, then the rest leaves first. No name is in
+# the __all__ of two of them, so the order a stage binds its modules in cannot
+# matter.
+_MODULES = ("records", "evaluation", "geometry", "spherefit", "dataset", "mapping", "simulator")
 
 
 def _module(name: str) -> ModuleType:
@@ -147,7 +148,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    _bind("spherefit", "dataset", "mapping")
+    _bind("records", "spherefit", "dataset", "mapping")
     config = _load_config(args.config)
     fit_kwargs = config["fit"]
     if args.seed is not None:
@@ -165,7 +166,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    _bind("dataset", "mapping")
+    _bind("records", "dataset", "mapping")
     config = _load_config(args.config)
     merge = config["merge"]
     merge_cfg = MergeConfig(merge_radius=merge.get("cross_radius", CROSS_SIDE_RADIUS))
@@ -207,7 +208,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    _bind("dataset", "mapping", "evaluation")
+    _bind("records", "evaluation")
     settings = {"tolerance": MATCH_TOLERANCE, **_load_config(args.config)["eval"]}
     branch_map = load_branch_map(args.map)
     truth = load_ground_truth(args.truth)

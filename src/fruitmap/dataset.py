@@ -7,13 +7,14 @@ A scan dataset is a directory:
     <root>/sides/<SIDE>/frames/<idx>.json
     <root>/sides/<SIDE>/depth/<idx>.f32        headerless little-endian float32, row-major
     <root>/sides/<SIDE>/masks/<idx>.pgm        binary P5, maxval 65535, 16-bit instance ids
-    <root>/ground_truth.json                   optional; read by load_ground_truth alone
+    <root>/ground_truth.json                   optional; read by records.load_ground_truth alone
 
 Frame JSON carries the camera-to-side pose (row-major 4x4), pinhole intrinsics,
 and relative paths to its two rasters. Invalid depth pixels are non-finite or
 non-positive. Mask value 0 is background; any positive value is an instance id.
 The ground truth JSON carries dataset_id, frame_label (the first side, whose
-frame its centers are in), the fruitlets and their per-side visibility counts.
+frame its centers are in), the fruitlets and their per-side visibility counts;
+its record, GroundTruth, lives in records, which eval loads without numpy.
 
 load_dataset validates the JSON documents, the frame indices and the raster
 paths, with diagnostics naming the offending file, and opens no raster. A
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, overload
 
@@ -42,7 +43,6 @@ import numpy as np
 # without it; __all__ re-exports it, since this module's loaders raise it.
 from ._checks import (
     DatasetError,
-    check_types,
     from_doc,
     is_finite_real,
     is_int,
@@ -50,19 +50,17 @@ from ._checks import (
     write_json,
 )
 from .geometry import CameraIntrinsics, RigidTransform, backproject
+from .records import GroundTruth
 
 __all__ = [
     "DatasetError",
     "FrameRecord",
     "ScanDataset",
-    "GroundTruthFruitlet",
-    "GroundTruth",
     "read_depth_raster",
     "write_depth_raster",
     "read_mask_raster",
     "write_mask_raster",
     "load_dataset",
-    "load_ground_truth",
     "write_dataset",
     "write_frame",
     "clear_scan",
@@ -94,53 +92,6 @@ class FrameRecord:
                 f"frame {self.frame_index}: mask raster {self.masks.shape} does not match "
                 f"depth raster {self.depth.shape}"
             )
-
-
-@dataclass(frozen=True)
-class GroundTruthFruitlet:
-    id: int
-    center: tuple[float, float, float]   # scene frame == side A frame
-    diameter: float
-
-    def __post_init__(self) -> None:
-        check_types(self, integers=("id",), reals=("diameter",), points=("center",))
-        if self.diameter <= 0:
-            raise ValueError(f"diameter must be positive, got {self.diameter}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "diameter", float(self.diameter))
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Fruitlets with distinct ids, and per side how many frames saw each one.
-
-    Visibility counts are integers >= 0, each keyed by a listed fruitlet's id.
-    dataset_id names the scan the fruitlets belong to, and frame_label the
-    side whose frame the centers are in; each is None when unknown.
-    """
-
-    fruitlets: tuple[GroundTruthFruitlet, ...]
-    visibility: dict[str, dict[int, int]] = field(default_factory=dict)
-    dataset_id: str | None = None
-    frame_label: str | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("dataset_id", "frame_label"):
-            value = getattr(self, name)
-            if not (value is None or isinstance(value, str)):
-                raise ValueError(f"{name} must be a string, got {value!r}")
-        ids: set[int] = set()
-        for index, fruitlet in enumerate(self.fruitlets):
-            if fruitlet.id in ids:
-                raise ValueError(f"fruitlet entry {index}: duplicate id {fruitlet.id}")
-            ids.add(fruitlet.id)
-        for side, counts in self.visibility.items():
-            where = f"invalid 'visibility': side {side}:"
-            for key, count in counts.items():
-                if not (is_int(count) and count >= 0):
-                    raise ValueError(f"{where} count must be an integer >= 0, got {count!r}")
-                if not (is_int(key) and key in ids):
-                    raise ValueError(f"{where} {key!r} is not a listed fruitlet id")
 
 
 @dataclass(frozen=True)
@@ -259,43 +210,6 @@ def _load_pose(values, where: str) -> RigidTransform:
         raise DatasetError(f"{where}: invalid pose: {exc}") from exc
 
 
-def load_ground_truth(path: Path | str) -> GroundTruth:
-    """Ground truth from its JSON file; values are checked, not coerced.
-
-    Each fruitlet and the GroundTruth check their own fields, and every
-    message names path. Visibility is an object of count objects per side,
-    keyed by str(id) of a listed fruitlet, since JSON object keys are strings.
-    dataset_id, the id of the scan the file was written with, and frame_label
-    may be absent.
-    """
-    doc = read_json(path)
-    if not isinstance(doc.get("fruitlets"), list):
-        raise DatasetError(f"{path}: missing 'fruitlets' list")
-    fruitlets = []
-    for index, entry in enumerate(doc["fruitlets"]):
-        try:
-            fruitlets.append(from_doc(GroundTruthFruitlet, entry))
-        except ValueError as exc:
-            raise DatasetError(f"{path}: fruitlet entry {index}: {exc}") from exc
-    visibility = doc.get("visibility", {})
-    if not (isinstance(visibility, dict) and all(isinstance(c, dict) for c in visibility.values())):
-        raise DatasetError(f"{path}: invalid 'visibility': expected an object of count objects")
-    # a key that is not str(id) of a listed fruitlet stays a string, which GroundTruth rejects
-    ids = {str(fruitlet.id): fruitlet.id for fruitlet in fruitlets}
-    try:
-        return GroundTruth(
-            fruitlets=tuple(fruitlets),
-            visibility={
-                side: {ids.get(key, key): count for key, count in counts.items()}
-                for side, counts in visibility.items()
-            },
-            dataset_id=doc.get("dataset_id"),
-            frame_label=doc.get("frame_label"),
-        )
-    except ValueError as exc:
-        raise DatasetError(f"{path}: {exc}") from exc
-
-
 def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDataset:
     """Load and validate a scan dataset directory, every pixel excepted.
 
@@ -311,7 +225,7 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
     raises there.
 
     Ground truth is not read: the result's ground_truth is None, and
-    load_ground_truth reads ground_truth.json for evaluation. The field is set
+    records.load_ground_truth reads ground_truth.json for evaluation. The field is set
     only on in-memory datasets, such as simulated ones, for write_dataset.
     """
     root = Path(root)

@@ -4,20 +4,25 @@ Matching is greedy by ascending center distance with a (track id, truth id)
 tie-break, which gives a total order and therefore input-order invariance.
 At realistic fruitlet spacings (well above the match tolerance) it agrees
 with optimal assignment; optimality is a non-goal.
+
+The arithmetic is plain Python, so eval and report start without numpy. It
+adds in numpy's order (a distance's squares as np.linalg.norm sums them, a
+mean as np.mean's pairwise sum), so every metric equals the numpy
+expression it replaced bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from ._checks import DatasetError, check_types, from_doc, is_finite_real
 
-if TYPE_CHECKING:  # annotations only: report reads and writes JSON without numpy
-    from .dataset import GroundTruth
-    from .mapping import BranchMap
+if TYPE_CHECKING:  # annotations only: report needs no records
+    from .records import BranchMap, GroundTruth
 
 __all__ = [
     "MATCH_TOLERANCE",
@@ -98,17 +103,16 @@ def match_fruitlets(
     """
     if not (is_finite_real(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
-    import numpy as np
-
-    tracks = branch_map.tracks
-    fruit = truth.fruitlets
     candidates: list[tuple[float, int, int]] = []
-    if tracks and fruit:
-        t_centers = np.array([t.center for t in tracks])
-        g_centers = np.array([f.center for f in fruit])
-        dists = np.linalg.norm(t_centers[:, None, :] - g_centers[None, :, :], axis=2)
-        for ti, gi in zip(*np.nonzero(dists <= tolerance)):
-            candidates.append((float(dists[ti, gi]), tracks[ti].id, fruit[gi].id))
+    for track in branch_map.tracks:
+        tx, ty, tz = track.center
+        for fruitlet in truth.fruitlets:
+            gx, gy, gz = fruitlet.center
+            dx, dy, dz = tx - gx, ty - gy, tz - gz
+            # (dx^2 + dy^2) + dz^2, the order np.linalg.norm(..., axis=-1) sums in
+            dist = math.sqrt((dx * dx + dy * dy) + dz * dz)
+            if dist <= tolerance:
+                candidates.append((dist, track.id, fruitlet.id))
     candidates.sort()
     used_tracks: set[int] = set()
     used_truth: set[int] = set()
@@ -121,8 +125,8 @@ def match_fruitlets(
         pairs.append((track_id, truth_id, dist))
     return MatchResult(
         pairs=tuple(pairs),
-        unmatched_tracks=tuple(t.id for t in tracks if t.id not in used_tracks),
-        unmatched_truth=tuple(f.id for f in fruit if f.id not in used_truth),
+        unmatched_tracks=tuple(t.id for t in branch_map.tracks if t.id not in used_tracks),
+        unmatched_truth=tuple(f.id for f in truth.fruitlets if f.id not in used_truth),
     )
 
 
@@ -151,21 +155,56 @@ def count_accuracy(calculated: int, ground_truth: int) -> float:
     return (1.0 - abs(calculated - ground_truth) / ground_truth) * 100.0
 
 
+def _sum(values: list[float]) -> float:
+    """np.add.reduce of a float64 array, bit for bit: numpy's pairwise sum.
+
+    A plain loop below 8 values, eight running lanes up to 128, and above that
+    the sums of two halves split at a multiple of 8. Python's sum() rounds
+    differently (compensated from 3.12), and so does math.fsum.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    total, rest = 0.0, values
+    if n >= 8:
+        stop = n - n % 8
+        lanes = values[:8]
+        for start in range(8, stop, 8):
+            lanes = [lane + value for lane, value in zip(lanes, values[start:start + 8])]
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+        )
+        rest = values[stop:]
+    for value in rest:
+        total += value
+    return total
+
+
 def size_rmse_percent(pairs: Iterable[tuple[float, float]]) -> float:
     """RMSE of per-fruit relative size errors, in percent.
 
     Taken over matched (truth_diameter, estimated_diameter) pairs: the
-    paper's "within 5.9% RMSE of their true size".
+    paper's "within 5.9% RMSE of their true size". Each pair must be two
+    finite numbers with a positive truth diameter; ValueError names the
+    first pair that is not.
     """
-    import numpy as np
-
-    arr = np.asarray(list(pairs), dtype=float)
-    if arr.size == 0:
+    squares = []
+    for index, pair in enumerate(pairs):
+        if not (
+            isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_finite_real, pair))
+        ):
+            raise ValueError(f"size pair {index} must be two finite numbers, got {pair!r}")
+        truth, est = float(pair[0]), float(pair[1])
+        if truth <= 0:
+            raise ValueError(
+                f"size pair {index}: truth diameter must be positive, got {pair[0]!r}"
+            )
+        q = (est - truth) / truth
+        squares.append(q * q)
+    if not squares:
         raise ValueError("size_rmse_percent needs at least one pair")
-    truth, est = arr[:, 0], arr[:, 1]
-    if np.any(truth <= 0):
-        raise ValueError("truth diameters must be positive")
-    return float(100.0 * np.sqrt(np.mean(((est - truth) / truth) ** 2)))
+    return 100.0 * math.sqrt(_sum(squares) / len(squares))
 
 
 def evaluate_map(

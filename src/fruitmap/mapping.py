@@ -16,11 +16,12 @@ earlier-seen track's id. The separation invariant, no two track centers
 within the merge radius, therefore holds for every map this module produces.
 
 Tracks under construction live in a TrackStore, which integrate_observation
-updates in place; the store builds the frozen, validated BranchMap once, at
-the end, and BranchMap values stay immutable. Only this module reads or
-writes a store's rows. Building is deterministic for a fixed dataset, config,
-and base seed because every observation's fit is seeded from (base seed,
-frame index, instance id) rather than from shared generator state.
+updates in place; the store builds the frozen, validated BranchMap (a record
+of the records module, beside its JSON form) once, at the end, and BranchMap
+values stay immutable. Only this module reads or writes a store's rows.
+Building is deterministic for a fixed dataset, config, and base seed because
+every observation's fit is seeded from (base seed, frame index, instance id)
+rather than from shared generator state.
 
 build_side_map fits a side's frames in parallel, in one forked process per
 usable CPU, and integrates the fits in frame order in the calling process. So
@@ -42,16 +43,16 @@ counts the same whichever side made it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._checks import DatasetError, check_types, config_digest, from_doc, read_json, write_json
+from ._checks import DatasetError, check_types, config_digest
 from ._pool import ordered_map
 from .dataset import FrameRecord, ScanDataset, extract_instance_clouds
 from .geometry import RigidTransform
+from .records import BranchMap, FruitletTrack
 from .spherefit import (
     DegenerateSampleError,
     FitConfig,
@@ -66,18 +67,12 @@ __all__ = [
     "WITHIN_SIDE_RADIUS",
     "CROSS_SIDE_RADIUS",
     "MergeConfig",
-    "FruitletTrack",
-    "BranchMap",
     "TrackStore",
     "integrate_observation",
     "build_side_map",
     "cross_side_transform",
     "transform_map",
     "merge_maps",
-    "map_to_json",
-    "map_from_json",
-    "save_branch_map",
-    "load_branch_map",
 ]
 
 logger = logging.getLogger(__name__)
@@ -96,69 +91,6 @@ class MergeConfig:
         check_types(self, integers=(), reals=("merge_radius",))
         if self.merge_radius <= 0:
             raise ValueError(f"merge_radius must be positive, got {self.merge_radius}")
-
-
-@dataclass(frozen=True)
-class FruitletTrack:
-    """One fruitlet hypothesis: running center/diameter plus bookkeeping.
-
-    ids are assigned in first-seen order and stay stable through merges
-    (the earlier-seen track's id survives a collapse).
-    """
-
-    id: int
-    center: tuple[float, float, float]
-    diameter: float
-    observations: int
-    sides: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        named = isinstance(self.sides, (list, tuple, set, frozenset)) and all(
-            isinstance(side, str) for side in self.sides
-        )
-        check_types(self, integers=("id", "observations"), reals=("diameter",),
-                    points=("center",),
-                    also=() if named else (f"sides must be a list of strings, got {self.sides!r}",))
-        if self.id < 0:
-            raise ValueError("track id must be non-negative")
-        if self.observations < 1:
-            raise ValueError("a track represents at least one observation")
-        if self.diameter <= 0:
-            raise ValueError(f"diameter must be positive, got {self.diameter}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "diameter", float(self.diameter))
-        object.__setattr__(self, "sides", frozenset(self.sides))
-
-
-@dataclass(frozen=True)
-class BranchMap:
-    """Ordered track collection for one coordinate frame.
-
-    frame_label names the frame the centers live in: a side label for
-    single-side maps, "merged" for a combined map (expressed in side A's
-    frame by merge_maps).
-    """
-
-    frame_label: str
-    tracks: tuple[FruitletTrack, ...] = ()
-    provenance: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        wrong = []
-        if not (isinstance(self.frame_label, str) and self.frame_label):
-            wrong.append(f"frame_label must be a non-empty string, got {self.frame_label!r}")
-        if not (
-            isinstance(self.tracks, (list, tuple))
-            and all(isinstance(t, FruitletTrack) for t in self.tracks)
-        ):
-            wrong.append("tracks must be a list of FruitletTrack records")
-        if not isinstance(self.provenance, Mapping):
-            wrong.append(f"provenance must be an object, got {self.provenance!r}")
-        check_types(self, also=wrong)
-        object.__setattr__(self, "tracks", tuple(self.tracks))
-        ids = [t.id for t in self.tracks]
-        if len(set(ids)) != len(ids):
-            raise ValueError("track ids must be unique within a map")
 
 
 class TrackStore:
@@ -403,55 +335,3 @@ def merge_maps(
             "config_digest": config_digest(cfg),
         },
     )
-
-
-def map_to_json(branch_map: BranchMap) -> dict:
-    """Plain-JSON form; floats keep full precision via repr round-tripping."""
-    return {
-        "frame_label": branch_map.frame_label,
-        "provenance": dict(branch_map.provenance),
-        "tracks": [
-            {
-                "id": t.id,
-                "center": list(t.center),
-                "diameter": t.diameter,
-                "observations": t.observations,
-                "sides": sorted(t.sides),
-            }
-            for t in branch_map.tracks
-        ],
-    }
-
-
-def map_from_json(doc: object) -> BranchMap:
-    """The BranchMap a map_to_json document describes; DatasetError if malformed.
-
-    Values are checked, not coerced: each track and the map check their own
-    fields, and a track's error names its index.
-    """
-    if not isinstance(doc, dict) or not isinstance(doc.get("tracks"), list):
-        raise DatasetError(
-            "malformed branch map document: expected an object with a 'tracks' list"
-        )
-    tracks = []
-    for index, item in enumerate(doc["tracks"]):
-        try:
-            tracks.append(from_doc(FruitletTrack, item))
-        except ValueError as exc:
-            raise DatasetError(f"malformed branch map document: track {index}: {exc}") from exc
-    try:
-        return from_doc(BranchMap, {**doc, "tracks": tracks})
-    except ValueError as exc:
-        raise DatasetError(f"malformed branch map document: {exc}") from exc
-
-
-def save_branch_map(path: Path | str, branch_map: BranchMap) -> None:
-    write_json(path, map_to_json(branch_map))
-
-
-def load_branch_map(path: Path | str) -> BranchMap:
-    doc = read_json(path)
-    try:
-        return map_from_json(doc)
-    except DatasetError as exc:
-        raise DatasetError(f"{path}: {exc}") from exc

@@ -50,14 +50,13 @@ from ._pool import ordered_map
 from .dataset import (
     DEFAULT_MIN_POINTS,
     FrameRecord,
-    GroundTruth,
-    GroundTruthFruitlet,
     ScanDataset,
     clear_scan,
     write_dataset,
     write_frame,
 )
 from .geometry import CameraIntrinsics, RigidTransform, project, rotation_about_axis
+from .records import GroundTruth, GroundTruthFruitlet
 from .spherefit import FitConfig, derive_seed
 
 __all__ = [

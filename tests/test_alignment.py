@@ -7,8 +7,6 @@ from fruitmap import mapping
 from fruitmap.geometry import RigidTransform, rotation_about_axis
 from fruitmap.mapping import (
     CROSS_SIDE_RADIUS,
-    BranchMap,
-    FruitletTrack,
     MergeConfig,
     TrackStore,
     cross_side_transform,
@@ -16,6 +14,7 @@ from fruitmap.mapping import (
     merge_maps,
     transform_map,
 )
+from fruitmap.records import BranchMap, FruitletTrack
 
 
 def track(i, center, d=0.01, n=1, sides=("A",)):

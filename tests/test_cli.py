@@ -862,13 +862,13 @@ def test_import_leaves_process_pools_unloaded():
     assert proc.stdout.split() == ["[]"]
 
 
-# Modules that neither `fruitmap --version` nor report needs; importing them
-# was most of each stage's start-up.
-UNUSED_BY_REPORT = ("numpy", "fruitmap.simulator", "fruitmap.spherefit", "fruitmap.mapping",
-                    "fruitmap._pool")
+# Modules that neither `fruitmap --version`, eval nor report needs; importing
+# them was most of each stage's start-up.
+UNUSED_BY_JSON_STAGES = ("numpy", "fruitmap.simulator", "fruitmap.spherefit", "fruitmap.mapping",
+                         "fruitmap.dataset", "fruitmap.geometry", "fruitmap._pool")
 
 
-@pytest.mark.parametrize("stage", ["version", "report"])
+@pytest.mark.parametrize("stage", ["version", "report", "eval"])
 def test_version_and_report_start_without_numpy(tmp_path, stage):
     # Each stage imports only the modules it runs. Run as `python -m
     # fruitmap` in a fresh interpreter, which then lists what it loaded.
@@ -878,11 +878,22 @@ def test_version_and_report_start_without_numpy(tmp_path, stage):
         "count_accuracy_pct": 50.0, "size_rmse_pct": 4.5,
         "size_pairs": [[0.02, 0.019], [0.015, 0.0158]],
     }))
-    table, sizes = tmp_path / "t.csv", tmp_path / "s.csv"
+    branch_map, truth = tmp_path / "map.json", tmp_path / "truth.json"
+    branch_map.write_text(json.dumps({"frame_label": "merged", "provenance": {}, "tracks": [
+        {"id": 0, "center": [0.0, 0.0, 0.4], "diameter": 0.019, "observations": 3,
+         "sides": ["A", "B"]},
+        {"id": 1, "center": [0.1, 0.0, 0.4], "diameter": 0.02, "observations": 1,
+         "sides": ["B"]},
+    ]}))
+    truth.write_text(json.dumps({"fruitlets": [
+        {"id": 5, "center": [0.003, 0.0, 0.4], "diameter": 0.02},
+    ]}))
+    table, sizes, scored = tmp_path / "t.csv", tmp_path / "s.csv", tmp_path / "e.json"
     argv = {
         "version": ["--version"],
         "report": ["report", "--eval", str(report), "--format", "csv", "--out", str(table),
                    "--scatter", str(sizes)],
+        "eval": ["eval", "--map", str(branch_map), "--truth", str(truth), "--out", str(scored)],
     }[stage]
     code = (
         "import runpy, sys\n"
@@ -890,7 +901,7 @@ def test_version_and_report_start_without_numpy(tmp_path, stage):
         "    runpy.run_module('fruitmap', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    print('exit', exc.code)\n"
-        f"print(sorted(set({UNUSED_BY_REPORT!r}) & set(sys.modules)))\n"
+        f"print(sorted(set({UNUSED_BY_JSON_STAGES!r}) & set(sys.modules)))\n"
     )
     src = str(Path(fruitmap.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
@@ -900,15 +911,20 @@ def test_version_and_report_start_without_numpy(tmp_path, stage):
     if stage == "report":
         assert table.read_text().splitlines()[1] == "2,3,50.00,0.67,1.00,0.80"
         assert sizes.read_text().splitlines()[1:] == ["0.02,0.019", "0.015,0.0158"]
+    if stage == "eval":
+        doc = json.loads(scored.read_text())
+        assert (doc["tp"], doc["fp"], doc["fn"], doc["count_accuracy_pct"]) == (1, 1, 0, 0.0)
+        assert doc["size_pairs"] == [[0.02, 0.019]]
+        assert doc["size_rmse_pct"] == 100.0 * (abs(0.019 - 0.02) / 0.02)
 
 
 # The fruitmap modules each stage loads besides fruitmap, fruitmap.cli and
 # fruitmap._checks: the modules it runs and the ones they import.
 STAGE_MODULES = {
-    "simulate": {"simulator", "dataset", "geometry", "spherefit", "_pool"},
-    "map": {"mapping", "dataset", "geometry", "spherefit", "_pool"},
-    "align": {"mapping", "dataset", "geometry", "spherefit", "_pool"},
-    "eval": {"evaluation", "mapping", "dataset", "geometry", "spherefit", "_pool"},
+    "simulate": {"simulator", "dataset", "records", "geometry", "spherefit", "_pool"},
+    "map": {"mapping", "dataset", "records", "geometry", "spherefit", "_pool"},
+    "align": {"mapping", "dataset", "records", "geometry", "spherefit", "_pool"},
+    "eval": {"evaluation", "records"},
 }
 
 

@@ -12,12 +12,9 @@ from fruitmap.dataset import (
     DEFAULT_MIN_POINTS,
     DatasetError,
     FrameRecord,
-    GroundTruth,
-    GroundTruthFruitlet,
     ScanDataset,
     extract_instance_clouds,
     load_dataset,
-    load_ground_truth,
     read_depth_raster,
     read_mask_raster,
     write_dataset,
@@ -25,6 +22,7 @@ from fruitmap.dataset import (
     write_mask_raster,
 )
 from fruitmap.geometry import CameraIntrinsics, RigidTransform, backproject, rotation_about_axis
+from fruitmap.records import GroundTruth, GroundTruthFruitlet, load_ground_truth
 from fruitmap.simulator import OrchardSpec, simulate_dataset
 
 

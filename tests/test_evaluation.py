@@ -7,10 +7,11 @@ import re
 import numpy as np
 import pytest
 
-from fruitmap._checks import read_json, write_json
-from fruitmap.dataset import DatasetError, GroundTruth, GroundTruthFruitlet
+from fruitmap._checks import DatasetError, read_json, write_json
 from fruitmap.evaluation import (
+    MATCH_TOLERANCE,
     EvalReport,
+    _sum,
     MatchResult,
     count_accuracy,
     emit_report,
@@ -22,7 +23,7 @@ from fruitmap.evaluation import (
     size_rmse_percent,
     write_scatter,
 )
-from fruitmap.mapping import BranchMap, FruitletTrack
+from fruitmap.records import BranchMap, FruitletTrack, GroundTruth, GroundTruthFruitlet
 
 from reference_rows import iter_arms
 
@@ -206,6 +207,66 @@ class TestSizeRmse:
     def test_nonpositive_truth_rejected(self):
         with pytest.raises(ValueError):
             size_rmse_percent([(0.0, 0.01)])
+
+    @pytest.mark.parametrize("pair", [
+        (0.01,),                   # too short
+        (0.01, 0.02, 0.03),        # too long
+        ("0.01", 0.02),            # a string
+        (float("nan"), 0.01),      # not finite
+        (0.01, float("inf")),
+        (True, 0.01),              # bool is not a number
+        0.01,                      # not a pair
+    ])
+    def test_malformed_pair_rejected_by_index(self, pair):
+        with pytest.raises(ValueError, match=r"^size pair 1 must be two finite numbers, got "):
+            size_rmse_percent([(0.01, 0.011), pair])
+
+    def test_nonpositive_truth_named_by_index(self):
+        with pytest.raises(ValueError, match=r"^size pair 2: truth diameter must be positive, got -"):
+            size_rmse_percent([(0.01, 0.011), (0.02, 0.02), (-0.01, 0.01)])
+
+
+# Pinned to the installed numpy, like _draw_quads to Generator.choice: the
+# plain-Python arithmetic must equal the numpy expressions it replaced bit for
+# bit, so that eval's report bytes do not move.
+
+def test_sum_is_numpy_pairwise_sum():
+    rng = np.random.default_rng(11)
+    for n in range(1, 301):
+        for values in (rng.random(n), rng.normal(0.0, 1e3, n) ** 3):
+            assert _sum(values.tolist()) == np.add.reduce(values), n
+
+
+def test_size_rmse_equals_numpy_expression():
+    rng = np.random.default_rng(12)
+    for n in [*range(1, 40), 127, 128, 129, 255, 256, 257, 1000]:
+        truth = rng.uniform(0.005, 0.03, n)
+        est = truth * rng.normal(1.0, 0.1, n)
+        arr = np.column_stack([truth, est])
+        expected = float(100.0 * np.sqrt(np.mean(((arr[:, 1] - arr[:, 0]) / arr[:, 0]) ** 2)))
+        assert size_rmse_percent(arr.tolist()) == expected, n
+
+
+def test_matching_equals_numpy_distances():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        t_centers = rng.uniform(-0.1, 0.1, (int(rng.integers(0, 30)), 3)) + (0.0, 0.0, 0.4)
+        g_centers = rng.uniform(-0.1, 0.1, (int(rng.integers(0, 30)), 3)) + (0.0, 0.0, 0.4)
+        tracks = [track(int(i), c) for i, c in zip(rng.permutation(100), t_centers)]
+        truth = truth_of(g_centers.tolist())
+        expected = []
+        if len(t_centers) and len(g_centers):
+            dists = np.linalg.norm(t_centers[:, None, :] - g_centers[None, :, :], axis=2)
+            expected = sorted(
+                (float(dists[ti, gi]), tracks[ti].id, int(gi))
+                for ti, gi in zip(*np.nonzero(dists <= MATCH_TOLERANCE))
+            )
+        result = match_fruitlets(map_of(tracks), truth)
+        used_t, used_g, pairs = set(), set(), []
+        for dist, t, g in expected:
+            if t not in used_t and g not in used_g:
+                used_t.add(t), used_g.add(g), pairs.append((t, g, dist))
+        assert result.pairs == tuple(pairs)
 
 
 # ---------------------------------------------------------------- evaluate_map

@@ -22,19 +22,21 @@ from fruitmap.dataset import DatasetError, extract_instance_clouds
 from fruitmap.evaluation import MATCH_TOLERANCE
 from fruitmap.mapping import (
     CROSS_SIDE_RADIUS,
-    BranchMap,
-    FruitletTrack,
     MergeConfig,
     TrackStore,
     build_side_map,
     cross_side_transform,
     integrate_observation,
+    merge_maps,
+    transform_map,
+)
+from fruitmap.records import (
+    BranchMap,
+    FruitletTrack,
     load_branch_map,
     map_from_json,
     map_to_json,
-    merge_maps,
     save_branch_map,
-    transform_map,
 )
 from fruitmap.simulator import OrchardSpec, generate_scene, simulate_dataset
 from fruitmap.spherefit import (

@@ -7,7 +7,6 @@ the acceptance checklist, which re-runs them at the required case counts.
 
 import numpy as np
 
-from fruitmap.dataset import GroundTruth, GroundTruthFruitlet
 from fruitmap.evaluation import match_fruitlets, precision_recall_f1
 from fruitmap.geometry import (
     CameraIntrinsics,
@@ -16,13 +15,8 @@ from fruitmap.geometry import (
     project,
     rotation_about_axis,
 )
-from fruitmap.mapping import (
-    BranchMap,
-    FruitletTrack,
-    MergeConfig,
-    TrackStore,
-    integrate_observation,
-)
+from fruitmap.mapping import MergeConfig, TrackStore, integrate_observation
+from fruitmap.records import BranchMap, FruitletTrack, GroundTruth, GroundTruthFruitlet
 
 CASES = 1000
 

@@ -16,10 +16,9 @@ import pytest
 
 import fruitmap
 from fruitmap._checks import from_doc, is_finite_point
-from fruitmap.dataset import GroundTruthFruitlet
 from fruitmap.evaluation import EvalReport
 from fruitmap.geometry import CameraIntrinsics, StereoRig
-from fruitmap.mapping import BranchMap, FruitletTrack
+from fruitmap.records import BranchMap, FruitletTrack, GroundTruthFruitlet
 
 VALID = {
     FruitletTrack: {"id": 0, "center": [0.0, 0.0, 0.4], "diameter": 0.01, "observations": 1,

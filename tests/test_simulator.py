@@ -10,13 +10,9 @@ import pytest
 from scipy import ndimage
 
 from fruitmap import simulator
-from fruitmap.dataset import (
-    GroundTruthFruitlet,
-    extract_instance_clouds,
-    load_dataset,
-    load_ground_truth,
-)
+from fruitmap.dataset import extract_instance_clouds, load_dataset
 from fruitmap.geometry import CameraIntrinsics, RigidTransform, backproject
+from fruitmap.records import GroundTruthFruitlet, load_ground_truth
 from fruitmap.simulator import (
     ARC_COUNT,
     ARC_SPACING,
