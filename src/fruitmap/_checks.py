@@ -5,9 +5,12 @@ Python's json module parses NaN and Infinity, and bool is a subclass of int,
 so range comparisons alone let such values through. A record checks its own
 fields in __post_init__ through check_types, and from_doc builds any record
 from a JSON object, so the same checks and messages hold on both paths.
-read_json and write_json are the one reader and writer of every JSON
-document, json_digest the one provenance hash, and config_digest that hash
-over config dataclasses.
+check_types checks each field against its annotation, a string in every
+record module (`from __future__ import annotations`), through _TYPES; a
+record checks the fields no entry covers itself and passes those messages as
+also, so one ValueError names every wrong field. read_json and write_json
+are the one reader and writer of every JSON document, json_digest the one
+provenance hash, and config_digest that hash over config dataclasses.
 
 This module imports no numpy, so the stages that only read and write JSON
 (report, --version) start without it.
@@ -89,28 +92,51 @@ def is_finite_point(value: object) -> bool:
     )
 
 
-def check_types(
-    obj: object,
-    integers: tuple[str, ...] = (),
-    reals: tuple[str, ...] = (),
-    points: tuple[str, ...] = (),
-    also: Iterable[str] = (),
-) -> None:
-    """Raise one ValueError naming every listed attribute of obj of the wrong type.
+def _is_pair_of(check):
+    """A predicate: a list or tuple of two values, each passing check."""
+    return lambda value: (
+        isinstance(value, (list, tuple)) and len(value) == 2 and all(map(check, value))
+    )
 
-    also holds the messages of the record's other field checks, so that the
-    one ValueError names every wrong field.
+
+is_finite_pair = _is_pair_of(is_finite_real)  # a list or tuple of two finite reals
+
+# annotation string: (predicate, what the field must be, shown with its value
+# in place of {!r}); a list of pairs can run to hundreds, so it is not shown
+_TYPES = {
+    "int": (is_int, "an integer, got {!r}"),
+    "float": (is_finite_real, "a finite number, got {!r}"),
+    "float | None": (lambda v: v is None or is_finite_real(v), "a finite number, got {!r}"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string, got {!r}"),
+    "tuple[float, float, float]": (is_finite_point,
+                                   "3 coordinates, each a finite number, got {!r}"),
+    "tuple[int, int]": (_is_pair_of(is_int), "a pair of integers, got {!r}"),
+    "tuple[float, float]": (is_finite_pair, "a pair of finite numbers, got {!r}"),
+    "tuple[tuple[float, float], ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(is_finite_pair, v)),
+        "a list of pairs of finite numbers",
+    ),
+    "frozenset[str]": (
+        lambda v: isinstance(v, (list, tuple, set, frozenset))
+        and all(isinstance(item, str) for item in v),
+        "a list of strings, got {!r}",
+    ),
+}
+
+
+def check_types(obj: object, also: Iterable[str] = ()) -> None:
+    """Raise one ValueError naming every field of obj of the wrong type.
+
+    Fields come in order, each checked against its annotation's _TYPES entry;
+    also holds the messages of the record's other field checks.
     """
-    wrong = [
-        f"{name} must be {noun}, got {getattr(obj, name)!r}"
-        for names, check, noun in (
-            (integers, is_int, "an integer"),
-            (reals, is_finite_real, "a finite number"),
-            (points, is_finite_point, "3 coordinates, each a finite number"),
-        )
-        for name in names
-        if not check(getattr(obj, name))
-    ]
+    wrong = []
+    for f in dataclasses.fields(obj):  # type: ignore[arg-type]
+        if f.type in _TYPES:
+            check, noun = _TYPES[f.type]
+            value = getattr(obj, f.name)
+            if not check(value):
+                wrong.append(f"{f.name} must be {noun.format(value)}")
     wrong.extend(also)
     if wrong:
         raise ValueError("; ".join(wrong))

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from ._checks import DatasetError, check_types, from_doc, is_finite_real
+from ._checks import DatasetError, check_types, from_doc, is_finite_pair, is_finite_real
 
 if TYPE_CHECKING:  # annotations only: report needs no records
     from .records import BranchMap, GroundTruth
@@ -73,23 +73,12 @@ class EvalReport:
     # (truth_diameter, estimated_diameter) per matched pair, meters
 
     def __post_init__(self) -> None:
-        sized = () if self.size_rmse_pct is None else ("size_rmse_pct",)
-        pairs = self.size_pairs
-        paired = isinstance(pairs, (list, tuple)) and all(
-            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(is_finite_real, p))
-            for p in pairs
-        )
-        check_types(
-            self,
-            integers=("tp", "fp", "fn"),
-            reals=("precision", "recall", "f1", "count_accuracy_pct", *sized),
-            also=() if paired else ("size_pairs must be a list of pairs of finite numbers",),
-        )
+        check_types(self)
         negative = [f"{name} must be non-negative, got {getattr(self, name)}"
                     for name in ("tp", "fp", "fn") if getattr(self, name) < 0]
         if negative:
             raise ValueError("; ".join(negative))
-        object.__setattr__(self, "size_pairs", tuple(tuple(p) for p in pairs))
+        object.__setattr__(self, "size_pairs", tuple(tuple(p) for p in self.size_pairs))
 
 
 def match_fruitlets(
@@ -191,9 +180,7 @@ def size_rmse_percent(pairs: Iterable[tuple[float, float]]) -> float:
     """
     squares = []
     for index, pair in enumerate(pairs):
-        if not (
-            isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_finite_real, pair))
-        ):
+        if not is_finite_pair(pair):
             raise ValueError(f"size pair {index} must be two finite numbers, got {pair!r}")
         truth, est = float(pair[0]), float(pair[1])
         if truth <= 0:

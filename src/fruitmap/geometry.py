@@ -43,7 +43,7 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        check_types(self, integers=("width", "height"), reals=("fx", "fy", "cx", "cy"))
+        check_types(self)
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if self.width <= 0 or self.height <= 0:
@@ -64,7 +64,7 @@ class StereoRig:
     def __post_init__(self) -> None:
         wrong = ([] if isinstance(self.intrinsics, CameraIntrinsics)
                  else [f"intrinsics must be CameraIntrinsics, got {self.intrinsics!r}"])
-        check_types(self, reals=("baseline",), also=wrong)
+        check_types(self, also=wrong)
         if self.baseline <= 0:
             raise ValueError(f"baseline must be positive, got {self.baseline}")
 

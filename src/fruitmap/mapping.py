@@ -88,7 +88,7 @@ class MergeConfig:
     merge_radius: float = WITHIN_SIDE_RADIUS
 
     def __post_init__(self) -> None:
-        check_types(self, integers=(), reals=("merge_radius",))
+        check_types(self)
         if self.merge_radius <= 0:
             raise ValueError(f"merge_radius must be positive, got {self.merge_radius}")
 

@@ -45,12 +45,7 @@ class FruitletTrack:
     sides: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        named = isinstance(self.sides, (list, tuple, set, frozenset)) and all(
-            isinstance(side, str) for side in self.sides
-        )
-        check_types(self, integers=("id", "observations"), reals=("diameter",),
-                    points=("center",),
-                    also=() if named else (f"sides must be a list of strings, got {self.sides!r}",))
+        check_types(self)
         if self.id < 0:
             raise ValueError("track id must be non-negative")
         if self.observations < 1:
@@ -152,7 +147,7 @@ class GroundTruthFruitlet:
     diameter: float
 
     def __post_init__(self) -> None:
-        check_types(self, integers=("id",), reals=("diameter",), points=("center",))
+        check_types(self)
         if self.diameter <= 0:
             raise ValueError(f"diameter must be positive, got {self.diameter}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
@@ -174,10 +169,19 @@ class GroundTruth:
     frame_label: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("dataset_id", "frame_label"):
-            value = getattr(self, name)
-            if not (value is None or isinstance(value, str)):
-                raise ValueError(f"{name} must be a string, got {value!r}")
+        wrong = []
+        if not (
+            isinstance(self.fruitlets, (list, tuple))
+            and all(isinstance(f, GroundTruthFruitlet) for f in self.fruitlets)
+        ):
+            wrong.append("fruitlets must be a list of GroundTruthFruitlet records")
+        if not (
+            isinstance(self.visibility, dict)
+            and all(isinstance(counts, dict) for counts in self.visibility.values())
+        ):
+            wrong.append("visibility must be an object of count objects")
+        check_types(self, also=wrong)
+        object.__setattr__(self, "fruitlets", tuple(self.fruitlets))
         ids: set[int] = set()
         for index, fruitlet in enumerate(self.fruitlets):
             if fruitlet.id in ids:

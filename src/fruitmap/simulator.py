@@ -45,7 +45,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._checks import check_types, is_finite_real, is_int, json_digest
+from ._checks import check_types, json_digest
 from ._pool import ordered_map
 from .dataset import (
     DEFAULT_MIN_POINTS,
@@ -120,28 +120,7 @@ class OrchardSpec:
     mask_dilate_px: int = 0
 
     def __post_init__(self) -> None:
-        check_types(
-            self,
-            integers=("cluster_count", "occluder_count", "rng_seed", "mask_dilate_px"),
-            reals=(
-                "branch_length",
-                "cluster_spread",
-                "occluder_size",
-                "depth_noise_sigma",
-                "min_separation",
-            ),
-        )
-        for name, check, kind in (
-            ("fruitlets_per_cluster", is_int, "integers"),
-            ("diameter_range", is_finite_real, "finite numbers"),
-        ):
-            value = getattr(self, name)
-            if not (
-                isinstance(value, (tuple, list))
-                and len(value) == 2
-                and all(map(check, value))
-            ):
-                raise ValueError(f"{name} must be a pair of {kind}, got {value!r}")
+        check_types(self)
         if self.branch_length <= 0:
             raise ValueError("branch_length must be positive")
         if self.cluster_count < 1:

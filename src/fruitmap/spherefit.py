@@ -120,11 +120,8 @@ class FitConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        check_types(
-            self,
-            integers=("max_points", "ransac_iterations", "rng_seed"),
-            reals=("inlier_tolerance", "min_inlier_fraction", "d_min", "d_max"),
-        )
+        rules = ("literal", "background_reject")
+        check_types(self, also=() if self.z_rule in rules else (f"unknown z_rule {self.z_rule!r}",))
         if self.max_points < 4:
             raise ValueError("max_points must be at least 4")
         if self.ransac_iterations < 1:
@@ -135,8 +132,6 @@ class FitConfig:
             raise ValueError("min_inlier_fraction must be in (0, 1]")
         if not (0 < self.d_min < self.d_max):
             raise ValueError(f"need 0 < d_min < d_max, got [{self.d_min}, {self.d_max}]")
-        if self.z_rule not in ("literal", "background_reject"):
-            raise ValueError(f"unknown z_rule {self.z_rule!r}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 

@@ -2,11 +2,14 @@
 
 The cases are generated from each record's dataclass fields: a field whose
 annotation has no entry in WRONG fails test_every_field_has_wrong_values, so
-a new field cannot skip its check.
+a new field cannot skip its check, and a record that calls check_types but
+has no entry in VALID fails test_every_checked_record_is_in_the_table.
 """
 
 import dataclasses
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +21,10 @@ import fruitmap
 from fruitmap._checks import from_doc, is_finite_point
 from fruitmap.evaluation import EvalReport
 from fruitmap.geometry import CameraIntrinsics, StereoRig
-from fruitmap.records import BranchMap, FruitletTrack, GroundTruthFruitlet
+from fruitmap.mapping import MergeConfig
+from fruitmap.records import BranchMap, FruitletTrack, GroundTruth, GroundTruthFruitlet
+from fruitmap.simulator import OrchardSpec
+from fruitmap.spherefit import FitConfig
 
 VALID = {
     FruitletTrack: {"id": 0, "center": [0.0, 0.0, 0.4], "diameter": 0.01, "observations": 1,
@@ -30,8 +36,13 @@ VALID = {
                  "size_pairs": [[0.01, 0.01]]},
     CameraIntrinsics: {"fx": 40.0, "fy": 40.0, "cx": 16.0, "cy": 12.0, "width": 32,
                        "height": 24},
+    FitConfig: dataclasses.asdict(FitConfig()),
+    OrchardSpec: dataclasses.asdict(OrchardSpec()),
+    MergeConfig: {"merge_radius": 0.01},
 }
 VALID[StereoRig] = {"intrinsics": CameraIntrinsics(**VALID[CameraIntrinsics]), "baseline": 0.1}
+VALID[GroundTruth] = {"fruitlets": [GroundTruthFruitlet(**VALID[GroundTruthFruitlet])],
+                      "visibility": {"A": {0: 1}}, "dataset_id": "scan", "frame_label": "A"}
 
 NAN = float("nan")
 HUGE = 10 ** 400  # a JSON integer too large for a float
@@ -47,6 +58,11 @@ WRONG = {
     "Mapping[str, object]": [[], "seed"],
     "tuple[tuple[float, float], ...]": [[[0.01]], {"a": 1}, [[0.01, "0.01"]]],
     "CameraIntrinsics": [VALID[CameraIntrinsics], None],
+    "tuple[int, int]": [[1], [1, 1.5], "13", [True, 3]],
+    "tuple[float, float]": [[0.01], [0.01, NAN], (0.01, "0.02"), 0.01],
+    "str | None": [5, ["A"]],
+    "tuple[GroundTruthFruitlet, ...]": [[VALID[GroundTruthFruitlet]], None, 7],
+    "dict[str, dict[int, int]]": [{"A": [1]}, [1], None],
 }
 
 FIELDS = [(cls, f) for cls in VALID for f in dataclasses.fields(cls)]
@@ -71,7 +87,10 @@ def test_every_field_has_wrong_values():
 @pytest.mark.parametrize("cls", list(VALID), ids=lambda cls: cls.__name__)
 def test_valid_doc_builds_the_record(cls):
     doc = VALID[cls]
-    assert from_doc(cls, {**doc, "unknown": [1]}) == cls(**doc)
+    record = cls(**doc)
+    assert from_doc(cls, {**doc, "unknown": [1]}) == record
+    lists = [f.name for f in dataclasses.fields(cls) if isinstance(getattr(record, f.name), list)]
+    assert lists == []
 
 
 @pytest.mark.parametrize("cls, name, value", WRONG_CASES, ids=list(map(case_id, WRONG_CASES)))
@@ -90,6 +109,25 @@ def test_every_wrong_field_is_named_at_once(cls):
         with pytest.raises(ValueError) as info:
             build()
         assert [name for name in doc if name not in str(info.value)] == []
+
+
+def calls_check_types(cls):
+    post_init = cls.__dict__.get("__post_init__")
+    return post_init is not None and "check_types" in post_init.__code__.co_names
+
+
+def test_every_checked_record_is_in_the_table():
+    # The cases above are generated from VALID, so a record whose
+    # __post_init__ calls check_types cannot be left out of it.
+    modules = [importlib.import_module(f"fruitmap.{info.name}")
+               for info in pkgutil.iter_modules(fruitmap.__path__)]
+    checked = {
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and calls_check_types(cls)
+    }
+    assert sorted(cls.__name__ for cls in checked) == sorted(cls.__name__ for cls in VALID)
 
 
 @pytest.mark.parametrize("cls", [FruitletTrack, GroundTruthFruitlet], ids=lambda cls: cls.__name__)
