@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # module that defines it; everything else is reached through its module
 # (fruitmap.spherefit, fruitmap.dataset, ...).
 _MODULES = {
-    "OrchardSpec": "simulator",
+    "OrchardSpec": "records",
     "simulate_dataset": "simulator",
     "build_side_map": "mapping",
     "cross_side_transform": "mapping",

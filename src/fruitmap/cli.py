@@ -12,12 +12,12 @@ and seed.
 Each stage imports only the modules it runs: a subcommand binds the public
 names (the __all__) of the pipeline modules it runs when it starts (_bind),
 and the package itself resolves its seven names on first use. So `--version`,
-eval and report start without numpy, and the other stages load only their
-own modules.
+eval and report start without numpy whatever their config (its records load
+none), and the other stages load only their own modules.
 
-Exit codes: 0 success, 1 validation or usage error, 2 I/O error, 130
-interrupted (Ctrl-C). All diagnostics go to standard error; data products
-only ever go to files.
+Exit codes: 0 success, 1 validation or usage error or out of memory, 2 I/O
+error, 130 interrupted (Ctrl-C). All diagnostics go to standard error; data
+products only ever go to files.
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ def __getattr__(name: str) -> object:
 
 
 # The one table of config sections and the keys each one allows: a tuple of
-# keys, or "module.Name" of the dataclass whose fields are the keys. That
-# module is imported only when a config file names its section.
+# keys, or the name of the record in records whose fields are the keys. records
+# loads no numpy, and is imported only when a config file names such a section.
 _CONFIG_KEYS = {
-    "simulate": "simulator.OrchardSpec",
-    "fit": "spherefit.FitConfig",
+    "simulate": "OrchardSpec",
+    "fit": "FitConfig",
     "merge": ("within_radius", "cross_radius"),
     "eval": ("tolerance",),
 }
@@ -107,8 +107,7 @@ def _load_config(path: str | None) -> dict[str, dict]:
             raise ValueError(f"config {path}: section {key!r} must be an object")
         allowed = _CONFIG_KEYS[key]
         if isinstance(allowed, str):
-            module, name = allowed.split(".")
-            record = getattr(_module(module), name)
+            record = getattr(_module("records"), allowed)
             allowed = tuple(f.name for f in dataclasses.fields(record))
         unknown = sorted(set(section) - set(allowed))
         if unknown:
@@ -130,7 +129,7 @@ def _stamped(provenance: Mapping[str, object]) -> dict:
 # --------------------------------------------------------------- subcommands
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _bind("simulator")
+    _bind("records", "simulator")
     config = _load_config(args.config)
     kwargs = config["simulate"]
     if args.seed is not None:
@@ -329,8 +328,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # a worker's MemoryError reaches here too
+        reason = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {reason}{exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

@@ -43,19 +43,18 @@ counts the same whichever side made it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._checks import DatasetError, check_types, config_digest
+from ._checks import DatasetError, config_digest
 from ._pool import ordered_map
 from .dataset import FrameRecord, ScanDataset, extract_instance_clouds
 from .geometry import RigidTransform
-from .records import BranchMap, FruitletTrack
+from .records import BranchMap, FitConfig, FruitletTrack, MergeConfig
 from .spherefit import (
     DegenerateSampleError,
-    FitConfig,
     FitReport,
     InsufficientPointsError,
     derive_seed,
@@ -66,7 +65,6 @@ from .spherefit import (
 __all__ = [
     "WITHIN_SIDE_RADIUS",
     "CROSS_SIDE_RADIUS",
-    "MergeConfig",
     "TrackStore",
     "integrate_observation",
     "build_side_map",
@@ -77,20 +75,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-WITHIN_SIDE_RADIUS = 0.010
+WITHIN_SIDE_RADIUS = MergeConfig().merge_radius
 CROSS_SIDE_RADIUS = 0.020
-
-
-@dataclass(frozen=True)
-class MergeConfig:
-    """Association radius for track integration."""
-
-    merge_radius: float = WITHIN_SIDE_RADIUS
-
-    def __post_init__(self) -> None:
-        check_types(self)
-        if self.merge_radius <= 0:
-            raise ValueError(f"merge_radius must be positive, got {self.merge_radius}")
 
 
 class TrackStore:

@@ -1,12 +1,13 @@
-"""The records eval reads: branch maps and ground truth, with their JSON forms.
+"""The pipeline's records: its configs, branch maps and ground truth.
 
-A branch map is the output of map and align, and ground truth comes with
-every simulated scan; eval scores the one against the other. Both are frozen
-records that check their own fields, built from JSON by from_doc, so the same
-checks and messages hold for a record read from disk and one built in memory.
+The config records give the config file's keys. A branch map is the output of
+map and align, and ground truth comes with every simulated scan; eval scores
+the one against the other. All are frozen records that check their own
+fields, built from JSON by from_doc, so the same checks and messages hold for
+a record read from disk and one built in memory.
 
-This module imports no numpy, so eval starts without it. mapping builds
-branch maps through its track store, and the simulator builds ground truth.
+This module imports no numpy: every stage checks its config, and eval starts,
+without it. mapping builds branch maps, and the simulator ground truth.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from typing import Mapping
 from ._checks import DatasetError, check_types, from_doc, is_int, read_json, write_json
 
 __all__ = [
+    "OrchardSpec",
+    "FitConfig",
+    "MergeConfig",
     "FruitletTrack",
     "BranchMap",
     "map_to_json",
@@ -28,6 +32,94 @@ __all__ = [
     "GroundTruth",
     "load_ground_truth",
 ]
+
+
+@dataclass(frozen=True)
+class OrchardSpec:
+    """Parameters of one synthetic branch scene."""
+
+    branch_length: float = 0.9
+    cluster_count: int = 8
+    fruitlets_per_cluster: tuple[int, int] = (1, 3)
+    diameter_range: tuple[float, float] = (0.008, 0.025)
+    cluster_spread: float = 0.035
+    occluder_count: int = 6
+    occluder_size: float = 0.06
+    depth_noise_sigma: float = 0.0011
+    rng_seed: int = 0
+    min_separation: float = 0.024
+    mask_dilate_px: int = 0
+
+    def __post_init__(self) -> None:
+        check_types(self)
+        if self.branch_length <= 0:
+            raise ValueError("branch_length must be positive")
+        if self.cluster_count < 1:
+            raise ValueError("cluster_count must be at least 1")
+        lo, hi = self.fruitlets_per_cluster
+        if not (1 <= lo <= hi):
+            raise ValueError(f"bad fruitlets_per_cluster range ({lo}, {hi})")
+        d_lo, d_hi = self.diameter_range
+        band = FitConfig()
+        if not (band.d_min <= d_lo <= d_hi <= band.d_max):
+            raise ValueError(
+                f"diameter_range [{d_lo}, {d_hi}] outside the plausible "
+                f"fit band [{band.d_min}, {band.d_max}]"
+            )
+        if self.cluster_spread < 0:
+            raise ValueError("cluster_spread must be non-negative")
+        if self.occluder_count < 0:
+            raise ValueError("occluder_count must be non-negative")
+        if self.occluder_size <= 0:
+            raise ValueError("occluder_size must be positive")
+        if self.depth_noise_sigma < 0:
+            raise ValueError("depth_noise_sigma must be non-negative")
+        if self.min_separation <= 0:
+            raise ValueError("min_separation must be positive")
+        if self.mask_dilate_px < 0:
+            raise ValueError("mask_dilate_px must be non-negative")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    max_points: int = 500          # cloud threshold before fitting
+    ransac_iterations: int = 200
+    inlier_tolerance: float = 0.002      # allowed surface deviation, m
+    min_inlier_fraction: float = 0.3     # acceptance floor
+    d_min: float = 0.004                 # plausible diameter band, m
+    d_max: float = 0.040
+    z_rule: str = "background_reject"    # or "literal"
+    rng_seed: int = 0
+
+    def __post_init__(self) -> None:
+        rules = ("literal", "background_reject")
+        check_types(self, also=() if self.z_rule in rules else (f"unknown z_rule {self.z_rule!r}",))
+        if self.max_points < 4:
+            raise ValueError("max_points must be at least 4")
+        if self.ransac_iterations < 1:
+            raise ValueError("ransac_iterations must be positive")
+        if self.inlier_tolerance <= 0:
+            raise ValueError("inlier_tolerance must be positive")
+        if not (0 < self.min_inlier_fraction <= 1):
+            raise ValueError("min_inlier_fraction must be in (0, 1]")
+        if not (0 < self.d_min < self.d_max):
+            raise ValueError(f"need 0 < d_min < d_max, got [{self.d_min}, {self.d_max}]")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
+
+
+@dataclass(frozen=True)
+class MergeConfig:
+    """Association radius for track integration; mapping's WITHIN_SIDE_RADIUS by default."""
+
+    merge_radius: float = 0.010
+
+    def __post_init__(self) -> None:
+        check_types(self)
+        if self.merge_radius <= 0:
+            raise ValueError(f"merge_radius must be positive, got {self.merge_radius}")
 
 
 @dataclass(frozen=True)

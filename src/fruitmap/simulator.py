@@ -45,7 +45,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._checks import check_types, json_digest
+from ._checks import json_digest
 from ._pool import ordered_map
 from .dataset import (
     DEFAULT_MIN_POINTS,
@@ -56,13 +56,12 @@ from .dataset import (
     write_frame,
 )
 from .geometry import CameraIntrinsics, RigidTransform, project, rotation_about_axis
-from .records import GroundTruth, GroundTruthFruitlet
-from .spherefit import FitConfig, derive_seed
+from .records import GroundTruth, GroundTruthFruitlet, OrchardSpec
+from .spherefit import derive_seed
 
 __all__ = [
     "DEFAULT_INTRINSICS",
     "SceneGenerationError",
-    "OrchardSpec",
     "LeafOccluder",
     "Scene",
     "generate_scene",
@@ -101,54 +100,6 @@ FIDUCIAL_TO_SCENE = RigidTransform(np.eye(3), (0.0, 0.09, 0.0))
 
 class SceneGenerationError(ValueError):
     """Raised when a spec cannot be placed without overlaps within the retry budget."""
-
-
-@dataclass(frozen=True)
-class OrchardSpec:
-    """Parameters of one synthetic branch scene."""
-
-    branch_length: float = 0.9
-    cluster_count: int = 8
-    fruitlets_per_cluster: tuple[int, int] = (1, 3)
-    diameter_range: tuple[float, float] = (0.008, 0.025)
-    cluster_spread: float = 0.035
-    occluder_count: int = 6
-    occluder_size: float = 0.06
-    depth_noise_sigma: float = 0.0011
-    rng_seed: int = 0
-    min_separation: float = 0.024
-    mask_dilate_px: int = 0
-
-    def __post_init__(self) -> None:
-        check_types(self)
-        if self.branch_length <= 0:
-            raise ValueError("branch_length must be positive")
-        if self.cluster_count < 1:
-            raise ValueError("cluster_count must be at least 1")
-        lo, hi = self.fruitlets_per_cluster
-        if not (1 <= lo <= hi):
-            raise ValueError(f"bad fruitlets_per_cluster range ({lo}, {hi})")
-        d_lo, d_hi = self.diameter_range
-        band = FitConfig()
-        if not (band.d_min <= d_lo <= d_hi <= band.d_max):
-            raise ValueError(
-                f"diameter_range [{d_lo}, {d_hi}] outside the plausible "
-                f"fit band [{band.d_min}, {band.d_max}]"
-            )
-        if self.cluster_spread < 0:
-            raise ValueError("cluster_spread must be non-negative")
-        if self.occluder_count < 0:
-            raise ValueError("occluder_count must be non-negative")
-        if self.occluder_size <= 0:
-            raise ValueError("occluder_size must be positive")
-        if self.depth_noise_sigma < 0:
-            raise ValueError("depth_noise_sigma must be non-negative")
-        if self.min_separation <= 0:
-            raise ValueError("min_separation must be positive")
-        if self.mask_dilate_px < 0:
-            raise ValueError("mask_dilate_px must be non-negative")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

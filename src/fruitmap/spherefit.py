@@ -62,11 +62,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_types
+from .records import FitConfig
 
 __all__ = [
     "SphereModel",
-    "FitConfig",
     "FitReport",
     "DegenerateSampleError",
     "InsufficientPointsError",
@@ -106,34 +105,6 @@ class SphereModel:
     @property
     def radius(self) -> float:
         return self.diameter / 2.0
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    max_points: int = 500          # cloud threshold before fitting
-    ransac_iterations: int = 200
-    inlier_tolerance: float = 0.002      # allowed surface deviation, m
-    min_inlier_fraction: float = 0.3     # acceptance floor
-    d_min: float = 0.004                 # plausible diameter band, m
-    d_max: float = 0.040
-    z_rule: str = "background_reject"    # or "literal"
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        rules = ("literal", "background_reject")
-        check_types(self, also=() if self.z_rule in rules else (f"unknown z_rule {self.z_rule!r}",))
-        if self.max_points < 4:
-            raise ValueError("max_points must be at least 4")
-        if self.ransac_iterations < 1:
-            raise ValueError("ransac_iterations must be positive")
-        if self.inlier_tolerance <= 0:
-            raise ValueError("inlier_tolerance must be positive")
-        if not (0 < self.min_inlier_fraction <= 1):
-            raise ValueError("min_inlier_fraction must be in (0, 1]")
-        if not (0 < self.d_min < self.d_max):
-            raise ValueError(f"need 0 < d_min < d_max, got [{self.d_min}, {self.d_max}]")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

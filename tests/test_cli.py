@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import fruitmap
-from fruitmap import _pool, cli, simulator
+from fruitmap import _pool, cli, simulator, spherefit
 from fruitmap import dataset as dataset_module
 from fruitmap import mapping
 from fruitmap.cli import main
@@ -38,6 +38,14 @@ SIM_CONFIG = {
         "occluder_count": 0,
         "rng_seed": 11,
     }
+}
+
+# A config holding all four sections, each at its defaults.
+FULL_CONFIG = {
+    "simulate": dataclasses.asdict(OrchardSpec()),
+    "fit": dataclasses.asdict(FitConfig()),
+    "merge": {"within_radius": WITHIN_SIDE_RADIUS, "cross_radius": CROSS_SIDE_RADIUS},
+    "eval": {"tolerance": MATCH_TOLERANCE},
 }
 
 
@@ -273,6 +281,27 @@ class TestExitCodes:
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [2, 1], ids=["pooled", "one-cpu"])
+    def test_out_of_memory_is_one_line_and_1(self, pipeline, tmp_path, capfd, monkeypatch,
+                                             workers):
+        # A fit that cannot allocate its minimal samples (a huge
+        # fit.ransac_iterations) ends map with one line, exit 1 and no map,
+        # whether a pool worker or the calling process ran out.
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 522. GiB for an array")
+
+        monkeypatch.setattr(_pool, "worker_count", lambda n_tasks: workers)
+        monkeypatch.setattr(spherefit, "_draw_quads", no_memory)
+        out = tmp_path / "a.json"
+        code = main(["map", "--dataset", str(pipeline["dataset"]), "--side", "A",
+                     "--out", str(out)])
+        assert code == 1
+        assert capfd.readouterr().err == (
+            "error: out of memory: Unable to allocate 522. GiB for an array\n"
+        )
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     def test_dead_render_worker_is_io_error(self, pipeline, tmp_path, capfd, monkeypatch):
         # As for map: one line, exit 2, no process left running. A stale
         # manifest goes first, so the half-written scan does not load.
@@ -429,6 +458,24 @@ def assert_one_line_validation_error(proc, *needles):
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     for needle in needles:
         assert needle in proc.stderr
+
+
+def stage_argv(pipeline, tmp_path, command):
+    """command's arguments after --config, reading the pipeline's products.
+
+    Every stage writes tmp_path / "out.json", but simulate, which writes the
+    dataset tmp_path / "ds".
+    """
+    out = str(tmp_path / "out.json")
+    return {
+        "simulate": ["--out", str(tmp_path / "ds")],
+        "map": ["--dataset", str(pipeline["dataset"]), "--side", "A", "--out", out],
+        "align": ["--map-a", str(pipeline["map_a"]), "--map-b", str(pipeline["map_b"]),
+                  "--dataset", str(pipeline["dataset"]), "--out", out],
+        "eval": ["--map", str(pipeline["merged"]),
+                 "--truth", str(pipeline["dataset"] / "ground_truth.json"), "--out", out],
+        "report": ["--eval", str(pipeline["report"]), "--format", "json", "--out", out],
+    }[command]
 
 
 def copy_dataset_json(pipeline, ds):
@@ -589,19 +636,25 @@ class TestMalformedInputs:
     def test_mistyped_stage_option(self, pipeline, tmp_path, command, config, needles):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))  # json writes NaN as a bare token
-        out = tmp_path / "out.json"
-        argv = {
-            "simulate": ["--out", str(tmp_path / "ds")],
-            "map": ["--dataset", str(pipeline["dataset"]), "--side", "A", "--out", str(out)],
-            "align": ["--map-a", str(pipeline["map_a"]), "--map-b", str(pipeline["map_b"]),
-                      "--dataset", str(pipeline["dataset"]), "--out", str(out)],
-            "eval": ["--map", str(pipeline["merged"]),
-                     "--truth", str(pipeline["dataset"] / "ground_truth.json"),
-                     "--out", str(out)],
-        }[command]
-        proc = run_cli([command, "--config", str(bad), *argv])
+        proc = run_cli([command, "--config", str(bad), *stage_argv(pipeline, tmp_path, command)])
         assert_one_line_validation_error(proc, *needles)
-        assert not out.exists()
+        assert not (tmp_path / "out.json").exists()
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("section", ["simulate", "fit"])
+    @pytest.mark.parametrize("command", ["simulate", "map", "align", "eval", "report"])
+    def test_every_stage_checks_record_sections(self, pipeline, tmp_path, capsys, command,
+                                                section):
+        # The simulate and fit keys are fields of records that only simulate
+        # and map build, yet every stage rejects an unknown one.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {"rng_seed": 1, "bogus": 1, "also_bogus": 2}}))
+        argv = [command, "--config", str(bad), *stage_argv(pipeline, tmp_path, command)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: config {bad}: unknown {section} option(s): also_bogus, bogus\n"
+        )
+        assert not (tmp_path / "out.json").exists()
         assert not (tmp_path / "ds").exists()
 
     @pytest.mark.parametrize("text", [b"{not json", b'{"eval": {"tolerance": 0.02}}\xff'],
@@ -868,10 +921,13 @@ UNUSED_BY_JSON_STAGES = ("numpy", "fruitmap.simulator", "fruitmap.spherefit", "f
                          "fruitmap.dataset", "fruitmap.geometry", "fruitmap._pool")
 
 
-@pytest.mark.parametrize("stage", ["version", "report", "eval"])
+@pytest.mark.parametrize("stage", ["version", "report", "eval", "report-config", "eval-config"])
 def test_version_and_report_start_without_numpy(tmp_path, stage):
-    # Each stage imports only the modules it runs. Run as `python -m
-    # fruitmap` in a fresh interpreter, which then lists what it loaded.
+    # Each stage imports only the modules it runs, and checks a config
+    # holding every section without numpy. Run as `python -m fruitmap` in a
+    # fresh interpreter, which then lists what it loaded.
+    config = tmp_path / "full.json"
+    config.write_text(json.dumps(FULL_CONFIG))
     report = tmp_path / "report.json"
     report.write_text(json.dumps({
         "tp": 2, "fp": 1, "fn": 0, "precision": 2 / 3, "recall": 1.0, "f1": 0.8,
@@ -894,7 +950,9 @@ def test_version_and_report_start_without_numpy(tmp_path, stage):
         "report": ["report", "--eval", str(report), "--format", "csv", "--out", str(table),
                    "--scatter", str(sizes)],
         "eval": ["eval", "--map", str(branch_map), "--truth", str(truth), "--out", str(scored)],
-    }[stage]
+    }[stage.removesuffix("-config")]
+    if stage.endswith("-config"):
+        argv = [*argv, "--config", str(config)]
     code = (
         "import runpy, sys\n"
         "try:\n"
@@ -908,10 +966,10 @@ def test_version_and_report_start_without_numpy(tmp_path, stage):
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["exit 0", "[]"], proc.stdout + proc.stderr
-    if stage == "report":
+    if stage.startswith("report"):
         assert table.read_text().splitlines()[1] == "2,3,50.00,0.67,1.00,0.80"
         assert sizes.read_text().splitlines()[1:] == ["0.02,0.019", "0.015,0.0158"]
-    if stage == "eval":
+    if stage.startswith("eval"):
         doc = json.loads(scored.read_text())
         assert (doc["tp"], doc["fp"], doc["fn"], doc["count_accuracy_pct"]) == (1, 1, 0, 0.0)
         assert doc["size_pairs"] == [[0.02, 0.019]]
@@ -928,11 +986,19 @@ STAGE_MODULES = {
 }
 
 
-@pytest.mark.parametrize("stage", list(STAGE_MODULES))
-def test_stage_loads_only_its_modules(pipeline, tmp_path, stage):
+@pytest.mark.parametrize(
+    "stage, configured",
+    [(stage, configured) for configured in (False, True) for stage in STAGE_MODULES],
+    ids=[stage + suffix for suffix in ("", "-full-config") for stage in STAGE_MODULES],
+)
+def test_stage_loads_only_its_modules(pipeline, tmp_path, stage, configured):
     # Run as `python -m fruitmap` in a fresh interpreter, which then lists
-    # the fruitmap modules it loaded. simulate loads no mapping.
+    # the fruitmap modules it loaded. simulate loads no mapping. A config
+    # holding every section changes nothing: its keys are checked against
+    # the records, not the modules that use them.
     out = tmp_path / "out"
+    config = tmp_path / "full.json"
+    config.write_text(json.dumps(FULL_CONFIG))
     argv = {
         "simulate": ["simulate", "--seed", "17"],
         "map": ["map", "--dataset", str(pipeline["dataset"]), "--side", "A"],
@@ -941,6 +1007,8 @@ def test_stage_loads_only_its_modules(pipeline, tmp_path, stage):
         "eval": ["eval", "--map", str(pipeline["merged"]),
                  "--truth", str(pipeline["dataset"] / "ground_truth.json")],
     }[stage]
+    if configured:
+        argv = [*argv, "--config", str(config)]
     code = (
         "import runpy, sys\n"
         "try:\n"
@@ -1105,13 +1173,7 @@ def test_readme_config_block_shows_the_defaults(pipeline, tmp_path):
     config.write_text(block.group(1))
     assert main(["report", "--config", str(config), "--eval", str(pipeline["report"]),
                  "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
-    defaults = {
-        "simulate": dataclasses.asdict(OrchardSpec()),
-        "fit": dataclasses.asdict(FitConfig()),
-        "merge": {"within_radius": WITHIN_SIDE_RADIUS, "cross_radius": CROSS_SIDE_RADIUS},
-        "eval": {"tolerance": MATCH_TOLERANCE},
-    }
-    assert json.loads(block.group(1)) == json.loads(json.dumps(defaults))  # tuples as lists
+    assert json.loads(block.group(1)) == json.loads(json.dumps(FULL_CONFIG))  # tuples as lists
 
 
 class TestPrecedence:

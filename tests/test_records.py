@@ -21,10 +21,15 @@ import fruitmap
 from fruitmap._checks import from_doc, is_finite_point
 from fruitmap.evaluation import EvalReport
 from fruitmap.geometry import CameraIntrinsics, StereoRig
-from fruitmap.mapping import MergeConfig
-from fruitmap.records import BranchMap, FruitletTrack, GroundTruth, GroundTruthFruitlet
-from fruitmap.simulator import OrchardSpec
-from fruitmap.spherefit import FitConfig
+from fruitmap.records import (
+    BranchMap,
+    FitConfig,
+    FruitletTrack,
+    GroundTruth,
+    GroundTruthFruitlet,
+    MergeConfig,
+    OrchardSpec,
+)
 
 VALID = {
     FruitletTrack: {"id": 0, "center": [0.0, 0.0, 0.4], "diameter": 0.01, "observations": 1,
@@ -152,6 +157,18 @@ def test_finite_point_arrays():
         with pytest.raises(ValueError) as info:
             GroundTruthFruitlet(**{**doc, "center": center})
         assert str(info.value) == f"center must be 3 coordinates, each a finite number, got {shown}"
+
+
+@pytest.mark.parametrize("module, cls", [("simulator", OrchardSpec), ("spherefit", FitConfig),
+                                         ("mapping", MergeConfig)],
+                         ids=["OrchardSpec", "FitConfig", "MergeConfig"])
+def test_config_record_is_importable_from_its_user(module, cls):
+    # Each config record lives in records, public there (and, by
+    # test_no_name_is_public_in_two_pipeline_modules, there alone), and the
+    # module that uses it still imports it under the same name.
+    used_by = importlib.import_module(f"fruitmap.{module}")
+    assert getattr(used_by, cls.__name__) is cls and cls.__module__ == "fruitmap.records"
+    assert cls.__name__ in importlib.import_module("fruitmap.records").__all__
 
 
 def test_checks_module_loads_no_numpy():
