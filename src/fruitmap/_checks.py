@@ -7,10 +7,12 @@ fields in __post_init__ through check_types, and from_doc builds any record
 from a JSON object, so the same checks and messages hold on both paths.
 check_types checks each field against its annotation, a string in every
 record module (`from __future__ import annotations`), through _TYPES; a
-record checks the fields no entry covers itself and passes those messages as
-also, so one ValueError names every wrong field. read_json and write_json
-are the one reader and writer of every JSON document, json_digest the one
-provenance hash, and config_digest that hash over config dataclasses.
+bounded field's annotation (PositiveFloat, NonNegativeInt, ...) states its
+range as well as its type. A record checks the fields no entry covers itself
+and passes those messages as also, so one ValueError names every wrong field,
+ranges included. read_json and write_json are the one reader and writer of
+every JSON document, json_digest the one provenance hash, and config_digest
+that hash over config dataclasses.
 
 This module imports no numpy, so the stages that only read and write JSON
 (report, --version) start without it.
@@ -101,11 +103,23 @@ def _is_pair_of(check):
 
 is_finite_pair = _is_pair_of(is_finite_real)  # a list or tuple of two finite reals
 
+# Range annotations: plain aliases, so a type checker reads a PositiveFloat
+# field as a float, while check_types reads the name and checks the range.
+PositiveFloat = float     # finite, > 0
+NonNegativeFloat = float  # finite, >= 0
+PositiveInt = int         # >= 1
+NonNegativeInt = int      # >= 0
+
 # annotation string: (predicate, what the field must be, shown with its value
 # in place of {!r}); a list of pairs can run to hundreds, so it is not shown
 _TYPES = {
     "int": (is_int, "an integer, got {!r}"),
     "float": (is_finite_real, "a finite number, got {!r}"),
+    "PositiveFloat": (lambda v: is_finite_real(v) and v > 0, "a finite number > 0, got {!r}"),
+    "NonNegativeFloat": (lambda v: is_finite_real(v) and v >= 0,
+                         "a finite number >= 0, got {!r}"),
+    "PositiveInt": (lambda v: is_int(v) and v >= 1, "an integer >= 1, got {!r}"),
+    "NonNegativeInt": (lambda v: is_int(v) and v >= 0, "an integer >= 0, got {!r}"),
     "float | None": (lambda v: v is None or is_finite_real(v), "a finite number, got {!r}"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string, got {!r}"),
     "tuple[float, float, float]": (is_finite_point,
@@ -125,7 +139,7 @@ _TYPES = {
 
 
 def check_types(obj: object, also: Iterable[str] = ()) -> None:
-    """Raise one ValueError naming every field of obj of the wrong type.
+    """Raise one ValueError naming every field of obj of the wrong type or range.
 
     Fields come in order, each checked against its annotation's _TYPES entry;
     also holds the messages of the record's other field checks.

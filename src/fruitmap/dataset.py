@@ -14,7 +14,8 @@ and relative paths to its two rasters. Invalid depth pixels are non-finite or
 non-positive. Mask value 0 is background; any positive value is an instance id.
 The ground truth JSON carries dataset_id, frame_label (the first side, whose
 frame its centers are in), the fruitlets and their per-side visibility counts;
-its record, GroundTruth, lives in records, which eval loads without numpy.
+its record, GroundTruth, and its writer and reader live in records, which eval
+loads without numpy.
 
 load_dataset validates the JSON documents, the frame indices and the raster
 paths, with diagnostics naming the offending file, and opens no raster. A
@@ -33,9 +34,9 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence, overload
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from ._checks import (
     write_json,
 )
 from .geometry import CameraIntrinsics, RigidTransform, backproject
-from .records import GroundTruth
+from .records import GroundTruth, save_ground_truth
 
 __all__ = [
     "DatasetError",
@@ -180,15 +181,7 @@ class _LoadedFrames(Sequence[FrameRecord]):
     def __len__(self) -> int:
         return len(self._files)
 
-    @overload
-    def __getitem__(self, index: int) -> FrameRecord: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> _LoadedFrames: ...
-
-    def __getitem__(self, index: int | slice) -> FrameRecord | _LoadedFrames:
-        if isinstance(index, slice):
-            return _LoadedFrames(self._files[index])
+    def __getitem__(self, index: int) -> FrameRecord:  # type: ignore[override]
         files = self._files[index]
         intr = files.intrinsics
         depth = read_depth_raster(files.depth, intr.width, intr.height)
@@ -377,19 +370,11 @@ def write_dataset(dataset: ScanDataset, root: Path | str, provenance: dict | Non
     for side, records in dataset.frames.items():
         for rec in records:
             write_frame(root, side, rec)
-    truth = dataset.ground_truth
-    if truth is not None:
-        write_json(
+    if dataset.ground_truth is not None:
+        save_ground_truth(
             root / "ground_truth.json",
-            {
-                "dataset_id": dataset.dataset_id,
-                "frame_label": dataset.sides[0],
-                "fruitlets": [asdict(f) for f in truth.fruitlets],
-                "visibility": {
-                    side: {str(k): v for k, v in sorted(counts.items())}
-                    for side, counts in sorted(truth.visibility.items())
-                },
-            },
+            replace(dataset.ground_truth, dataset_id=dataset.dataset_id,
+                    frame_label=dataset.sides[0]),
         )
     manifest: dict[str, object] = {
         "format_version": FORMAT_VERSION,

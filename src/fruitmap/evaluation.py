@@ -19,7 +19,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from ._checks import DatasetError, check_types, from_doc, is_finite_pair, is_finite_real
+from ._checks import (
+    DatasetError, NonNegativeInt, check_types, from_doc, is_finite_pair, is_finite_real,
+)
 
 if TYPE_CHECKING:  # annotations only: report needs no records
     from .records import BranchMap, GroundTruth
@@ -61,9 +63,9 @@ class MatchResult:
 class EvalReport:
     """Every scalar the reporting surface needs for one map-versus-truth run."""
 
-    tp: int
-    fp: int
-    fn: int
+    tp: NonNegativeInt
+    fp: NonNegativeInt
+    fn: NonNegativeInt
     precision: float
     recall: float
     f1: float
@@ -74,10 +76,6 @@ class EvalReport:
 
     def __post_init__(self) -> None:
         check_types(self)
-        negative = [f"{name} must be non-negative, got {getattr(self, name)}"
-                    for name in ("tp", "fp", "fn") if getattr(self, name) < 0]
-        if negative:
-            raise ValueError("; ".join(negative))
         object.__setattr__(self, "size_pairs", tuple(tuple(p) for p in self.size_pairs))
 
 

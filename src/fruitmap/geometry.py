@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_types
+from ._checks import PositiveFloat, PositiveInt, check_types
 
 __all__ = [
     "CameraIntrinsics",
@@ -35,19 +35,15 @@ _ORTHONORMAL_TOL = 1e-9
 class CameraIntrinsics:
     """Pinhole intrinsics; focal lengths and principal point in pixels."""
 
-    fx: float
-    fy: float
+    fx: PositiveFloat
+    fy: PositiveFloat
     cx: float
     cy: float
-    width: int
-    height: int
+    width: PositiveInt
+    height: PositiveInt
 
     def __post_init__(self) -> None:
         check_types(self)
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError(
                 f"principal point ({self.cx}, {self.cy}) outside image {self.width}x{self.height}"
@@ -59,14 +55,12 @@ class StereoRig:
     """A rectified stereo pair: shared intrinsics plus baseline in meters."""
 
     intrinsics: CameraIntrinsics
-    baseline: float
+    baseline: PositiveFloat
 
     def __post_init__(self) -> None:
         wrong = ([] if isinstance(self.intrinsics, CameraIntrinsics)
                  else [f"intrinsics must be CameraIntrinsics, got {self.intrinsics!r}"])
         check_types(self, also=wrong)
-        if self.baseline <= 0:
-            raise ValueError(f"baseline must be positive, got {self.baseline}")
 
 
 def depth_resolution(rig: StereoRig, depth: float | np.ndarray) -> float | np.ndarray:

@@ -12,11 +12,14 @@ without it. mapping builds branch maps, and the simulator ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from ._checks import DatasetError, check_types, from_doc, is_int, read_json, write_json
+from ._checks import (
+    DatasetError, NonNegativeFloat, NonNegativeInt, PositiveFloat, PositiveInt, check_types,
+    from_doc, is_finite_real, is_int, read_json, write_json,
+)
 
 __all__ = [
     "OrchardSpec",
@@ -30,6 +33,7 @@ __all__ = [
     "load_branch_map",
     "GroundTruthFruitlet",
     "GroundTruth",
+    "save_ground_truth",
     "load_ground_truth",
 ]
 
@@ -38,24 +42,20 @@ __all__ = [
 class OrchardSpec:
     """Parameters of one synthetic branch scene."""
 
-    branch_length: float = 0.9
-    cluster_count: int = 8
+    branch_length: PositiveFloat = 0.9
+    cluster_count: PositiveInt = 8
     fruitlets_per_cluster: tuple[int, int] = (1, 3)
     diameter_range: tuple[float, float] = (0.008, 0.025)
-    cluster_spread: float = 0.035
-    occluder_count: int = 6
-    occluder_size: float = 0.06
-    depth_noise_sigma: float = 0.0011
-    rng_seed: int = 0
-    min_separation: float = 0.024
-    mask_dilate_px: int = 0
+    cluster_spread: NonNegativeFloat = 0.035
+    occluder_count: NonNegativeInt = 6
+    occluder_size: PositiveFloat = 0.06
+    depth_noise_sigma: NonNegativeFloat = 0.0011
+    rng_seed: NonNegativeInt = 0
+    min_separation: PositiveFloat = 0.024
+    mask_dilate_px: NonNegativeInt = 0
 
     def __post_init__(self) -> None:
         check_types(self)
-        if self.branch_length <= 0:
-            raise ValueError("branch_length must be positive")
-        if self.cluster_count < 1:
-            raise ValueError("cluster_count must be at least 1")
         lo, hi = self.fruitlets_per_cluster
         if not (1 <= lo <= hi):
             raise ValueError(f"bad fruitlets_per_cluster range ({lo}, {hi})")
@@ -66,60 +66,40 @@ class OrchardSpec:
                 f"diameter_range [{d_lo}, {d_hi}] outside the plausible "
                 f"fit band [{band.d_min}, {band.d_max}]"
             )
-        if self.cluster_spread < 0:
-            raise ValueError("cluster_spread must be non-negative")
-        if self.occluder_count < 0:
-            raise ValueError("occluder_count must be non-negative")
-        if self.occluder_size <= 0:
-            raise ValueError("occluder_size must be positive")
-        if self.depth_noise_sigma < 0:
-            raise ValueError("depth_noise_sigma must be non-negative")
-        if self.min_separation <= 0:
-            raise ValueError("min_separation must be positive")
-        if self.mask_dilate_px < 0:
-            raise ValueError("mask_dilate_px must be non-negative")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
 class FitConfig:
     max_points: int = 500          # cloud threshold before fitting
-    ransac_iterations: int = 200
-    inlier_tolerance: float = 0.002      # allowed surface deviation, m
+    ransac_iterations: PositiveInt = 200
+    inlier_tolerance: PositiveFloat = 0.002  # allowed surface deviation, m
     min_inlier_fraction: float = 0.3     # acceptance floor
-    d_min: float = 0.004                 # plausible diameter band, m
+    d_min: PositiveFloat = 0.004         # plausible diameter band, m
     d_max: float = 0.040
     z_rule: str = "background_reject"    # or "literal"
-    rng_seed: int = 0
+    rng_seed: NonNegativeInt = 0
 
     def __post_init__(self) -> None:
-        rules = ("literal", "background_reject")
-        check_types(self, also=() if self.z_rule in rules else (f"unknown z_rule {self.z_rule!r}",))
-        if self.max_points < 4:
-            raise ValueError("max_points must be at least 4")
-        if self.ransac_iterations < 1:
-            raise ValueError("ransac_iterations must be positive")
-        if self.inlier_tolerance <= 0:
-            raise ValueError("inlier_tolerance must be positive")
-        if not (0 < self.min_inlier_fraction <= 1):
-            raise ValueError("min_inlier_fraction must be in (0, 1]")
-        if not (0 < self.d_min < self.d_max):
+        wrong = []
+        if is_int(self.max_points) and self.max_points < 4:
+            wrong.append(f"max_points must be at least 4, got {self.max_points!r}")
+        if is_finite_real(self.min_inlier_fraction) and not 0 < self.min_inlier_fraction <= 1:
+            wrong.append(f"min_inlier_fraction must be in (0, 1], got {self.min_inlier_fraction!r}")
+        if self.z_rule not in ("literal", "background_reject"):
+            wrong.append(f"unknown z_rule {self.z_rule!r}")
+        check_types(self, also=wrong)
+        if not self.d_min < self.d_max:
             raise ValueError(f"need 0 < d_min < d_max, got [{self.d_min}, {self.d_max}]")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
 class MergeConfig:
     """Association radius for track integration; mapping's WITHIN_SIDE_RADIUS by default."""
 
-    merge_radius: float = 0.010
+    merge_radius: PositiveFloat = 0.010
 
     def __post_init__(self) -> None:
         check_types(self)
-        if self.merge_radius <= 0:
-            raise ValueError(f"merge_radius must be positive, got {self.merge_radius}")
 
 
 @dataclass(frozen=True)
@@ -130,20 +110,14 @@ class FruitletTrack:
     (the earlier-seen track's id survives a collapse).
     """
 
-    id: int
+    id: NonNegativeInt
     center: tuple[float, float, float]
-    diameter: float
-    observations: int
+    diameter: PositiveFloat
+    observations: PositiveInt
     sides: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         check_types(self)
-        if self.id < 0:
-            raise ValueError("track id must be non-negative")
-        if self.observations < 1:
-            raise ValueError("a track represents at least one observation")
-        if self.diameter <= 0:
-            raise ValueError(f"diameter must be positive, got {self.diameter}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "diameter", float(self.diameter))
         object.__setattr__(self, "sides", frozenset(self.sides))
@@ -185,16 +159,7 @@ def map_to_json(branch_map: BranchMap) -> dict:
     return {
         "frame_label": branch_map.frame_label,
         "provenance": dict(branch_map.provenance),
-        "tracks": [
-            {
-                "id": t.id,
-                "center": list(t.center),
-                "diameter": t.diameter,
-                "observations": t.observations,
-                "sides": sorted(t.sides),
-            }
-            for t in branch_map.tracks
-        ],
+        "tracks": [{**asdict(t), "sides": sorted(t.sides)} for t in branch_map.tracks],
     }
 
 
@@ -236,12 +201,10 @@ def load_branch_map(path: Path | str) -> BranchMap:
 class GroundTruthFruitlet:
     id: int
     center: tuple[float, float, float]   # scene frame == side A frame
-    diameter: float
+    diameter: PositiveFloat
 
     def __post_init__(self) -> None:
         check_types(self)
-        if self.diameter <= 0:
-            raise ValueError(f"diameter must be positive, got {self.diameter}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "diameter", float(self.diameter))
 
@@ -286,6 +249,22 @@ class GroundTruth:
                     raise ValueError(f"{where} count must be an integer >= 0, got {count!r}")
                 if not (is_int(key) and key in ids):
                     raise ValueError(f"{where} {key!r} is not a listed fruitlet id")
+
+
+def save_ground_truth(path: Path | str, truth: GroundTruth) -> None:
+    """Write truth as load_ground_truth reads it, sides and ids in ascending order."""
+    write_json(
+        path,
+        {
+            "dataset_id": truth.dataset_id,
+            "frame_label": truth.frame_label,
+            "fruitlets": [asdict(f) for f in truth.fruitlets],
+            "visibility": {
+                side: {str(k): v for k, v in sorted(counts.items())}
+                for side, counts in sorted(truth.visibility.items())
+            },
+        },
+    )
 
 
 def load_ground_truth(path: Path | str) -> GroundTruth:

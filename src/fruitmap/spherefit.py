@@ -62,6 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import PositiveFloat, check_types
 from .records import FitConfig
 
 __all__ = [
@@ -94,13 +95,10 @@ class SphereModel:
     """A fitted sphere: center in the cloud's frame (meters) and diameter (meters)."""
 
     center: tuple[float, float, float]
-    diameter: float
+    diameter: PositiveFloat
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.center)) or not np.isfinite(self.diameter):
-            raise ValueError("sphere parameters must be finite")
-        if self.diameter <= 0:
-            raise ValueError(f"diameter must be positive, got {self.diameter}")
+        check_types(self)
 
     @property
     def radius(self) -> float:

@@ -384,7 +384,20 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         value = "-5" if command == "map-config" else "-1"
-        assert err == f"error: rng_seed must be non-negative, got {value}\n", err
+        assert err == f"error: rng_seed must be an integer >= 0, got {value}\n", err
+        assert not out.exists()
+
+    def test_every_out_of_range_key_is_named_in_one_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"simulate": {"branch_length": -1, "occluder_size": 0, "rng_seed": -2}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: branch_length must be a finite number > 0, got -1; "
+            "occluder_size must be a finite number > 0, got 0; "
+            "rng_seed must be an integer >= 0, got -2\n"
+        )
         assert not out.exists()
 
     def test_only_eval_reads_ground_truth(self, pipeline, tmp_path, capsys):

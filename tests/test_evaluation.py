@@ -364,7 +364,8 @@ class TestReporting:
             ((), {"size_pairs": [[0.01]]}, ("must be", "size_pairs")),
             ((), {"size_pairs": {"a": 1}}, ("must be", "size_pairs")),
             ((), {"tp": "48", "size_pairs": [[0.01]]}, ("must be", "tp", "size_pairs")),
-            ((), {"tp": -5, "fn": -3}, ("tp must be non-negative", "fn must be non-negative")),
+            ((), {"tp": -5, "fn": -3}, ("tp must be an integer >= 0, got -5",
+                                        "fn must be an integer >= 0, got -3")),
         ],
     )
     def test_json_rejects_missing_or_mistyped_fields(self, drop, edit, needles):

@@ -364,13 +364,13 @@ class TestSerialization:
             ({"frame_label": "A", "tracks": [{"id": 1.7, "center": ["0.1", 0, True],
                                               "diameter": "0.01", "observations": 2.9,
                                               "sides": "AB"}]},
-             "track 0: id must be an integer, got 1.7"),
+             "track 0: id must be an integer >= 0, got 1.7"),
             ({"frame_label": "A", "tracks": [{"id": 0, "center": [0, 0, 0.4],
                                               "observations": 1}]},
              "track 0: missing 'diameter'"),
             ({"frame_label": "A", "tracks": [{"id": -1, "center": [0, 0, 0.4],
                                               "diameter": 0.01, "observations": 1}]},
-             "track 0: track id must be non-negative"),
+             "track 0: id must be an integer >= 0, got -1"),
         ],
         ids=["list-doc", "object-tracks", "list-provenance", "null-label", "int-track",
              "coercible-fields", "missing-diameter", "negative-id"],

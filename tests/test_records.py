@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import fruitmap
-from fruitmap._checks import from_doc, is_finite_point
+from fruitmap._checks import _TYPES, from_doc, is_finite_point
 from fruitmap.evaluation import EvalReport
 from fruitmap.geometry import CameraIntrinsics, StereoRig
 from fruitmap.records import (
@@ -30,6 +30,7 @@ from fruitmap.records import (
     MergeConfig,
     OrchardSpec,
 )
+from fruitmap.spherefit import SphereModel
 
 VALID = {
     FruitletTrack: {"id": 0, "center": [0.0, 0.0, 0.4], "diameter": 0.01, "observations": 1,
@@ -44,6 +45,8 @@ VALID = {
     FitConfig: dataclasses.asdict(FitConfig()),
     OrchardSpec: dataclasses.asdict(OrchardSpec()),
     MergeConfig: {"merge_radius": 0.01},
+    # a fit's output, built in memory from a tuple, never read from JSON
+    SphereModel: {"center": (0.0, 0.0, 0.4), "diameter": 0.01},
 }
 VALID[StereoRig] = {"intrinsics": CameraIntrinsics(**VALID[CameraIntrinsics]), "baseline": 0.1}
 VALID[GroundTruth] = {"fruitlets": [GroundTruthFruitlet(**VALID[GroundTruthFruitlet])],
@@ -54,6 +57,11 @@ HUGE = 10 ** 400  # a JSON integer too large for a float
 WRONG = {
     "int": [True, 1.5, "1"],
     "float": ["0.5", NAN, None, HUGE, True, float("inf")],
+    # each range's boundary first, then the wrong types of its base type
+    "PositiveFloat": [0, -1.0, "0.5", NAN, None, HUGE, True, float("inf")],
+    "NonNegativeFloat": [-1, -1e-300, "0.5", NAN, None, HUGE, True, float("inf")],
+    "PositiveInt": [0, -1, True, 1.5, "1"],
+    "NonNegativeInt": [-1, True, 1.5, "1"],
     "float | None": ["0.5", NAN, HUGE],
     "tuple[float, float, float]": [[0.1, 0.2], ["0.1", 0.0, 0.4], [0.0, NAN, 0.4],
                                    [0.0, HUGE, 0.4]],
@@ -114,6 +122,15 @@ def test_every_wrong_field_is_named_at_once(cls):
         with pytest.raises(ValueError) as info:
             build()
         assert [name for name in doc if name not in str(info.value)] == []
+
+
+@pytest.mark.parametrize("annotation, least, below", [
+    ("PositiveFloat", 5e-324, 0.0), ("NonNegativeFloat", 0.0, -5e-324),
+    ("PositiveInt", 1, 0), ("NonNegativeInt", 0, -1),
+])
+def test_range_annotation_admits_its_bound(annotation, least, below):
+    check, _ = _TYPES[annotation]
+    assert check(least) and not check(below)
 
 
 def calls_check_types(cls):

@@ -276,7 +276,7 @@ class TestRansac:
     @pytest.mark.parametrize("value", [-1, -(2**63)])
     def test_config_rejects_negative_seed(self, value):
         # numpy seeds only from non-negative integers
-        with pytest.raises(ValueError, match=rf"rng_seed must be non-negative, got {value}"):
+        with pytest.raises(ValueError, match=rf"rng_seed must be an integer >= 0, got {value}"):
             FitConfig(rng_seed=value)
 
     @pytest.mark.parametrize(
@@ -304,11 +304,11 @@ class TestRansac:
 
 class TestSphereModelValidation:
     def test_rejects_nonpositive_diameter(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^diameter must be a finite number > 0, got 0.0$"):
             SphereModel(center=(0, 0, 0), diameter=0.0)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^center must be 3 coordinates, each a finite"):
             SphereModel(center=(0, np.nan, 0), diameter=0.01)
 
 
