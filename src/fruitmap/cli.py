@@ -2,18 +2,19 @@
 
 One executable wires the whole pipeline so a scan can be turned into an
 evaluated branch map without touching Python. Every subcommand reads an
-optional JSON config file, whose values beat the built-in defaults. The two
-stages that draw random numbers, simulate and map, also take --seed, which
-beats the configured seed. Outputs are deterministic functions of (input
-bytes, config, seed), and every JSON product embeds a provenance block that
-names the tool version and, where the product has them, its config digest
-and seed.
+optional JSON config file into its four records (records.load_config), whose
+values beat the defaults. The two stages that draw random numbers, simulate
+and map, also take --seed, which beats the configured seed once that is
+checked. Outputs are deterministic functions of (input bytes, config, seed),
+and every JSON product embeds a provenance block that names the tool version
+and, where the product has them, its config digest and seed.
 
 Each stage imports only the modules it runs: a subcommand binds the public
 names (the __all__) of the pipeline modules it runs when it starts (_bind),
 and the package itself resolves its seven names on first use. So `--version`,
-eval and report start without numpy whatever their config (its records load
-none), and the other stages load only their own modules.
+eval and report start without numpy whatever their config (records loads
+none), report loads records only to check a config it is given, and the
+other stages load only their own modules.
 
 Exit codes: 0 success, 1 validation or usage error or out of memory, 2 I/O
 error, 130 interrupted (Ctrl-C). All diagnostics go to standard error; data
@@ -79,48 +80,6 @@ def __getattr__(name: str) -> object:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# The one table of config sections and the keys each one allows: a tuple of
-# keys, or the name of the record in records whose fields are the keys. records
-# loads no numpy, and is imported only when a config file names such a section.
-_CONFIG_KEYS = {
-    "simulate": "OrchardSpec",
-    "fit": "FitConfig",
-    "merge": ("within_radius", "cross_radius"),
-    "eval": ("tolerance",),
-}
-
-
-def _load_config(path: str | None) -> dict[str, dict]:
-    """Every section of the config file, checked against _CONFIG_KEYS.
-
-    Absent sections come back empty, and JSON lists become tuples. Values are
-    not coerced: the constructors that receive them check their types.
-    """
-    doc = {} if path is None else read_json(path)
-    for key, section in doc.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(
-                f"config {path}: unknown section {key!r} "
-                f"(expected one of {', '.join(_CONFIG_KEYS)})"
-            )
-        if not isinstance(section, dict):
-            raise ValueError(f"config {path}: section {key!r} must be an object")
-        allowed = _CONFIG_KEYS[key]
-        if isinstance(allowed, str):
-            record = getattr(_module("records"), allowed)
-            allowed = tuple(f.name for f in dataclasses.fields(record))
-        unknown = sorted(set(section) - set(allowed))
-        if unknown:
-            raise ValueError(f"config {path}: unknown {key} option(s): {', '.join(unknown)}")
-    return {
-        name: {
-            key: tuple(value) if isinstance(value, list) else value
-            for key, value in doc.get(name, {}).items()
-        }
-        for name in _CONFIG_KEYS
-    }
-
-
 def _stamped(provenance: Mapping[str, object]) -> dict:
     """provenance with the tool version appended as its last key."""
     return {**provenance, "tool_version": __version__}
@@ -130,11 +89,9 @@ def _stamped(provenance: Mapping[str, object]) -> dict:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _bind("records", "simulator")
-    config = _load_config(args.config)
-    kwargs = config["simulate"]
+    spec = load_config(args.config)["simulate"]
     if args.seed is not None:
-        kwargs["rng_seed"] = args.seed
-    spec = OrchardSpec(**kwargs)
+        spec = dataclasses.replace(spec, rng_seed=args.seed)
     scene = generate_scene(spec)
     trajectory = plan_trajectory(spec)
     dataset = export_dataset(
@@ -148,15 +105,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     _bind("records", "spherefit", "dataset", "mapping")
-    config = _load_config(args.config)
-    fit_kwargs = config["fit"]
+    config = load_config(args.config)
+    fit_cfg = config["fit"]
     if args.seed is not None:
-        fit_kwargs["rng_seed"] = args.seed
-    fit_cfg = FitConfig(**fit_kwargs)
-    merge = config["merge"]
-    merge_cfg = MergeConfig(merge_radius=merge.get("within_radius", WITHIN_SIDE_RADIUS))
+        fit_cfg = dataclasses.replace(fit_cfg, rng_seed=args.seed)
     dataset = load_dataset(args.dataset, sides=(args.side,))
-    branch_map = build_side_map(dataset, args.side, fit_cfg, merge_cfg)
+    branch_map = build_side_map(dataset, args.side, fit_cfg, config["merge"])
     save_branch_map(
         args.out, dataclasses.replace(branch_map, provenance=_stamped(branch_map.provenance))
     )
@@ -166,9 +120,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_align(args: argparse.Namespace) -> int:
     _bind("records", "dataset", "mapping")
-    config = _load_config(args.config)
-    merge = config["merge"]
-    merge_cfg = MergeConfig(merge_radius=merge.get("cross_radius", CROSS_SIDE_RADIUS))
+    merge_cfg = load_config(args.config)["merge"]
     map_a = load_branch_map(args.map_a)
     map_b = load_branch_map(args.map_b)
     if map_a.frame_label == map_b.frame_label:
@@ -208,7 +160,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     _bind("records", "evaluation")
-    settings = {"tolerance": MATCH_TOLERANCE, **_load_config(args.config)["eval"]}
+    eval_cfg = load_config(args.config)["eval"]
     branch_map = load_branch_map(args.map)
     truth = load_ground_truth(args.truth)
     if not truth.fruitlets:
@@ -224,9 +176,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             f"{args.map} is a map in frame {branch_map.frame_label!r}, but {args.truth} "
             f"is in frame {truth.frame_label!r}"
         )
-    report = evaluate_map(branch_map, truth, **settings)
+    report = evaluate_map(branch_map, truth, eval_cfg)
     doc = report_to_json(report)
-    doc["provenance"] = _stamped({"config_digest": json_digest(settings)})
+    doc["provenance"] = _stamped({"config_digest": json_digest(dataclasses.asdict(eval_cfg))})
     write_json(args.out, doc, sort_keys=True)
     logger.info(
         "tp=%d fp=%d fn=%d f1=%.3f -> %s", report.tp, report.fp, report.fn,
@@ -237,7 +189,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     _bind("evaluation")
-    _load_config(args.config)
+    if args.config is not None:  # report uses no section, but checks the file all the same
+        _module("records").load_config(args.config)
     doc = read_json(args.eval)
     try:
         report = report_from_json(doc)

@@ -24,10 +24,9 @@ from ._checks import (
 )
 
 if TYPE_CHECKING:  # annotations only: report needs no records
-    from .records import BranchMap, GroundTruth
+    from .records import BranchMap, EvalConfig, GroundTruth
 
 __all__ = [
-    "MATCH_TOLERANCE",
     "MatchResult",
     "EvalReport",
     "match_fruitlets",
@@ -40,8 +39,6 @@ __all__ = [
     "emit_report",
     "write_scatter",
 ]
-
-MATCH_TOLERANCE = 0.025  # m, center-to-center
 
 
 @dataclass(frozen=True)
@@ -80,11 +77,11 @@ class EvalReport:
 
 
 def match_fruitlets(
-    branch_map: BranchMap, truth: GroundTruth, tolerance: float = MATCH_TOLERANCE
+    branch_map: BranchMap, truth: GroundTruth, tolerance: float
 ) -> MatchResult:
     """Greedy one-to-one matching by ascending center distance.
 
-    Candidate (track, truth) pairs farther apart than the tolerance are never
+    Candidate (track, truth) pairs farther apart than tolerance, in m, are never
     matched. Ties on distance fall to the smaller track id, then truth id.
     Both inputs must be expressed in the same coordinate frame.
     """
@@ -195,15 +192,18 @@ def size_rmse_percent(pairs: Iterable[tuple[float, float]]) -> float:
 def evaluate_map(
     branch_map: BranchMap,
     truth: GroundTruth,
-    tolerance: float = MATCH_TOLERANCE,
+    cfg: EvalConfig | None = None,
 ) -> EvalReport:
-    """Match and roll every metric into one report.
+    """Match within cfg.tolerance (default EvalConfig()) and roll every metric into one report.
 
-    match_fruitlets checks the tolerance. tp + fp always equals the map's
-    track count and tp + fn the truth count. size_rmse_pct, the per-fruit
-    relative error of size_rmse_percent, is None when nothing matched.
+    tp + fp always equals the map's track count and tp + fn the truth count.
+    size_rmse_pct, the per-fruit relative error of size_rmse_percent, is None
+    when nothing matched.
     """
-    result = match_fruitlets(branch_map, truth, tolerance)
+    if cfg is None:  # imported here, so report, which scores nothing, loads no records
+        from .records import EvalConfig
+        cfg = EvalConfig()
+    result = match_fruitlets(branch_map, truth, cfg.tolerance)
     tp = len(result.pairs)
     fp = len(result.unmatched_tracks)
     fn = len(result.unmatched_truth)

@@ -63,8 +63,6 @@ from .spherefit import (
 )
 
 __all__ = [
-    "WITHIN_SIDE_RADIUS",
-    "CROSS_SIDE_RADIUS",
     "TrackStore",
     "integrate_observation",
     "build_side_map",
@@ -74,9 +72,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-WITHIN_SIDE_RADIUS = MergeConfig().merge_radius
-CROSS_SIDE_RADIUS = 0.020
 
 
 class TrackStore:
@@ -117,7 +112,7 @@ class TrackStore:
         self.counts[row] = total
         self.sides[row] = self.sides[row] | sides
 
-    def _collapse(self, moved: int, cfg: MergeConfig) -> None:
+    def _collapse(self, moved: int, radius: float) -> None:
         # A merge may have dragged row `moved` inside the radius of a
         # neighbour. Collapse such pairs (earlier-seen track survives) until
         # separation holds; each collapse removes a track, so this terminates.
@@ -125,7 +120,7 @@ class TrackStore:
             dist = np.linalg.norm(self.centers - self.centers[moved], axis=1)
             dist[moved] = np.inf
             nearest = int(np.argmin(dist))
-            if dist[nearest] > cfg.merge_radius:
+            if dist[nearest] > radius:
                 break
             keep, drop = sorted((moved, nearest))
             self._blend(
@@ -145,7 +140,7 @@ def integrate_observation(
     store: TrackStore,
     center: Iterable[float],
     diameter: float,
-    cfg: MergeConfig,
+    radius: float,
     *,
     sides: Iterable[str] = (),
     weight: int = 1,
@@ -153,9 +148,9 @@ def integrate_observation(
     """Merge one accepted sphere fit into the store, or open a new track.
 
     The observation joins the nearest track when the center distance is at or
-    below cfg.merge_radius; ties resolve to the earliest-seen track. weight > 1
-    lets a whole track from another map count as its observation tally
-    (merge_maps uses this); plain fits use the default 1.
+    below radius, the merge radius; ties resolve to the earliest-seen track.
+    weight > 1 lets a whole track from another map count as its observation
+    tally (merge_maps uses this); plain fits use the default 1.
     """
     if weight < 1:
         raise ValueError("weight must be a positive observation count")
@@ -164,9 +159,9 @@ def integrate_observation(
     if store.ids:
         dist = np.linalg.norm(store.centers - center, axis=1)
         nearest = int(np.argmin(dist))
-        if dist[nearest] <= cfg.merge_radius:
+        if dist[nearest] <= radius:
             store._blend(nearest, center, diameter, weight, sides)
-            store._collapse(nearest, cfg)
+            store._collapse(nearest, radius)
             return
     store.ids.append(max(store.ids, default=-1) + 1)
     store.centers = np.vstack([store.centers, center])
@@ -261,9 +256,8 @@ def build_side_map(
                     fit.model.diameter,
                 )
             else:
-                integrate_observation(
-                    store, fit.model.center, fit.model.diameter, merge_cfg, sides=(side,)
-                )
+                integrate_observation(store, fit.model.center, fit.model.diameter,
+                                      merge_cfg.within_radius, sides=(side,))
     return store.build(
         side,
         {
@@ -298,7 +292,7 @@ def merge_maps(
     """Fold side-B tracks into side A's map; both inputs share one frame.
 
     Side-B tracks are integrated in their stored order, each weighted by its
-    observation count, under the cross-side merge radius. Track ids are then
+    observation count, under cfg.cross_radius. Track ids are then
     reassigned densely in first-seen order. Raises ValueError when the inputs
     carry different frame labels (one of them was not re-expressed).
     """
@@ -307,12 +301,11 @@ def merge_maps(
             "frame label mismatch: "
             f"{map_a.frame_label!r} vs {map_b_in_a.frame_label!r}"
         )
-    cfg = cfg if cfg is not None else MergeConfig(merge_radius=CROSS_SIDE_RADIUS)
+    cfg = cfg if cfg is not None else MergeConfig()
     store = TrackStore(map_a.tracks)
     for track in map_b_in_a.tracks:
-        integrate_observation(
-            store, track.center, track.diameter, cfg, sides=track.sides, weight=track.observations
-        )
+        integrate_observation(store, track.center, track.diameter, cfg.cross_radius,
+                              sides=track.sides, weight=track.observations)
     store.ids = list(range(len(store.ids)))
     return store.build(
         "merged",

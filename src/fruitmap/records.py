@@ -1,10 +1,13 @@
 """The pipeline's records: its configs, branch maps and ground truth.
 
-The config records give the config file's keys. A branch map is the output of
-map and align, and ground truth comes with every simulated scan; eval scores
-the one against the other. All are frozen records that check their own
-fields, built from JSON by from_doc, so the same checks and messages hold for
-a record read from disk and one built in memory.
+The config file's sections simulate, fit, merge and eval are the records
+OrchardSpec, FitConfig, MergeConfig and EvalConfig, whose fields hold each
+setting's one default. load_config builds all four, so every stage checks
+every key. A branch map is the output of map and align, and ground truth
+comes with every simulated scan; eval scores the one against the other. All
+are frozen records that check their own fields, built from JSON by from_doc,
+so the same checks and messages hold for a record read from disk and one
+built in memory.
 
 This module imports no numpy: every stage checks its config, and eval starts,
 without it. mapping builds branch maps, and the simulator ground truth.
@@ -12,9 +15,9 @@ without it. mapping builds branch maps, and the simulator ground truth.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Mapping
 
 from ._checks import (
     DatasetError, NonNegativeFloat, NonNegativeInt, PositiveFloat, PositiveInt, check_types,
@@ -25,6 +28,8 @@ __all__ = [
     "OrchardSpec",
     "FitConfig",
     "MergeConfig",
+    "EvalConfig",
+    "load_config",
     "FruitletTrack",
     "BranchMap",
     "map_to_json",
@@ -94,12 +99,57 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class MergeConfig:
-    """Association radius for track integration; mapping's WITHIN_SIDE_RADIUS by default."""
+    """Association radii, m: of a fit to a track in map, and of two sides' tracks in align."""
 
-    merge_radius: PositiveFloat = 0.010
+    within_radius: PositiveFloat = 0.010
+    cross_radius: PositiveFloat = 0.020
 
     def __post_init__(self) -> None:
         check_types(self)
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """eval's center-to-center match tolerance, m."""
+
+    tolerance: PositiveFloat = 0.025
+
+    def __post_init__(self) -> None:
+        check_types(self)
+
+
+# The config file's sections, each with the record whose fields are its keys.
+_SECTIONS = {"simulate": OrchardSpec, "fit": FitConfig, "merge": MergeConfig, "eval": EvalConfig}
+
+
+def load_config(path: Path | str | None) -> dict[str, Any]:
+    """Each section's config record, by section name; defaults where path leaves it out.
+
+    Values are not coerced, though JSON lists become tuples: each record checks
+    its own, and one ValueError names every wrong key, each after its section.
+    """
+    doc = {} if path is None else read_json(path)
+    for name, section in doc.items():
+        if name not in _SECTIONS:
+            raise ValueError(
+                f"config {path}: unknown section {name!r} "
+                f"(expected one of {', '.join(_SECTIONS)})"
+            )
+        if not isinstance(section, dict):
+            raise ValueError(f"config {path}: section {name!r} must be an object")
+        unknown = sorted(set(section) - {f.name for f in fields(_SECTIONS[name])})
+        if unknown:
+            raise ValueError(f"config {path}: unknown {name} option(s): {', '.join(unknown)}")
+    records, wrong = {}, []
+    for name, record in _SECTIONS.items():
+        try:
+            records[name] = record(**{key: tuple(value) if isinstance(value, list) else value
+                                      for key, value in doc.get(name, {}).items()})
+        except ValueError as exc:
+            wrong.append(f"{name}: {exc}")
+    if wrong:
+        raise ValueError(f"config {path}: {'; '.join(wrong)}")
+    return records
 
 
 @dataclass(frozen=True)

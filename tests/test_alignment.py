@@ -6,7 +6,6 @@ import pytest
 from fruitmap import mapping
 from fruitmap.geometry import RigidTransform, rotation_about_axis
 from fruitmap.mapping import (
-    CROSS_SIDE_RADIUS,
     MergeConfig,
     TrackStore,
     cross_side_transform,
@@ -69,7 +68,7 @@ class TestMergeMaps:
     def make_a(self, centers):
         store = TrackStore()
         for c in centers:
-            integrate_observation(store, c, 0.01, MergeConfig(), sides=("A",))
+            integrate_observation(store, c, 0.01, MergeConfig().within_radius, sides=("A",))
         return store.build("A", {})
 
     def make_b_in_a(self, centers, n=1):
@@ -141,7 +140,7 @@ class TestMergeMaps:
         # at 37.7 mm inside the cross-side radius: B counts as one sighting of 41.
         a = BranchMap("A", tracks=(track(0, (0.0, 0.0, 0.4), d=0.010, n=40),))
         b = BranchMap("A", tracks=(track(0, (0.015, 0.0, 0.4), d=0.0377, sides=("B",)),))
-        assert 0.015 <= CROSS_SIDE_RADIUS
+        assert 0.015 <= MergeConfig().cross_radius
         (merged,) = merge_maps(a, b).tracks
         assert merged.diameter == pytest.approx((40 * 0.010 + 0.0377) / 41, abs=1e-15)
         assert merged.center[0] == pytest.approx(0.015 / 41, abs=1e-15)

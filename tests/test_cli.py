@@ -21,10 +21,7 @@ from fruitmap import mapping
 from fruitmap.cli import main
 from fruitmap._checks import json_digest
 from fruitmap.dataset import read_mask_raster
-from fruitmap.evaluation import MATCH_TOLERANCE
-from fruitmap.mapping import CROSS_SIDE_RADIUS, WITHIN_SIDE_RADIUS
-from fruitmap.simulator import OrchardSpec
-from fruitmap.spherefit import FitConfig
+from fruitmap.records import EvalConfig, FitConfig, MergeConfig, OrchardSpec
 
 
 def exit_at_once(*args):
@@ -42,10 +39,9 @@ SIM_CONFIG = {
 
 # A config holding all four sections, each at its defaults.
 FULL_CONFIG = {
-    "simulate": dataclasses.asdict(OrchardSpec()),
-    "fit": dataclasses.asdict(FitConfig()),
-    "merge": {"within_radius": WITHIN_SIDE_RADIUS, "cross_radius": CROSS_SIDE_RADIUS},
-    "eval": {"tolerance": MATCH_TOLERANCE},
+    section: dataclasses.asdict(record())
+    for section, record in (("simulate", OrchardSpec), ("fit", FitConfig),
+                            ("merge", MergeConfig), ("eval", EvalConfig))
 }
 
 
@@ -368,23 +364,30 @@ class TestExitCodes:
         assert str(maps[flag]) in err and own_id in err and other_id in err, err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "map", "map-config"])
+    @pytest.mark.parametrize("command", ["simulate", "map", "map-config",
+                                         "simulate-config-seed", "map-config-seed"])
     def test_negative_seed_is_validation_error(self, tmp_path, capsys, command):
         # The seed is checked before any input is read, so a missing dataset
-        # does not hide it.
+        # does not hide it, and a configured seed is checked before --seed
+        # replaces it, so the flag does not hide it either.
+        section = "simulate" if command.startswith("simulate") else "fit"
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"fit": {"rng_seed": -5}}))
+        config.write_text(json.dumps({section: {"rng_seed": -5}}))
         out = tmp_path / "out"
+        map_argv = ["map", "--dataset", str(tmp_path / "missing"), "--side", "A"]
         argv = {
             "simulate": ["simulate", "--seed", "-1"],
-            "map": ["map", "--dataset", str(tmp_path / "missing"), "--side", "A", "--seed", "-1"],
-            "map-config": ["map", "--dataset", str(tmp_path / "missing"), "--side", "A",
-                           "--config", str(config)],
+            "map": [*map_argv, "--seed", "-1"],
+            "map-config": [*map_argv, "--config", str(config)],
+            "simulate-config-seed": ["simulate", "--config", str(config), "--seed", "5"],
+            "map-config-seed": [*map_argv, "--config", str(config), "--seed", "5"],
         }[command]
         assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        value = "-5" if command == "map-config" else "-1"
-        assert err == f"error: rng_seed must be an integer >= 0, got {value}\n", err
+        configured = "-config" in command
+        where = f"config {config}: {section}: " if configured else ""
+        value = "-5" if configured else "-1"
+        assert err == f"error: {where}rng_seed must be an integer >= 0, got {value}\n", err
         assert not out.exists()
 
     def test_every_out_of_range_key_is_named_in_one_line(self, tmp_path, capsys):
@@ -394,7 +397,8 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: branch_length must be a finite number > 0, got -1; "
+            f"error: config {config}: simulate: "
+            "branch_length must be a finite number > 0, got -1; "
             "occluder_size must be a finite number > 0, got 0; "
             "rng_seed must be an integer >= 0, got -2\n"
         )
@@ -471,6 +475,17 @@ def assert_one_line_validation_error(proc, *needles):
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     for needle in needles:
         assert needle in proc.stderr
+
+
+# One out-of-range key of each config section, in the sections' order, with
+# the message that names it: (section, key, value, message).
+OUT_OF_RANGE = [
+    ("simulate", "branch_length", -1,
+     "simulate: branch_length must be a finite number > 0, got -1"),
+    ("fit", "rng_seed", -3, "fit: rng_seed must be an integer >= 0, got -3"),
+    ("merge", "cross_radius", -1, "merge: cross_radius must be a finite number > 0, got -1"),
+    ("eval", "tolerance", 0, "eval: tolerance must be a finite number > 0, got 0"),
+]
 
 
 def stage_argv(pipeline, tmp_path, command):
@@ -626,10 +641,10 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "command, config, needles",
         [
-            ("map", {"merge": {"within_radius": None}}, ("merge_radius", "None")),
-            ("map", {"merge": {"within_radius": True}}, ("merge_radius", "True")),
-            ("align", {"merge": {"cross_radius": [0.02]}}, ("merge_radius", "0.02")),
-            ("align", {"merge": {"cross_radius": "0.02"}}, ("merge_radius", "'0.02'")),
+            ("map", {"merge": {"within_radius": None}}, ("within_radius", "None")),
+            ("map", {"merge": {"within_radius": True}}, ("within_radius", "True")),
+            ("align", {"merge": {"cross_radius": [0.02]}}, ("cross_radius", "0.02")),
+            ("align", {"merge": {"cross_radius": "0.02"}}, ("cross_radius", "'0.02'")),
             ("eval", {"eval": {"tolerance": None}}, ("tolerance", "None")),
             ("eval", {"eval": {"tolerance": {}}}, ("tolerance", "{}")),
             ("eval", {"eval": {"tolerance": float("nan")}}, ("tolerance", "nan")),
@@ -667,6 +682,23 @@ class TestMalformedInputs:
         assert capsys.readouterr().err == (
             f"error: config {bad}: unknown {section} option(s): also_bogus, bogus\n"
         )
+        assert not (tmp_path / "out.json").exists()
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("cases", [[case] for case in OUT_OF_RANGE] + [OUT_OF_RANGE],
+                             ids=[case[0] for case in OUT_OF_RANGE] + ["all"])
+    @pytest.mark.parametrize("command", ["simulate", "map", "align", "eval", "report"])
+    def test_every_stage_checks_every_section_range(self, pipeline, tmp_path, capsys, command,
+                                                    cases):
+        # The config file is read into all four records whichever stage runs,
+        # so a stage rejects an out-of-range value of a section it does not
+        # use. One line names every such key as the file does, after its section.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {key: value} for section, key, value, _ in cases}))
+        argv = [command, "--config", str(bad), *stage_argv(pipeline, tmp_path, command)]
+        assert main(argv) == 1
+        named = "; ".join(message for *_, message in cases)
+        assert capsys.readouterr().err == f"error: config {bad}: {named}\n"
         assert not (tmp_path / "out.json").exists()
         assert not (tmp_path / "ds").exists()
 
@@ -964,15 +996,18 @@ def test_version_and_report_start_without_numpy(tmp_path, stage):
                    "--scatter", str(sizes)],
         "eval": ["eval", "--map", str(branch_map), "--truth", str(truth), "--out", str(scored)],
     }[stage.removesuffix("-config")]
+    unused = UNUSED_BY_JSON_STAGES
     if stage.endswith("-config"):
         argv = [*argv, "--config", str(config)]
+    elif stage != "eval":  # neither uses a record: records loads only to check a --config
+        unused = (*unused, "fruitmap.records")
     code = (
         "import runpy, sys\n"
         "try:\n"
         "    runpy.run_module('fruitmap', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    print('exit', exc.code)\n"
-        f"print(sorted(set({UNUSED_BY_JSON_STAGES!r}) & set(sys.modules)))\n"
+        f"print(sorted(set({unused!r}) & set(sys.modules)))\n"
     )
     src = str(Path(fruitmap.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,

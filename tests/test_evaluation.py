@@ -9,7 +9,6 @@ import pytest
 
 from fruitmap._checks import DatasetError, read_json, write_json
 from fruitmap.evaluation import (
-    MATCH_TOLERANCE,
     EvalReport,
     _sum,
     MatchResult,
@@ -23,7 +22,9 @@ from fruitmap.evaluation import (
     size_rmse_percent,
     write_scatter,
 )
-from fruitmap.records import BranchMap, FruitletTrack, GroundTruth, GroundTruthFruitlet
+from fruitmap.records import (
+    BranchMap, EvalConfig, FruitletTrack, GroundTruth, GroundTruthFruitlet,
+)
 
 from reference_rows import iter_arms
 
@@ -49,6 +50,9 @@ def truth_of(centers, diameters=None):
     )
 
 
+TOLERANCE = EvalConfig().tolerance
+
+
 def map_of(tracks):
     return BranchMap(frame_label="A", tracks=tuple(tracks))
 
@@ -59,7 +63,7 @@ class TestMatchFruitlets:
     def test_identical_layout_matches_everything_at_zero(self):
         centers = [(0.1, 0.0, 0.4), (0.2, 0.01, 0.4), (0.35, -0.01, 0.38)]
         result = match_fruitlets(map_of([track(i, c) for i, c in enumerate(centers)]),
-                                 truth_of(centers))
+                                 truth_of(centers), TOLERANCE)
         assert len(result.pairs) == 3
         assert result.unmatched_tracks == () and result.unmatched_truth == ()
         assert all(d == 0.0 for _, _, d in result.pairs)
@@ -68,7 +72,7 @@ class TestMatchFruitlets:
         centers = [(0.1, 0.0, 0.4), (0.2, 0.0, 0.4)]
         tracks = [track(0, (0.1, 0.0, 0.401)), track(1, (0.2, 0.0, 0.399)),
                   track(2, (0.15, 0.0, 0.4))]
-        result = match_fruitlets(map_of(tracks), truth_of(centers))
+        result = match_fruitlets(map_of(tracks), truth_of(centers), TOLERANCE)
         assert len(result.pairs) == 2
         assert result.unmatched_tracks == (2,)
         assert result.unmatched_truth == ()
@@ -86,13 +90,13 @@ class TestMatchFruitlets:
     def test_equidistant_tie_goes_to_smaller_track_id(self):
         truth = truth_of([(0.0, 0.0, 0.4)])
         tracks = [track(7, (0.01, 0.0, 0.4)), track(3, (-0.01, 0.0, 0.4))]
-        result = match_fruitlets(map_of(tracks), truth)
+        result = match_fruitlets(map_of(tracks), truth, TOLERANCE)
         assert result.pairs == ((3, 0, pytest.approx(0.01)),)
         assert result.unmatched_tracks == (7,)
 
     def test_equidistant_tie_on_truth_goes_to_smaller_truth_id(self):
         truth = truth_of([(0.01, 0.0, 0.4), (-0.01, 0.0, 0.4)])
-        result = match_fruitlets(map_of([track(0, (0.0, 0.0, 0.4))]), truth)
+        result = match_fruitlets(map_of([track(0, (0.0, 0.0, 0.4))]), truth, TOLERANCE)
         assert result.pairs == ((0, 0, pytest.approx(0.01)),)
         assert result.unmatched_truth == (1,)
 
@@ -101,7 +105,7 @@ class TestMatchFruitlets:
         # greedy must not cross-assign
         tracks = [track(0, (0.100, 0.0, 0.4)), track(1, (0.121, 0.0, 0.4))]
         truth = truth_of([(0.120, 0.0, 0.4), (0.102, 0.0, 0.4)])
-        result = match_fruitlets(map_of(tracks), truth)
+        result = match_fruitlets(map_of(tracks), truth, TOLERANCE)
         by_track = {t: g for t, g, _ in result.pairs}
         assert by_track == {1: 0, 0: 1}
 
@@ -110,8 +114,8 @@ class TestMatchFruitlets:
         centers = rng.uniform(0, 0.5, size=(12, 3))
         tracks = [track(i, c + rng.normal(0, 0.002, 3)) for i, c in enumerate(centers)]
         truth = truth_of(centers)
-        base = match_fruitlets(map_of(tracks), truth)
-        shuffled = match_fruitlets(map_of(list(reversed(tracks))), truth)
+        base = match_fruitlets(map_of(tracks), truth, TOLERANCE)
+        shuffled = match_fruitlets(map_of(list(reversed(tracks))), truth, TOLERANCE)
         assert set(base.pairs) == set(shuffled.pairs)
 
     def test_pairs_never_exceed_tolerance(self):
@@ -122,7 +126,7 @@ class TestMatchFruitlets:
         assert all(d <= 0.05 for _, _, d in result.pairs)
 
     def test_empty_inputs(self):
-        result = match_fruitlets(map_of([]), truth_of([(0.1, 0.0, 0.4)]))
+        result = match_fruitlets(map_of([]), truth_of([(0.1, 0.0, 0.4)]), TOLERANCE)
         assert result.pairs == () and result.unmatched_truth == (0,)
 
     def test_bad_tolerance_rejected(self):
@@ -259,9 +263,9 @@ def test_matching_equals_numpy_distances():
             dists = np.linalg.norm(t_centers[:, None, :] - g_centers[None, :, :], axis=2)
             expected = sorted(
                 (float(dists[ti, gi]), tracks[ti].id, int(gi))
-                for ti, gi in zip(*np.nonzero(dists <= MATCH_TOLERANCE))
+                for ti, gi in zip(*np.nonzero(dists <= TOLERANCE))
             )
-        result = match_fruitlets(map_of(tracks), truth)
+        result = match_fruitlets(map_of(tracks), truth, TOLERANCE)
         used_t, used_g, pairs = set(), set(), []
         for dist, t, g in expected:
             if t not in used_t and g not in used_g:
@@ -322,7 +326,7 @@ class TestEvaluateMap:
     def test_options_checked_before_matching(self, options, needle):
         branch_map, truth = self.build()
         with pytest.raises(ValueError, match=needle):
-            evaluate_map(branch_map, truth, **options)
+            evaluate_map(branch_map, truth, EvalConfig(**options))
 
 
 # ------------------------------------------------------------------ reporting

@@ -1,6 +1,7 @@
 """Track integration, duplicate suppression, and map serialization."""
 
 import contextlib
+import dataclasses
 import json
 import logging
 import math
@@ -19,9 +20,7 @@ import pytest
 from fruitmap import _pool, mapping, spherefit
 from fruitmap._checks import config_digest, json_digest
 from fruitmap.dataset import DatasetError, extract_instance_clouds
-from fruitmap.evaluation import MATCH_TOLERANCE
 from fruitmap.mapping import (
-    CROSS_SIDE_RADIUS,
     MergeConfig,
     TrackStore,
     build_side_map,
@@ -32,6 +31,7 @@ from fruitmap.mapping import (
 )
 from fruitmap.records import (
     BranchMap,
+    EvalConfig,
     FruitletTrack,
     load_branch_map,
     map_from_json,
@@ -47,20 +47,23 @@ from fruitmap.spherefit import (
 )
 
 
-def integrate(branch_map, center, diameter, cfg, **kwargs):
+WITHIN, CROSS = MergeConfig().within_radius, MergeConfig().cross_radius
+
+
+def integrate(branch_map, center, diameter, radius, **kwargs):
     """One integrate_observation into a store of branch_map's tracks; the map it builds."""
     store = TrackStore(branch_map.tracks)
-    integrate_observation(store, center, diameter, cfg, **kwargs)
+    integrate_observation(store, center, diameter, radius, **kwargs)
     return store.build(branch_map.frame_label, branch_map.provenance)
 
 
 def one_track_map(center=(0.0, 0.0, 0.4), d=0.010, label="A"):
-    return integrate(BranchMap(frame_label=label), center, d, MergeConfig(), sides=("A",))
+    return integrate(BranchMap(frame_label=label), center, d, WITHIN, sides=("A",))
 
 
 class TestIntegrate:
     def test_empty_map_opens_track(self):
-        m = integrate(BranchMap("A"), (0, 0, 0.4), 0.01, MergeConfig())
+        m = integrate(BranchMap("A"), (0, 0, 0.4), 0.01, WITHIN)
         assert len(m.tracks) == 1
         t = m.tracks[0]
         assert t.id == 0
@@ -69,50 +72,48 @@ class TestIntegrate:
 
     def test_beyond_radius_opens_duplicate(self):
         m = one_track_map()
-        m = integrate(m, (0.015, 0, 0.4), 0.01, MergeConfig())
+        m = integrate(m, (0.015, 0, 0.4), 0.01, WITHIN)
         assert len(m.tracks) == 2
         assert [t.id for t in m.tracks] == [0, 1]
 
     def test_radius_boundary_inclusive(self):
         m = one_track_map()
-        m = integrate(m, (0.010, 0, 0.4), 0.01, MergeConfig())
+        m = integrate(m, (0.010, 0, 0.4), 0.01, WITHIN)
         assert len(m.tracks) == 1
 
     def test_identical_observation_idempotent(self):
         m = one_track_map()
-        m = integrate(m, (0.0, 0.0, 0.4), 0.010, MergeConfig())
+        m = integrate(m, (0.0, 0.0, 0.4), 0.010, WITHIN)
         assert len(m.tracks) == 1
         assert m.tracks[0].observations == 2
         assert m.tracks[0].center == (0.0, 0.0, 0.4)
         assert m.tracks[0].diameter == 0.010
 
     def test_weighted_average(self):
-        cfg = MergeConfig()
         m = one_track_map()
-        m = integrate(m, (0.0, 0.0, 0.4), 0.010, cfg)  # obs now 2
-        m = integrate(m, (0.006, 0.0, 0.4), 0.016, cfg)
+        m = integrate(m, (0.0, 0.0, 0.4), 0.010, WITHIN)  # obs now 2
+        m = integrate(m, (0.006, 0.0, 0.4), 0.016, WITHIN)
         t = m.tracks[0]
         assert t.observations == 3
         np.testing.assert_allclose(t.center, (0.002, 0.0, 0.4), atol=1e-15)
         assert t.diameter == pytest.approx(0.012, abs=1e-15)
 
     def test_weight_parameter_feeds_tally_and_weighted_mean(self):
-        cfg = MergeConfig()
         m = one_track_map()  # 1 observation at x=0
-        m = integrate(m, (0.004, 0, 0.4), 0.01, cfg, weight=3)
+        m = integrate(m, (0.004, 0, 0.4), 0.01, WITHIN, weight=3)
         t = m.tracks[0]
         assert t.observations == 4
         assert t.center[0] == pytest.approx(0.003, abs=1e-15)
 
     def test_sides_union(self):
         m = one_track_map()
-        m = integrate(m, (0.001, 0, 0.4), 0.01, MergeConfig(), sides=("B",))
+        m = integrate(m, (0.001, 0, 0.4), 0.01, WITHIN, sides=("B",))
         assert m.tracks[0].sides == frozenset({"A", "B"})
 
     def test_nearest_track_wins(self):
         m = one_track_map((0.0, 0.0, 0.4))
-        m = integrate(m, (0.030, 0, 0.4), 0.01, MergeConfig())
-        m = integrate(m, (0.026, 0, 0.4), 0.012, MergeConfig())
+        m = integrate(m, (0.030, 0, 0.4), 0.01, WITHIN)
+        m = integrate(m, (0.026, 0, 0.4), 0.012, WITHIN)
         assert len(m.tracks) == 2
         assert m.tracks[0].observations == 1
         assert m.tracks[1].observations == 2
@@ -123,14 +124,14 @@ class TestIntegrate:
         n = 60
         for _ in range(n):
             p = rng.uniform(-0.05, 0.05, size=3)
-            m = integrate(m, p, 0.01, MergeConfig())
+            m = integrate(m, p, 0.01, WITHIN)
         assert len(m.tracks) <= n
         assert sum(t.observations for t in m.tracks) == n
 
     def test_weight_validation(self):
         store = TrackStore()
         with pytest.raises(ValueError, match="weight"):
-            integrate_observation(store, (0, 0, 0.4), 0.01, MergeConfig(), weight=0)
+            integrate_observation(store, (0, 0, 0.4), 0.01, WITHIN, weight=0)
         assert store.build("A", {}) == BranchMap("A")
 
 
@@ -138,34 +139,32 @@ class TestDuplicateSuppression:
     def test_drift_collapse(self):
         # tracks 11mm apart stay separate until a merge drags one inside the
         # radius of the other; the pair must then collapse (earlier id wins)
-        cfg = MergeConfig()  # radius 10mm
-        m = one_track_map((0.0, 0.0, 0.4))
-        m = integrate(m, (0.011, 0, 0.4), 0.01, cfg)
+        m = one_track_map((0.0, 0.0, 0.4))  # radius 10mm
+        m = integrate(m, (0.011, 0, 0.4), 0.01, WITHIN)
         assert len(m.tracks) == 2
-        m = integrate(m, (0.0055, 0, 0.4), 0.01, cfg)
+        m = integrate(m, (0.0055, 0, 0.4), 0.01, WITHIN)
         assert len(m.tracks) == 1
         assert m.tracks[0].id == 0
         assert m.tracks[0].observations == 3
 
     def test_separation_invariant_random_stream(self):
         rng = np.random.default_rng(3)
-        cfg = MergeConfig()
         m = BranchMap("A")
         for _ in range(300):
             p = rng.uniform(-0.04, 0.04, size=3)
-            m = integrate(m, p, 0.01, cfg)
+            m = integrate(m, p, 0.01, WITHIN)
         centers = np.array([t.center for t in m.tracks])
         diff = centers[:, None, :] - centers[None, :, :]
         dist = np.linalg.norm(diff, axis=-1)
         np.fill_diagonal(dist, np.inf)
-        assert dist.min() > cfg.merge_radius
+        assert dist.min() > WITHIN
 
     def test_ids_stay_unique_and_first_seen_ordered(self):
         rng = np.random.default_rng(11)
         m = BranchMap("A")
         for _ in range(200):
             p = rng.uniform(-0.03, 0.03, size=3)
-            m = integrate(m, p, 0.01, MergeConfig())
+            m = integrate(m, p, 0.01, WITHIN)
         ids = [t.id for t in m.tracks]
         assert len(set(ids)) == len(ids)
         assert ids == sorted(ids)
@@ -182,13 +181,13 @@ def reference_blend(track, center, diameter, weight, sides):
                          track.observations + weight, track.sides | sides)
 
 
-def reference_suppress(tracks, moved, cfg):
+def reference_suppress(tracks, moved, radius):
     while len(tracks) > 1:
         centers = np.array([t.center for t in tracks])
         dist = np.linalg.norm(centers - centers[moved], axis=1)
         dist[moved] = np.inf
         nearest = int(np.argmin(dist))
-        if dist[nearest] > cfg.merge_radius:
+        if dist[nearest] > radius:
             break
         keep, drop = (moved, nearest) if moved < nearest else (nearest, moved)
         absorbed = tracks[drop]
@@ -200,7 +199,7 @@ def reference_suppress(tracks, moved, cfg):
     return tracks
 
 
-def reference_integrate(branch_map, center, diameter, cfg, *, sides=(), weight=1):
+def reference_integrate(branch_map, center, diameter, radius, *, sides=(), weight=1):
     sides = frozenset(sides)
     tracks = list(branch_map.tracks)
     if not tracks:
@@ -210,9 +209,9 @@ def reference_integrate(branch_map, center, diameter, cfg, *, sides=(), weight=1
     point = np.asarray(center, dtype=float)
     dist = np.linalg.norm(centers - point, axis=1)
     nearest = int(np.argmin(dist))
-    if dist[nearest] <= cfg.merge_radius:
+    if dist[nearest] <= radius:
         tracks[nearest] = reference_blend(tracks[nearest], point, diameter, weight, sides)
-        tracks = reference_suppress(tracks, nearest, cfg)
+        tracks = reference_suppress(tracks, nearest, radius)
     else:
         next_id = max(t.id for t in tracks) + 1
         tracks.append(FruitletTrack(next_id, center, diameter, weight, sides))
@@ -241,14 +240,14 @@ def random_stream(seed, n=120, weighted=True):
 class TestStoreOracle:
     @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
     def test_matches_immutable_reference_bit_for_bit(self, weighted):
-        cfg = MergeConfig()
+        radius = WITHIN
         chained = 0
         for seed in range(12):
             store, reference = TrackStore(), BranchMap("A")
             for center, diameter, sides, weight in random_stream(seed, weighted=weighted):
                 before = len(reference.tracks)
-                integrate_observation(store, center, diameter, cfg, sides=sides, weight=weight)
-                reference = reference_integrate(reference, center, diameter, cfg,
+                integrate_observation(store, center, diameter, radius, sides=sides, weight=weight)
+                reference = reference_integrate(reference, center, diameter, radius,
                                                 sides=sides, weight=weight)
                 built = store.build("A", {})
                 assert built == reference
@@ -259,13 +258,13 @@ class TestStoreOracle:
 
     def test_store_starts_from_existing_tracks(self):
         # merge_maps seeds the store from a map whose ids need not be dense
-        cfg = MergeConfig(merge_radius=CROSS_SIDE_RADIUS)
+        radius = CROSS
         start = BranchMap("A", tracks=(FruitletTrack(2, (0.0, 0.0, 0.4), 0.01, 3, {"A"}),
                                        FruitletTrack(7, (0.05, 0.0, 0.4), 0.02, 1, {"A"})))
         store, reference = TrackStore(start.tracks), start
         for center, diameter, sides, weight in random_stream(99, n=40):
-            integrate_observation(store, center, diameter, cfg, sides=sides, weight=weight)
-            reference = reference_integrate(reference, center, diameter, cfg,
+            integrate_observation(store, center, diameter, radius, sides=sides, weight=weight)
+            reference = reference_integrate(reference, center, diameter, radius,
                                             sides=sides, weight=weight)
             assert store.build("A", {}) == reference
 
@@ -289,7 +288,9 @@ class TestTypes:
 
     def test_merge_config_validation(self):
         with pytest.raises(ValueError):
-            MergeConfig(merge_radius=0.0)
+            MergeConfig(within_radius=0.0)
+        with pytest.raises(ValueError):
+            MergeConfig(cross_radius=0.0)
 
     @pytest.mark.parametrize(
         "value",
@@ -297,23 +298,24 @@ class TestTypes:
         ids=["null", "bool", "string", "list", "nan", "inf"],
     )
     def test_merge_radius_must_be_a_finite_number(self, value):
-        with pytest.raises(ValueError, match="merge_radius"):
-            MergeConfig(merge_radius=value)
+        for radius in ("within_radius", "cross_radius"):
+            with pytest.raises(ValueError, match=radius):
+                MergeConfig(**{radius: value})
 
     def test_provenance_digests_golden(self):
         # Every provenance hash in the artifacts, pinned to its released value:
         # a change to a hashed payload or to the hashing moves one of these.
         assert config_digest(FitConfig(), MergeConfig()) == (
-            "dbcf52fdab4622bed90def887d03b01ad3281cbc91467293fbf4ba0dcdd5c496"
+            "9b60cafed0d6a12cf685e8900ffb78d2d5d4dd20d797c56000c72ac8f41431a8"
         )
-        assert config_digest(MergeConfig(merge_radius=CROSS_SIDE_RADIUS)) == (
-            "aafa50bb8ad216e8bc4cb29b8c1c16aea8fd1d8b06f5549dd55179eebcfc5f79"
+        assert config_digest(MergeConfig()) == (
+            "625fc0089f79d0b693d1a572a3bf9bca26ee1f7b75fdb21e73d08f7db569b5e5"
         )
         assert config_digest(OrchardSpec(rng_seed=17)) == (
             "8f83cf2f760ad7746dc25022ded5d734d319db3bfd0b4663e1b89ea02654bd89"
         )
         assert generate_scene(OrchardSpec(rng_seed=17)).dataset_id == "3a0dd38f777f"
-        assert json_digest({"tolerance": MATCH_TOLERANCE}) == (
+        assert json_digest(dataclasses.asdict(EvalConfig())) == (
             "6342732652380feb69eec51eab15a864b23210f0a43289bd265f6b7b8626b2b2"
         )
         # ...and still sensitive to every field
@@ -325,7 +327,7 @@ class TestTypes:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         m = one_track_map()
-        m = integrate(m, (0.03, 0.01, 0.42), 0.0137, MergeConfig(), sides=("B",))
+        m = integrate(m, (0.03, 0.01, 0.42), 0.0137, WITHIN, sides=("B",))
         p = tmp_path / "map.json"
         save_branch_map(p, m)
         back = load_branch_map(p)
@@ -401,9 +403,9 @@ class TestSerialization:
 # make these bytes. A change that alters map output on purpose updates them and
 # says so in CHANGES.md.
 GOLDEN_MAP_DIGESTS = {
-    "A": "2795bf451a16d7b53d4e0bfed38a35a315fdb9713f45f0bf79ec1b6f49c66977",
-    "B": "2da7af9cff5db1fc5723899bb7a58ac82b3e692156ba2d2101d175274bbeb411",
-    "merged": "0132d6d8fc548ec0ac5877fa37149925704954adc662a4f0bedac5aaea098c3f",
+    "A": "36e6446377c157f5dac339b2f2be3a3a27b9b0802f14340758edddb0f82d7a17",
+    "B": "686add83a9c033a7951295abf3ab61c48bbff9eed259b30ab2fc1c4d0d04ae14",
+    "merged": "f28b73e929a1f84652c8210b72c31135bca77d7a8d0a02939fe67afb4142f1d9",
 }
 
 

@@ -15,7 +15,7 @@ from fruitmap.geometry import (
     project,
     rotation_about_axis,
 )
-from fruitmap.mapping import MergeConfig, TrackStore, integrate_observation
+from fruitmap.mapping import TrackStore, integrate_observation
 from fruitmap.records import BranchMap, FruitletTrack, GroundTruth, GroundTruthFruitlet
 
 CASES = 1000
@@ -72,14 +72,14 @@ def run_projection_round_trips(cases: int = CASES, seed: int = 5678) -> None:
 def run_merge_idempotence(cases: int = CASES, seed: int = 91011) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(cases):
-        cfg = MergeConfig(merge_radius=0.010)
+        radius = 0.010
         store = TrackStore()
         for _ in range(int(rng.integers(1, 8))):
             center = rng.uniform(0.0, 0.5, size=3)
-            integrate_observation(store, center, rng.uniform(0.008, 0.025), cfg)
+            integrate_observation(store, center, rng.uniform(0.008, 0.025), radius)
         branch_map = store.build("A", {})
         victim = branch_map.tracks[int(rng.integers(0, len(branch_map.tracks)))]
-        integrate_observation(store, victim.center, victim.diameter, cfg)
+        integrate_observation(store, victim.center, victim.diameter, radius)
         merged = store.build("A", {})
         # replaying a track's own state must not move it or spawn a twin
         assert len(merged.tracks) == len(branch_map.tracks)

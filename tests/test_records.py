@@ -23,6 +23,7 @@ from fruitmap.evaluation import EvalReport
 from fruitmap.geometry import CameraIntrinsics, StereoRig
 from fruitmap.records import (
     BranchMap,
+    EvalConfig,
     FitConfig,
     FruitletTrack,
     GroundTruth,
@@ -44,7 +45,8 @@ VALID = {
                        "height": 24},
     FitConfig: dataclasses.asdict(FitConfig()),
     OrchardSpec: dataclasses.asdict(OrchardSpec()),
-    MergeConfig: {"merge_radius": 0.01},
+    MergeConfig: {"within_radius": 0.01, "cross_radius": 0.02},
+    EvalConfig: {"tolerance": 0.025},
     # a fit's output, built in memory from a tuple, never read from JSON
     SphereModel: {"center": (0.0, 0.0, 0.4), "diameter": 0.01},
 }
