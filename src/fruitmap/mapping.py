@@ -43,6 +43,7 @@ counts the same whichever side made it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import replace
 from typing import Iterable, Mapping
 
@@ -75,64 +76,57 @@ logger = logging.getLogger(__name__)
 
 
 class TrackStore:
-    """The tracks of one map under construction, one row per track.
+    """The tracks of one map under construction, in plain Python.
 
-    Rows are in first-seen order: ids, a (T, 3) center array, and lists of
-    diameters, observation counts and side sets. integrate_observation
-    updates them in place; build() turns them into a validated BranchMap.
+    rows holds one list per track, in first-seen order, whose five items are
+    the track's fields in FruitletTrack's order: id, center (a tuple of three
+    floats), diameter, observation count and side set. integrate_observation
+    updates the rows in place; build() turns them into a validated BranchMap.
     """
 
     def __init__(self, tracks: tuple[FruitletTrack, ...] = ()) -> None:
-        self.ids = [t.id for t in tracks]
-        self.centers = np.array([t.center for t in tracks], dtype=float).reshape(-1, 3)
-        self.diameters = [t.diameter for t in tracks]
-        self.counts = [t.observations for t in tracks]
-        self.sides = [t.sides for t in tracks]
+        self.rows = [[t.id, t.center, t.diameter, t.observations, t.sides] for t in tracks]
 
     def build(self, frame_label: str, provenance: Mapping[str, object]) -> BranchMap:
-        rows = zip(self.ids, self.centers.tolist(), self.diameters, self.counts, self.sides)
         return BranchMap(
             frame_label=frame_label,
-            tracks=tuple(FruitletTrack(*row) for row in rows),
+            tracks=tuple(FruitletTrack(*row) for row in self.rows),
             provenance=dict(provenance),
         )
 
-    def _blend(
-        self,
-        row: int,
-        center: np.ndarray,
-        diameter: float,
-        weight: int,
-        sides: frozenset[str],
-    ) -> None:
-        count = self.counts[row]
+    def _nearest(self, center: tuple[float, ...], skip: int | None = None) -> tuple[int, float]:
+        """The row nearest center but for row skip, and its distance; first wins a tie."""
+        x, y, z = center
+        dists = []
+        for row in self.rows:
+            cx, cy, cz = row[1]
+            dx, dy, dz = cx - x, cy - y, cz - z
+            # (dx^2 + dy^2) + dz^2, the order np.linalg.norm(..., axis=1) sums in
+            dists.append(math.sqrt((dx * dx + dy * dy) + dz * dz))
+        if skip is not None:
+            dists[skip] = math.inf
+        nearest = dists.index(min(dists))
+        return nearest, dists[nearest]
+
+    def _blend(self, index: int, center: tuple[float, ...], diameter: float,
+               weight: int, sides: frozenset[str]) -> None:
+        row = self.rows[index]
+        _, old, old_diameter, count, old_sides = row
         total = count + weight
-        self.centers[row] = (count * self.centers[row] + weight * center) / total
-        self.diameters[row] = (count * self.diameters[row] + weight * diameter) / total
-        self.counts[row] = total
-        self.sides[row] = self.sides[row] | sides
+        row[1:] = (tuple((count * a + weight * b) / total for a, b in zip(old, center)),
+                   (count * old_diameter + weight * diameter) / total, total, old_sides | sides)
 
     def _collapse(self, moved: int, radius: float) -> None:
         # A merge may have dragged row `moved` inside the radius of a
         # neighbour. Collapse such pairs (earlier-seen track survives) until
         # separation holds; each collapse removes a track, so this terminates.
-        while len(self.ids) > 1:
-            dist = np.linalg.norm(self.centers - self.centers[moved], axis=1)
-            dist[moved] = np.inf
-            nearest = int(np.argmin(dist))
-            if dist[nearest] > radius:
+        while len(self.rows) > 1:
+            nearest, dist = self._nearest(self.rows[moved][1], skip=moved)
+            if dist > radius:
                 break
             keep, drop = sorted((moved, nearest))
-            self._blend(
-                keep,
-                self.centers[drop],
-                self.diameters[drop],
-                self.counts[drop],
-                self.sides[drop],
-            )
-            self.centers = np.delete(self.centers, drop, axis=0)
-            for column in (self.ids, self.diameters, self.counts, self.sides):
-                del column[drop]
+            _, center, diameter, count, sides = self.rows.pop(drop)
+            self._blend(keep, center, diameter, count, sides)
             moved = keep
 
 
@@ -154,20 +148,16 @@ def integrate_observation(
     """
     if weight < 1:
         raise ValueError("weight must be a positive observation count")
-    center = np.asarray(center, dtype=float)
+    center = tuple(map(float, center))
     diameter, sides = float(diameter), frozenset(sides)
-    if store.ids:
-        dist = np.linalg.norm(store.centers - center, axis=1)
-        nearest = int(np.argmin(dist))
-        if dist[nearest] <= radius:
+    if store.rows:
+        nearest, dist = store._nearest(center)
+        if dist <= radius:
             store._blend(nearest, center, diameter, weight, sides)
             store._collapse(nearest, radius)
             return
-    store.ids.append(max(store.ids, default=-1) + 1)
-    store.centers = np.vstack([store.centers, center])
-    store.diameters.append(diameter)
-    store.counts.append(weight)
-    store.sides.append(sides)
+    next_id = max((row[0] for row in store.rows), default=-1) + 1
+    store.rows.append([next_id, center, diameter, weight, sides])
 
 
 def _fit_frame(frame: FrameRecord, fit_cfg: FitConfig) -> list[tuple[int, FitReport | ValueError]]:
@@ -281,9 +271,10 @@ def transform_map(
     branch_map: BranchMap, transform: RigidTransform, frame_label: str
 ) -> BranchMap:
     """Re-express every track center in a new frame; diameters are unchanged."""
-    store = TrackStore(branch_map.tracks)
-    store.centers = transform.apply(store.centers)
-    return store.build(frame_label, branch_map.provenance)
+    centers = np.array([t.center for t in branch_map.tracks], dtype=float).reshape(-1, 3)
+    framed = transform.apply(centers).tolist()
+    tracks = tuple(replace(t, center=c) for t, c in zip(branch_map.tracks, framed))
+    return BranchMap(frame_label, tracks, dict(branch_map.provenance))
 
 
 def merge_maps(
@@ -306,7 +297,8 @@ def merge_maps(
     for track in map_b_in_a.tracks:
         integrate_observation(store, track.center, track.diameter, cfg.cross_radius,
                               sides=track.sides, weight=track.observations)
-    store.ids = list(range(len(store.ids)))
+    for new_id, row in enumerate(store.rows):
+        row[0] = new_id
     return store.build(
         "merged",
         {

@@ -61,6 +61,8 @@ class OrchardSpec:
 
     def __post_init__(self) -> None:
         check_types(self)
+        object.__setattr__(self, "fruitlets_per_cluster", tuple(self.fruitlets_per_cluster))
+        object.__setattr__(self, "diameter_range", tuple(self.diameter_range))
         lo, hi = self.fruitlets_per_cluster
         if not (1 <= lo <= hi):
             raise ValueError(f"bad fruitlets_per_cluster range ({lo}, {hi})")
@@ -125,8 +127,9 @@ _SECTIONS = {"simulate": OrchardSpec, "fit": FitConfig, "merge": MergeConfig, "e
 def load_config(path: Path | str | None) -> dict[str, Any]:
     """Each section's config record, by section name; defaults where path leaves it out.
 
-    Values are not coerced, though JSON lists become tuples: each record checks
-    its own, and one ValueError names every wrong key, each after its section.
+    Each record checks the values as the file wrote them, so a message shows a
+    list as a list, and one ValueError names every wrong key, each after its
+    section. A record holds a valid list as a tuple.
     """
     doc = {} if path is None else read_json(path)
     for name, section in doc.items():
@@ -143,8 +146,7 @@ def load_config(path: Path | str | None) -> dict[str, Any]:
     records, wrong = {}, []
     for name, record in _SECTIONS.items():
         try:
-            records[name] = record(**{key: tuple(value) if isinstance(value, list) else value
-                                      for key, value in doc.get(name, {}).items()})
+            records[name] = record(**doc.get(name, {}))
         except ValueError as exc:
             wrong.append(f"{name}: {exc}")
     if wrong:

@@ -19,9 +19,9 @@ from fruitmap import _pool, cli, simulator, spherefit
 from fruitmap import dataset as dataset_module
 from fruitmap import mapping
 from fruitmap.cli import main
-from fruitmap._checks import json_digest
+from fruitmap._checks import config_digest, json_digest
 from fruitmap.dataset import read_mask_raster
-from fruitmap.records import EvalConfig, FitConfig, MergeConfig, OrchardSpec
+from fruitmap.records import EvalConfig, FitConfig, MergeConfig, OrchardSpec, load_config
 
 
 def exit_at_once(*args):
@@ -656,10 +656,15 @@ class TestMalformedInputs:
             ("map", {"merge": {"averaging": "pairwise"}}, ("merge", "averaging")),
             ("align", {"merge": {"averaging": "pairwise"}}, ("merge", "averaging")),
             ("eval", {"merge": {"averaging": "pairwise"}}, ("merge", "averaging")),
+            # a value is shown as the file wrote it, a list as a list
+            ("simulate", {"simulate": {"fruitlets_per_cluster": [1, 2, 3]}},
+             ("simulate: fruitlets_per_cluster", "got [1, 2, 3]")),
+            ("map", {"fit": {"z_rule": [1]}}, ("fit: unknown z_rule [1]",)),
         ],
         ids=["null-within", "bool-within", "list-cross", "string-cross", "null-tolerance",
              "object-tolerance", "nan-tolerance", "bool-tolerance", "bogus-size-mode",
-             "unknown-key-other-stage", "averaging-map", "averaging-align", "averaging-eval"],
+             "unknown-key-other-stage", "averaging-map", "averaging-align", "averaging-eval",
+             "list-pair", "list-z-rule"],
     )
     def test_mistyped_stage_option(self, pipeline, tmp_path, command, config, needles):
         bad = tmp_path / "bad.json"
@@ -1222,6 +1227,11 @@ def test_readme_config_block_shows_the_defaults(pipeline, tmp_path):
     assert main(["report", "--config", str(config), "--eval", str(pipeline["report"]),
                  "--format", "json", "--out", str(tmp_path / "r.json")]) == 0
     assert json.loads(block.group(1)) == json.loads(json.dumps(FULL_CONFIG))  # tuples as lists
+    # the file's lists become the records' tuples: the default records, hashes and digest
+    records, defaults = load_config(config), load_config(None)
+    assert records == defaults
+    assert list(map(hash, records.values())) == list(map(hash, defaults.values()))
+    assert config_digest(*records.values()) == config_digest(*defaults.values())
 
 
 class TestPrecedence:

@@ -118,6 +118,16 @@ class TestIntegrate:
         assert m.tracks[0].observations == 1
         assert m.tracks[1].observations == 2
 
+    def test_tie_joins_earliest_track(self):
+        # x = 0.0078125 is exactly as far from the track at 0 as from the one
+        # at 0.015625, and the earlier-seen track takes the observation
+        m = one_track_map((0.0, 0.0, 0.4))
+        m = integrate(m, (0.015625, 0, 0.4), 0.01, WITHIN)
+        m = integrate(m, (0.0078125, 0, 0.4), 0.01, WITHIN)
+        t = m.tracks[0]
+        assert (t.id, t.center, t.observations) == (0, (0.00390625, 0.0, 0.4), 2)
+        assert (m.tracks[1].center, m.tracks[1].observations) == ((0.015625, 0.0, 0.4), 1)
+
     def test_track_count_bounded_by_observations(self):
         rng = np.random.default_rng(7)
         m = BranchMap("A")
@@ -146,6 +156,18 @@ class TestDuplicateSuppression:
         assert len(m.tracks) == 1
         assert m.tracks[0].id == 0
         assert m.tracks[0].observations == 3
+
+    def test_collapse_tie_keeps_earlier_row(self):
+        # The merge drags track 2 onto x = 0, exactly as far from track 0 at
+        # -a as from track 1 at +a, and within the radius of both: it
+        # collapses into track 0, whose 8 sightings keep it clear of track 1.
+        a = 0.0078125
+        start = BranchMap("A", tracks=(FruitletTrack(0, (-a, 0.0, 0.4), 0.01, 8),
+                                       FruitletTrack(1, (a, 0.0, 0.4), 0.01, 8),
+                                       FruitletTrack(2, (0.0, a, 0.4), 0.01, 1)))
+        m = integrate(start, (0.0, 0.001953125, 0.4), 0.01, WITHIN, weight=3)
+        assert [(t.id, t.observations) for t in m.tracks] == [(0, 12), (1, 8)]
+        assert m.tracks[1] == start.tracks[1]
 
     def test_separation_invariant_random_stream(self):
         rng = np.random.default_rng(3)

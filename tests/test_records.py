@@ -44,7 +44,9 @@ VALID = {
     CameraIntrinsics: {"fx": 40.0, "fy": 40.0, "cx": 16.0, "cy": 12.0, "width": 32,
                        "height": 24},
     FitConfig: dataclasses.asdict(FitConfig()),
-    OrchardSpec: dataclasses.asdict(OrchardSpec()),
+    # as a config file writes it: the pairs are JSON lists, the record's are tuples
+    OrchardSpec: {**dataclasses.asdict(OrchardSpec()), "fruitlets_per_cluster": [1, 3],
+                  "diameter_range": [0.008, 0.025]},
     MergeConfig: {"within_radius": 0.01, "cross_radius": 0.02},
     EvalConfig: {"tolerance": 0.025},
     # a fit's output, built in memory from a tuple, never read from JSON
@@ -73,7 +75,7 @@ WRONG = {
     "Mapping[str, object]": [[], "seed"],
     "tuple[tuple[float, float], ...]": [[[0.01]], {"a": 1}, [[0.01, "0.01"]]],
     "CameraIntrinsics": [VALID[CameraIntrinsics], None],
-    "tuple[int, int]": [[1], [1, 1.5], "13", [True, 3]],
+    "tuple[int, int]": [[1], [1, 1.5], "13", [True, 3], [1, 2, 3]],
     "tuple[float, float]": [[0.01], [0.01, NAN], (0.01, "0.02"), 0.01],
     "str | None": [5, ["A"]],
     "tuple[GroundTruthFruitlet, ...]": [[VALID[GroundTruthFruitlet]], None, 7],
