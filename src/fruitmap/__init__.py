@@ -21,9 +21,9 @@ _MODULES = {
     "OrchardSpec": "records",
     "simulate_dataset": "simulator",
     "build_side_map": "mapping",
-    "cross_side_transform": "mapping",
-    "transform_map": "mapping",
-    "merge_maps": "mapping",
+    "cross_side_transform": "tracks",
+    "transform_map": "tracks",
+    "merge_maps": "tracks",
     "evaluate_map": "evaluation",
 }
 

@@ -12,10 +12,11 @@ range as well as its type. A record checks the fields no entry covers itself
 and passes those messages as also, so one ValueError names every wrong field,
 ranges included. read_json and write_json are the one reader and writer of
 every JSON document, json_digest the one provenance hash, and config_digest
-that hash over config dataclasses.
+that hash over config dataclasses. check_pose is the one rule every rigid
+pose passes, a frame's or a fiducial's, read from disk or built in memory.
 
 This module imports no numpy, so the stages that only read and write JSON
-(report, --version) start without it.
+(report, eval, align, --version) start without it.
 """
 
 from __future__ import annotations
@@ -92,6 +93,43 @@ def is_finite_point(value: object) -> bool:
         and len(value) == 3
         and all(map(is_finite_real, value))
     )
+
+
+def _close(x: float, y: float, atol: float) -> bool:
+    """np.allclose's test of one value x against its target y: |x - y| <= atol + 1e-5 * |y|."""
+    return abs(x - y) <= atol + 1e-5 * abs(y)
+
+
+def _dot(u: tuple[float, ...], v: tuple[float, ...]) -> float:
+    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
+
+
+def check_pose(values: object) -> tuple[float, ...]:
+    """values, the 16 row-major numbers of a rigid pose, as floats; ValueError if not rigid.
+
+    The pose must be a list (or tuple) of 16 finite numbers whose bottom row
+    is [0, 0, 0, 1] within 1e-12 and whose rotation R is proper: R^T R = I
+    within 1e-9, and det R >= 0. Closeness is np.allclose's test,
+    |x - y| <= atol + 1e-5 * |y|, so a diagonal entry of R^T R may differ
+    from 1 by up to 1e-9 + 1e-5.
+    """
+    if not (isinstance(values, (list, tuple)) and all(map(is_finite_real, values))):
+        raise ValueError("pose must be a list of finite numbers")
+    if len(values) != 16:
+        raise ValueError(f"invalid pose: expected 16 values, got ({len(values)},)")
+    pose = tuple(map(float, values))
+    if not all(map(_close, pose[12:], (0.0, 0.0, 0.0, 1.0), [1e-12] * 4)):
+        raise ValueError(f"invalid pose: bottom row must be [0, 0, 0, 1], got {list(pose[12:])}")
+    x, y, z = cols = [pose[j:12:4] for j in range(3)]  # R's columns
+    if not all(_close(_dot(u, v), float(i == j), 1e-9)  # R^T R, entry by entry
+               for i, u in enumerate(cols) for j, v in enumerate(cols)):
+        raise ValueError("invalid pose: rotation is not orthonormal within 1e-9")
+    if _dot(x, (y[1] * z[2] - y[2] * z[1], y[2] * z[0] - y[0] * z[2],
+                y[0] * z[1] - y[1] * z[0])) < 0:  # det R, the columns' triple product
+        raise ValueError(
+            "invalid pose: rotation has negative determinant (reflection, not a rotation)"
+        )
+    return pose
 
 
 def _is_pair_of(check):

@@ -12,9 +12,11 @@ and, where the product has them, its config digest and seed.
 Each stage imports only the modules it runs: a subcommand binds the public
 names (the __all__) of the pipeline modules it runs when it starts (_bind),
 and the package itself resolves its seven names on first use. So `--version`,
-eval and report start without numpy whatever their config (records loads
-none), report loads records only to check a config it is given, and the
-other stages load only their own modules.
+align, eval and report start without numpy whatever their config (records,
+tracks and evaluation load none; align reads the scan's manifest and
+fiducials with records.load_scan_header and merges with tracks), report loads
+records only to check a config it is given, and the other stages load only
+their own modules.
 
 Exit codes: 0 success, 1 validation or usage error or out of memory, 2 I/O
 error, 130 interrupted (Ctrl-C). All diagnostics go to standard error; data
@@ -37,11 +39,12 @@ __all__ = ["main"]
 
 logger = logging.getLogger("fruitmap.cli")
 
-# The pipeline's modules, in the order __getattr__ searches them: records and
-# evaluation, which load no numpy, then the rest leaves first. No name is in
-# the __all__ of two of them, so the order a stage binds its modules in cannot
-# matter.
-_MODULES = ("records", "evaluation", "geometry", "spherefit", "dataset", "mapping", "simulator")
+# The pipeline's modules, in the order __getattr__ searches them: records,
+# evaluation and tracks, which load no numpy, then the rest leaves first. No
+# name is in the __all__ of two of them, so the order a stage binds its modules
+# in cannot matter.
+_MODULES = ("records", "evaluation", "tracks", "geometry", "spherefit", "dataset", "mapping",
+            "simulator")
 
 
 def _module(name: str) -> ModuleType:
@@ -119,7 +122,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
-    _bind("records", "dataset", "mapping")
+    _bind("records", "tracks")
     merge_cfg = load_config(args.config)["merge"]
     map_a = load_branch_map(args.map_a)
     map_b = load_branch_map(args.map_b)
@@ -128,27 +131,25 @@ def _cmd_align(args: argparse.Namespace) -> int:
             f"--map-a and --map-b are both maps of side {map_a.frame_label!r}; "
             "align needs one map per side"
         )
-    dataset = load_dataset(args.dataset, sides=())
+    dataset_id, sides, fiducials = load_scan_header(args.dataset)
     for path, branch_map in ((args.map_a, map_a), (args.map_b, map_b)):
         map_id = branch_map.provenance.get("dataset_id", "")
-        if map_id != dataset.dataset_id:
+        if map_id != dataset_id:
             raise ValueError(
                 f"{path} is a map of dataset {map_id!r}, but {args.dataset} "
-                f"is dataset {dataset.dataset_id!r}"
+                f"is dataset {dataset_id!r}"
             )
     for label in (map_a.frame_label, map_b.frame_label):
-        if label not in dataset.fiducials:
+        if label not in fiducials:
             raise DatasetError(
                 f"no fiducial for side {label!r} in dataset {args.dataset}"
             )
-    if map_a.frame_label != dataset.sides[0]:
+    if map_a.frame_label != sides[0]:
         raise ValueError(
             f"--map-a is a map of side {map_a.frame_label!r}; align needs the map of side "
-            f"{dataset.sides[0]!r}, whose frame the ground truth uses, as --map-a"
+            f"{sides[0]!r}, whose frame the ground truth uses, as --map-a"
         )
-    b_to_a = cross_side_transform(
-        dataset.fiducials[map_a.frame_label], dataset.fiducials[map_b.frame_label]
-    )
+    b_to_a = cross_side_transform(fiducials[map_a.frame_label], fiducials[map_b.frame_label])
     merged = merge_maps(map_a, transform_map(map_b, b_to_a, map_a.frame_label), merge_cfg)
     save_branch_map(args.out, dataclasses.replace(merged, provenance=_stamped(merged.provenance)))
     logger.info(

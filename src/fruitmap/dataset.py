@@ -17,13 +17,18 @@ frame its centers are in), the fruitlets and their per-side visibility counts;
 its record, GroundTruth, and its writer and reader live in records, which eval
 loads without numpy.
 
+A fiducial pose, like every pose, must pass _checks.check_pose. A dataset
+holds each side's fiducial as its on-disk encoding, a tuple of 16 row-major
+floats, which tracks.cross_side_transform takes as it is.
+
 load_dataset validates the JSON documents, the frame indices and the raster
-paths, with diagnostics naming the offending file, and opens no raster. A
-loaded side's frames are a sequence that reads and checks a frame's two
-rasters each time that frame is accessed: the depth byte count, the mask's P5
-header and sample byte count, and that the two rasters' dimensions match. So
-a raster is checked in the process that reads it, and a process fitting
-frames one at a time holds one frame's pixels.
+paths, with diagnostics naming the offending file, and opens no raster. The
+manifest and the fiducials are read by records.load_scan_header, which align
+calls alone, without numpy. A loaded side's frames are a sequence that reads
+and checks a frame's two rasters each time that frame is accessed: the depth
+byte count, the mask's P5 header and sample byte count, and that the two
+rasters' dimensions match. So a raster is checked in the process that reads
+it, and a process fitting frames one at a time holds one frame's pixels.
 
 write_dataset and simulator.export_dataset first clear an old scan at root
 (clear_scan) and write the manifest last, so a write that stops part way
@@ -45,13 +50,12 @@ import numpy as np
 from ._checks import (
     DatasetError,
     from_doc,
-    is_finite_real,
     is_int,
     read_json,
     write_json,
 )
 from .geometry import CameraIntrinsics, RigidTransform, backproject
-from .records import GroundTruth, save_ground_truth
+from .records import FORMAT_VERSION, GroundTruth, load_scan_header, save_ground_truth
 
 __all__ = [
     "DatasetError",
@@ -70,7 +74,6 @@ __all__ = [
 ]
 
 DEFAULT_MIN_POINTS = 30
-FORMAT_VERSION = "1"
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ class ScanDataset:
     dataset_id: str
     sides: tuple[str, ...]
     frames: dict[str, Sequence[FrameRecord]]    # the sides whose frames were loaded
-    fiducials: dict[str, RigidTransform]        # fiducial-to-side pose per side
+    fiducials: dict[str, tuple[float, ...]]     # fiducial-to-side pose per side, flat16
     ground_truth: GroundTruth | None = None
 
 
@@ -194,15 +197,6 @@ class _LoadedFrames(Sequence[FrameRecord]):
         return FrameRecord(files.frame_index, files.pose, intr, depth, masks)
 
 
-def _load_pose(values, where: str) -> RigidTransform:
-    if not (isinstance(values, list) and all(map(is_finite_real, values))):
-        raise DatasetError(f"{where}: pose must be a list of finite numbers")
-    try:
-        return RigidTransform.from_flat16(values)
-    except ValueError as exc:
-        raise DatasetError(f"{where}: invalid pose: {exc}") from exc
-
-
 def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDataset:
     """Load and validate a scan dataset directory, every pixel excepted.
 
@@ -222,49 +216,17 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
     only on in-memory datasets, such as simulated ones, for write_dataset.
     """
     root = Path(root)
-    manifest_path = root / "manifest.json"
-    manifest = read_json(manifest_path)
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise DatasetError(
-            f"{manifest_path}: format_version {manifest.get('format_version')!r}, "
-            f"expected {FORMAT_VERSION!r}"
-        )
-    if manifest.get("units") != "meters":
-        raise DatasetError(f"{manifest_path}: units must be 'meters'")
-    all_sides = manifest.get("sides")
-    if not (isinstance(all_sides, list) and all(isinstance(side, str) for side in all_sides)):
-        raise DatasetError(f"{manifest_path}: sides must be a list of strings, got {all_sides!r}")
-    if not all_sides:
-        raise DatasetError(f"{manifest_path}: empty side list")
-    labels: set[str] = set()
-    for side in all_sides:
-        # each label names its own directory under sides/
-        if side in ("", ".", "..") or any(c in side for c in "/\\\0"):
-            raise DatasetError(f"{manifest_path}: side label {side!r} is not a directory name")
-        if side in labels:
-            raise DatasetError(f"{manifest_path}: side label {side!r} is repeated")
-        labels.add(side)
-    dataset_id = manifest.get("dataset_id", "")
-    if not isinstance(dataset_id, str):
-        raise DatasetError(f"{manifest_path}: dataset_id must be a string, got {dataset_id!r}")
-    all_sides = tuple(all_sides)
+    dataset_id, all_sides, fiducials = load_scan_header(root)
     framed = all_sides if sides is None else tuple(sides)
     for side in framed:
         if side not in all_sides:
             raise DatasetError(f"side {side!r} not in dataset (has {sorted(all_sides)})")
 
     frames: dict[str, Sequence[FrameRecord]] = {}
-    fiducials: dict[str, RigidTransform] = {}
     for side in all_sides:
-        side_dir = root / "sides" / side
-        fid_path = side_dir / "fiducial.json"
-        fid_doc = read_json(fid_path)
-        if "pose" not in fid_doc:
-            raise DatasetError(f"{fid_path}: missing 'pose'")
-        fiducials[side] = _load_pose(fid_doc["pose"], str(fid_path))
         if side not in framed:
             continue
-
+        side_dir = root / "sides" / side
         frames_dir = side_dir / "frames"
         if not frames_dir.is_dir():
             raise FileNotFoundError(f"frames directory missing for side {side}: {frames_dir}")
@@ -294,7 +256,10 @@ def load_dataset(root: Path | str, sides: Iterable[str] | None = None) -> ScanDa
                 intr = from_doc(CameraIntrinsics, doc["intrinsics"])
             except ValueError as exc:
                 raise DatasetError(f"{frame_path}: invalid intrinsics: {exc}") from exc
-            pose = _load_pose(doc["pose"], str(frame_path))
+            try:
+                pose = RigidTransform.from_flat16(doc["pose"])
+            except ValueError as exc:
+                raise DatasetError(f"{frame_path}: {exc}") from exc
             records.append(_FrameFiles(idx, pose, intr, *rasters))
         records.sort(key=lambda r: r.frame_index)
         indices = [r.frame_index for r in records]
@@ -366,7 +331,7 @@ def write_dataset(dataset: ScanDataset, root: Path | str, provenance: dict | Non
     for side in dataset.sides:
         side_dir = root / "sides" / side
         side_dir.mkdir(parents=True, exist_ok=True)
-        write_json(side_dir / "fiducial.json", {"pose": dataset.fiducials[side].flat16()})
+        write_json(side_dir / "fiducial.json", {"pose": dataset.fiducials[side]})
     for side, records in dataset.frames.items():
         for rec in records:
             write_frame(root, side, rec)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import PositiveFloat, PositiveInt, check_types
+from ._checks import PositiveFloat, PositiveInt, check_pose, check_types
 
 __all__ = [
     "CameraIntrinsics",
@@ -27,9 +27,6 @@ __all__ = [
     "backproject",
     "rotation_about_axis",
 ]
-
-_ORTHONORMAL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -115,14 +112,11 @@ class RigidTransform:
         t = np.array(translation, dtype=float).reshape(3)
         if R.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got shape {R.shape}")
-        if not np.allclose(R.T @ R, np.eye(3), atol=_ORTHONORMAL_TOL):
-            raise ValueError("rotation is not orthonormal within 1e-9")
-        if np.linalg.det(R) < 0:
-            raise ValueError("rotation has negative determinant (reflection, not a rotation)")
         R.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
+        check_pose(self.flat16())  # the rule every pose on disk passes too
 
     def __setattr__(self, name, value):  # immutable by construction
         raise AttributeError("RigidTransform is immutable")
@@ -163,25 +157,22 @@ class RigidTransform:
         m[:3, 3] = self.translation
         return m
 
-    def flat16(self) -> list[float]:
-        """Row-major 16-element list, the on-disk pose encoding."""
-        return [float(x) for x in self.matrix4().reshape(16)]
+    def flat16(self) -> tuple[float, ...]:
+        """Row-major 16-element tuple, the on-disk pose encoding."""
+        return tuple(self.matrix4().reshape(16).tolist())
 
     @classmethod
     def from_matrix4(cls, m: np.ndarray) -> "RigidTransform":
         m = np.asarray(m, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12):
-            raise ValueError(f"bottom row must be [0, 0, 0, 1], got {m[3].tolist()}")
-        return cls(m[:3, :3], m[:3, 3])
+        return cls.from_flat16(m.reshape(16).tolist())
 
     @classmethod
     def from_flat16(cls, values) -> "RigidTransform":
-        arr = np.asarray(list(values), dtype=float)
-        if arr.shape != (16,):
-            raise ValueError(f"expected 16 values, got {arr.shape}")
-        return cls.from_matrix4(arr.reshape(4, 4))
+        """The pose that 16 row-major values encode, checked by _checks.check_pose."""
+        m = np.array(check_pose(values)).reshape(4, 4)
+        return cls(m[:3, :3], m[:3, 3])
 
 
 def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:

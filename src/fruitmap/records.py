@@ -9,8 +9,13 @@ are frozen records that check their own fields, built from JSON by from_doc,
 so the same checks and messages hold for a record read from disk and one
 built in memory.
 
-This module imports no numpy: every stage checks its config, and eval starts,
-without it. mapping builds branch maps, and the simulator ground truth.
+load_scan_header reads what a scan says of itself, its manifest and each
+side's fiducial pose, for dataset.load_dataset and for align, which needs no
+frame of the scan.
+
+This module imports no numpy: every stage checks its config, and eval and
+align start, without it. mapping and tracks build branch maps, and the
+simulator ground truth.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from ._checks import (
-    DatasetError, NonNegativeFloat, NonNegativeInt, PositiveFloat, PositiveInt, check_types,
-    from_doc, is_finite_real, is_int, read_json, write_json,
+    DatasetError, NonNegativeFloat, NonNegativeInt, PositiveFloat, PositiveInt, check_pose,
+    check_types, from_doc, is_finite_real, is_int, read_json, write_json,
 )
 
 __all__ = [
@@ -40,6 +45,7 @@ __all__ = [
     "GroundTruth",
     "save_ground_truth",
     "load_ground_truth",
+    "load_scan_header",
 ]
 
 
@@ -354,3 +360,57 @@ def load_ground_truth(path: Path | str) -> GroundTruth:
         )
     except ValueError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
+
+
+FORMAT_VERSION = "1"  # of a scan's layout, which dataset documents and writes
+
+
+def load_scan_header(
+    root: Path | str,
+) -> tuple[str, tuple[str, ...], dict[str, tuple[float, ...]]]:
+    """The dataset id, side labels and fiducial poses of the scan at root.
+
+    The manifest must name this format version, meters as its units, and a
+    non-empty list of distinct side labels, each a directory name; its
+    dataset_id, when present, must be a string. Every side's fiducial.json
+    must hold a pose that passes _checks.check_pose, kept as its 16
+    row-major floats. Each DatasetError names the file at fault; a file that
+    cannot be opened raises the OSError from opening it.
+    """
+    root = Path(root)
+    manifest_path = root / "manifest.json"
+    manifest = read_json(manifest_path)
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise DatasetError(
+            f"{manifest_path}: format_version {manifest.get('format_version')!r}, "
+            f"expected {FORMAT_VERSION!r}"
+        )
+    if manifest.get("units") != "meters":
+        raise DatasetError(f"{manifest_path}: units must be 'meters'")
+    sides = manifest.get("sides")
+    if not (isinstance(sides, list) and all(isinstance(side, str) for side in sides)):
+        raise DatasetError(f"{manifest_path}: sides must be a list of strings, got {sides!r}")
+    if not sides:
+        raise DatasetError(f"{manifest_path}: empty side list")
+    labels: set[str] = set()
+    for side in sides:
+        # each label names its own directory under sides/
+        if side in ("", ".", "..") or any(c in side for c in "/\\\0"):
+            raise DatasetError(f"{manifest_path}: side label {side!r} is not a directory name")
+        if side in labels:
+            raise DatasetError(f"{manifest_path}: side label {side!r} is repeated")
+        labels.add(side)
+    dataset_id = manifest.get("dataset_id", "")
+    if not isinstance(dataset_id, str):
+        raise DatasetError(f"{manifest_path}: dataset_id must be a string, got {dataset_id!r}")
+    fiducials = {}
+    for side in sides:
+        path = root / "sides" / side / "fiducial.json"
+        doc = read_json(path)
+        if "pose" not in doc:
+            raise DatasetError(f"{path}: missing 'pose'")
+        try:
+            fiducials[side] = check_pose(doc["pose"])
+        except ValueError as exc:
+            raise DatasetError(f"{path}: {exc}") from exc
+    return dataset_id, tuple(sides), fiducials

@@ -471,7 +471,9 @@ def _dataset(
         dataset_id=scene.dataset_id,
         sides=SIDES,
         frames=frames,
-        fiducials={side: SIDE_FROM_SCENE[side].compose(FIDUCIAL_TO_SCENE) for side in SIDES},
+        fiducials={
+            side: SIDE_FROM_SCENE[side].compose(FIDUCIAL_TO_SCENE).flat16() for side in SIDES
+        },
         ground_truth=GroundTruth(
             scene.fruitlets, visibility, dataset_id=scene.dataset_id, frame_label=SIDES[0]
         ),

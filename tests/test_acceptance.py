@@ -17,9 +17,10 @@ import numpy as np
 from fruitmap.cli import main
 from fruitmap.evaluation import count_accuracy, evaluate_map, precision_recall_f1
 from fruitmap.geometry import CameraIntrinsics, StereoRig, depth_resolution
-from fruitmap.mapping import build_side_map, cross_side_transform, merge_maps, transform_map
+from fruitmap.mapping import build_side_map
 from fruitmap.simulator import OrchardSpec, plan_trajectory, simulate_dataset
 from fruitmap.spherefit import FitConfig, ransac_sphere_fit
+from fruitmap.tracks import cross_side_transform, merge_maps, transform_map
 
 from cloudgen import cap_cloud, add_depth_noise, contaminated_cap_cloud, sphere_cloud
 from reference_rows import iter_arms

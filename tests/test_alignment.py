@@ -1,19 +1,26 @@
-"""Fiducial-based cross-side registration and map merging (fruitmap.mapping)."""
+"""Fiducial-based cross-side registration and map merging (fruitmap.tracks)."""
 
 import numpy as np
 import pytest
 
-from fruitmap import mapping
+from fruitmap import tracks
 from fruitmap.geometry import RigidTransform, rotation_about_axis
-from fruitmap.mapping import (
-    MergeConfig,
+from fruitmap.records import BranchMap, FruitletTrack, MergeConfig
+from fruitmap.tracks import (
     TrackStore,
     cross_side_transform,
     integrate_observation,
     merge_maps,
     transform_map,
 )
-from fruitmap.records import BranchMap, FruitletTrack
+
+IDENTITY = RigidTransform.identity().flat16()
+
+
+def random_pose(rng):
+    """A rigid pose about a random axis, through a random angle and translation."""
+    return RigidTransform(rotation_about_axis(rng.normal(size=3), rng.uniform(-np.pi, np.pi)),
+                          rng.uniform(-1, 1, 3))
 
 
 def track(i, center, d=0.01, n=1, sides=("A",)):
@@ -22,14 +29,15 @@ def track(i, center, d=0.01, n=1, sides=("A",)):
 
 class TestCrossSideTransform:
     def test_identity_pair(self):
-        t = cross_side_transform(RigidTransform.identity(), RigidTransform.identity())
-        np.testing.assert_allclose(t.matrix4(), np.eye(4), atol=1e-15)
+        t = cross_side_transform(IDENTITY, IDENTITY)
+        np.testing.assert_allclose(t, np.eye(4).reshape(16), atol=1e-15)
 
     def test_pure_translation(self):
         # fiducial at (0,0,0.5) in B, at origin in A: B origin lands at (0,0,-0.5)
-        pose_b = RigidTransform(np.eye(3), [0.0, 0.0, 0.5])
-        t = cross_side_transform(RigidTransform.identity(), pose_b)
-        np.testing.assert_allclose(t.apply(np.zeros(3)), [0.0, 0.0, -0.5], atol=1e-15)
+        pose_b = RigidTransform(np.eye(3), [0.0, 0.0, 0.5]).flat16()
+        t = cross_side_transform(IDENTITY, pose_b)
+        np.testing.assert_allclose(RigidTransform.from_flat16(t).apply(np.zeros(3)),
+                                   [0.0, 0.0, -0.5], atol=1e-15)
 
     def test_fiducial_point_consistency(self):
         # a point given in the fiducial frame reaches identical side-A
@@ -40,17 +48,31 @@ class TestCrossSideTransform:
             rot_b = rotation_about_axis(rng.normal(size=3), rng.uniform(-3, 3))
             pose_a = RigidTransform(rot_a, rng.uniform(-1, 1, 3))
             pose_b = RigidTransform(rot_b, rng.uniform(-1, 1, 3))
-            t = cross_side_transform(pose_a, pose_b)
+            t = RigidTransform.from_flat16(cross_side_transform(pose_a.flat16(), pose_b.flat16()))
             p_fid = rng.uniform(-0.5, 0.5, 3)
             via_a = pose_a.apply(p_fid)
             via_b = t.apply(pose_b.apply(p_fid))
             np.testing.assert_allclose(via_b, via_a, atol=1e-9)
 
+    def test_agrees_with_rigid_transform(self):
+        # The plain-Python compose, inverse and apply against numpy's
+        # RigidTransform on random rotations and translations.
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            pose_a, pose_b = random_pose(rng), random_pose(rng)
+            t = cross_side_transform(pose_a.flat16(), pose_b.flat16())
+            oracle = pose_a.compose(pose_b.inverse())
+            np.testing.assert_allclose(t, oracle.flat16(), rtol=0, atol=1e-12)
+            centers = rng.uniform(-0.5, 0.5, (4, 3))
+            b = BranchMap("B", tuple(track(i, c, sides=("B",)) for i, c in enumerate(centers)))
+            moved = [tr.center for tr in transform_map(b, t, "A").tracks]
+            np.testing.assert_allclose(moved, oracle.apply(centers), rtol=0, atol=1e-12)
+
 
 class TestTransformMap:
     def test_centers_move_diameters_do_not(self):
         m = BranchMap("B", tracks=(track(0, (0.0, 0.0, 0.4), d=0.013, sides=("B",)),))
-        t = RigidTransform(rotation_about_axis([0, 0, 1], np.pi / 2), [1.0, 0.0, 0.0])
+        t = RigidTransform(rotation_about_axis([0, 0, 1], np.pi / 2), [1.0, 0.0, 0.0]).flat16()
         out = transform_map(m, t, frame_label="A")
         assert out.frame_label == "A"
         np.testing.assert_allclose(out.tracks[0].center, (1.0, 0.0, 0.4), atol=1e-12)
@@ -59,8 +81,7 @@ class TestTransformMap:
         assert out.tracks[0].sides == frozenset({"B"})
 
     def test_empty_map(self):
-        out = transform_map(BranchMap("B", provenance={"seed": 3}),
-                            RigidTransform.identity(), "A")
+        out = transform_map(BranchMap("B", provenance={"seed": 3}), IDENTITY, "A")
         assert out == BranchMap("A", provenance={"seed": 3})
 
 
@@ -107,16 +128,16 @@ class TestMergeMaps:
             merge_maps(a, b)
 
     def test_replaced_integrate_observation_sees_every_side_b_track(self, monkeypatch):
-        # merge_maps looks integrate_observation up in fruitmap.mapping when it
+        # merge_maps looks integrate_observation up in fruitmap.tracks when it
         # runs, so a replacement there (a test double, a tracer) sees each
         # side-B track, whenever it was put in place.
-        original, seen = mapping.integrate_observation, []
+        original, seen = tracks.integrate_observation, []
 
         def counting(store, center, *args, **kwargs):
             seen.append(tuple(center))
             original(store, center, *args, **kwargs)
 
-        monkeypatch.setattr(mapping, "integrate_observation", counting)
+        monkeypatch.setattr(tracks, "integrate_observation", counting)
         a = self.make_a([(0.0, 0.0, 0.4)])
         b = self.make_b_in_a([(0.005, 0.0, 0.4), (0.2, 0.0, 0.4), (0.4, 0.0, 0.4)])
         assert len(merge_maps(a, b).tracks) == 3

@@ -803,6 +803,39 @@ class TestMalformedInputs:
                         "--out", str(tmp_path / "t.csv")])
         assert_one_line_validation_error(proc, *needles)
 
+    @pytest.mark.parametrize(
+        "pose, message",
+        [
+            ([1, 1e-8, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1],
+             "invalid pose: rotation is not orthonormal within 1e-9"),
+            ([1, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1],
+             "invalid pose: rotation has negative determinant (reflection, not a rotation)"),
+            ([1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1e-9, 1],
+             "invalid pose: bottom row must be [0, 0, 0, 1], got [0.0, 0.0, 1e-09, 1.0]"),
+            ([1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+             "invalid pose: expected 16 values, got (15,)"),
+            ([1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, float("nan"), 0, 0, 0, 1],
+             "pose must be a list of finite numbers"),
+        ],
+        ids=["skewed", "reflection", "bottom-row", "15-values", "nan"],
+    )
+    @pytest.mark.parametrize("command", ["map", "align"])
+    def test_bad_fiducial_is_one_line_in_map_and_align(self, pipeline, tmp_path, pose,
+                                                       message, command):
+        # map and align read the fiducials through one reader and check them
+        # by one rule, so each names the file with the same message.
+        ds = copy_dataset_json(pipeline, tmp_path / "ds")
+        fiducial = ds / "sides" / "A" / "fiducial.json"
+        fiducial.write_text(json.dumps({"pose": pose}))
+        out = tmp_path / "out.json"
+        argv = {"map": ["map", "--dataset", str(ds), "--side", "A"],
+                "align": ["align", "--map-a", str(pipeline["map_a"]),
+                          "--map-b", str(pipeline["map_b"]), "--dataset", str(ds)]}[command]
+        proc = run_cli([*argv, "--out", str(out)])
+        assert_one_line_validation_error(proc)
+        assert proc.stderr == f"error: {fiducial}: {message}\n"
+        assert not out.exists()
+
     def test_nan_spec_value(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"simulate": {"depth_noise_sigma": NaN}}')
@@ -965,13 +998,14 @@ def test_import_leaves_process_pools_unloaded():
     assert proc.stdout.split() == ["[]"]
 
 
-# Modules that neither `fruitmap --version`, eval nor report needs; importing
-# them was most of each stage's start-up.
+# Modules that neither `fruitmap --version`, align, eval nor report needs;
+# importing them was most of each stage's start-up.
 UNUSED_BY_JSON_STAGES = ("numpy", "fruitmap.simulator", "fruitmap.spherefit", "fruitmap.mapping",
                          "fruitmap.dataset", "fruitmap.geometry", "fruitmap._pool")
 
 
-@pytest.mark.parametrize("stage", ["version", "report", "eval", "report-config", "eval-config"])
+@pytest.mark.parametrize("stage", ["version", "report", "eval", "align", "report-config",
+                                   "eval-config", "align-config"])
 def test_version_and_report_start_without_numpy(tmp_path, stage):
     # Each stage imports only the modules it runs, and checks a config
     # holding every section without numpy. Run as `python -m fruitmap` in a
@@ -994,17 +1028,38 @@ def test_version_and_report_start_without_numpy(tmp_path, stage):
     truth.write_text(json.dumps({"fruitlets": [
         {"id": 5, "center": [0.003, 0.0, 0.4], "diameter": 0.02},
     ]}))
+    # A scan of two sides, whose fiducial poses differ by a half-turn about
+    # x and 0.8 m along z, and one map of each side.
+    scan = tmp_path / "scan"
+    (scan / "sides" / "A").mkdir(parents=True)
+    (scan / "sides" / "B").mkdir()
+    (scan / "manifest.json").write_text(json.dumps(
+        {"format_version": "1", "units": "meters", "sides": ["A", "B"], "dataset_id": "s"}))
+    (scan / "sides" / "A" / "fiducial.json").write_text(json.dumps(
+        {"pose": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]}))
+    (scan / "sides" / "B" / "fiducial.json").write_text(json.dumps(
+        {"pose": [1, 0, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0.8, 0, 0, 0, 1]}))
+    side_maps = {side: tmp_path / f"map_{side}.json" for side in "AB"}
+    for side, x in (("A", 0.0), ("B", 0.004)):
+        side_maps[side].write_text(json.dumps({
+            "frame_label": side, "provenance": {"dataset_id": "s"}, "tracks": [
+                {"id": 0, "center": [x, 0.0, 0.4], "diameter": 0.02, "observations": 1,
+                 "sides": [side]}]}))
     table, sizes, scored = tmp_path / "t.csv", tmp_path / "s.csv", tmp_path / "e.json"
+    merged = tmp_path / "merged.json"
     argv = {
         "version": ["--version"],
         "report": ["report", "--eval", str(report), "--format", "csv", "--out", str(table),
                    "--scatter", str(sizes)],
         "eval": ["eval", "--map", str(branch_map), "--truth", str(truth), "--out", str(scored)],
+        "align": ["align", "--map-a", str(side_maps["A"]), "--map-b", str(side_maps["B"]),
+                  "--dataset", str(scan), "--out", str(merged)],
     }[stage.removesuffix("-config")]
     unused = UNUSED_BY_JSON_STAGES
     if stage.endswith("-config"):
         argv = [*argv, "--config", str(config)]
-    elif stage != "eval":  # neither uses a record: records loads only to check a --config
+    elif stage in ("version", "report"):
+        # neither uses a record: records loads only to check a --config
         unused = (*unused, "fruitmap.records")
     code = (
         "import runpy, sys\n"
@@ -1027,14 +1082,20 @@ def test_version_and_report_start_without_numpy(tmp_path, stage):
         assert (doc["tp"], doc["fp"], doc["fn"], doc["count_accuracy_pct"]) == (1, 1, 0, 0.0)
         assert doc["size_pairs"] == [[0.02, 0.019]]
         assert doc["size_rmse_pct"] == 100.0 * (abs(0.019 - 0.02) / 0.02)
+    if stage.startswith("align"):
+        # side B's (0.004, 0, 0.4) lands on (0.004, 0, 0.4) in side A's frame
+        # and merges with side A's track, which it pulls halfway there
+        (track,) = json.loads(merged.read_text())["tracks"]
+        assert (track["center"], track["observations"], track["sides"]) == (
+            [0.002, 0.0, 0.4], 2, ["A", "B"])
 
 
 # The fruitmap modules each stage loads besides fruitmap, fruitmap.cli and
 # fruitmap._checks: the modules it runs and the ones they import.
 STAGE_MODULES = {
     "simulate": {"simulator", "dataset", "records", "geometry", "spherefit", "_pool"},
-    "map": {"mapping", "dataset", "records", "geometry", "spherefit", "_pool"},
-    "align": {"mapping", "dataset", "records", "geometry", "spherefit", "_pool"},
+    "map": {"mapping", "tracks", "dataset", "records", "geometry", "spherefit", "_pool"},
+    "align": {"tracks", "records"},
     "eval": {"evaluation", "records"},
 }
 

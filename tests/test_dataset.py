@@ -61,8 +61,8 @@ def make_dataset(tmp_path=None, with_truth=True):
             "B": (make_frame(0, pose=pose_b),),
         },
         fiducials={
-            "A": pose_a,
-            "B": pose_b,
+            "A": pose_a.flat16(),
+            "B": pose_b.flat16(),
         },
         ground_truth=truth if with_truth else None,
     )
@@ -129,10 +129,7 @@ class TestDatasetRoundTrip:
                     rt.depth.view(np.uint32), orig.depth.view(np.uint32)
                 )
                 np.testing.assert_array_equal(rt.masks, orig.masks)
-            np.testing.assert_allclose(
-                back.fiducials[side].matrix4(), ds.fiducials[side].matrix4(),
-                atol=1e-12,
-            )
+            assert back.fiducials[side] == ds.fiducials[side]
         truth = load_ground_truth(tmp_path / "scan" / "ground_truth.json")
         assert truth.fruitlets == ds.ground_truth.fruitlets
         assert truth.visibility == ds.ground_truth.visibility
@@ -239,8 +236,8 @@ class TestDatasetRoundTrip:
         (root / "sides" / "A" / "depth" / "7.f32").write_bytes(b"stale")
         short = ScanDataset(dataset_id="short", sides=("A", "B"),
                             frames={"A": (make_frame(0),), "B": (make_frame(0),)},
-                            fiducials={"A": RigidTransform.identity(),
-                                       "B": RigidTransform.identity()})
+                            fiducials={"A": RigidTransform.identity().flat16(),
+                                       "B": RigidTransform.identity().flat16()})
         write_dataset(short, root)
         back = load_dataset(root)
         assert back.dataset_id == "short"
@@ -258,8 +255,8 @@ class TestDatasetRoundTrip:
             return ScanDataset(dataset_id=dataset_id, sides=("A", "B"),
                                frames={side: tuple(map(make_frame, range(12)))
                                        for side in ("A", "B")},
-                               fiducials={"A": RigidTransform.identity(),
-                                          "B": RigidTransform.identity()})
+                               fiducials={"A": RigidTransform.identity().flat16(),
+                                          "B": RigidTransform.identity().flat16()})
 
         root = write_dataset(scan("old"), tmp_path / "scan")
         write_frame = dataset_module.write_frame

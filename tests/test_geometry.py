@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fruitmap._checks import from_doc
+from fruitmap._checks import check_pose, from_doc
 from fruitmap.geometry import (
     CameraIntrinsics,
     RigidTransform,
@@ -146,6 +146,42 @@ class TestRigidTransform:
     def test_rejects_reflection(self):
         with pytest.raises(ValueError):
             RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+    def test_check_pose_is_the_numpy_rule(self):
+        # check_pose, in plain Python, accepts exactly the poses that numpy's
+        # np.allclose tests accept: random rotations with every entry moved
+        # by noise of each scale around the 1e-12 and 1e-9 bounds and the
+        # 1e-5 relative one, and reflections among them.
+        def numpy_rule(m):
+            R = m[:3, :3]
+            return bool(np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+                        and np.allclose(R.T @ R, np.eye(3), atol=1e-9)
+                        and np.linalg.det(R) >= 0)
+
+        def rule(m):
+            try:
+                check_pose(m.reshape(16).tolist())
+            except ValueError:
+                return False
+            return True
+
+        rng = np.random.default_rng(8)
+        verdicts = []
+        for scale in (1e-14, 1e-12, 1e-11, 1e-10, 1e-9, 3e-9, 1e-8, 1e-6, 3e-6, 1e-5, 1e-4):
+            for case in range(60):
+                m = RigidTransform(rotation_about_axis(rng.normal(size=3), rng.uniform(-3, 3)),
+                                   rng.uniform(-1, 1, 3)).matrix4()
+                if case % 5 == 0:
+                    m[:3, 0] *= -1  # a reflection
+                if case % 3 == 0:  # every entry
+                    m += rng.normal(scale=scale, size=(4, 4)) * (rng.uniform(size=(4, 4)) < 0.5)
+                elif case % 3 == 1:  # a column of R stretched: R^T R's diagonal moves
+                    m[:3, rng.integers(3)] *= 1 + rng.normal(scale=scale)
+                else:  # the bottom row
+                    m[3] += rng.normal(scale=scale, size=4)
+                assert rule(m) == numpy_rule(m), (scale, m.tolist())
+                verdicts.append(rule(m))
+        assert 0.2 < np.mean(verdicts) < 0.8
 
     def test_matrix4_round_trip(self):
         T = RigidTransform(rotation_about_axis([0, 1, 0], 0.3), [1.0, 2.0, 3.0])

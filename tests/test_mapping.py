@@ -20,15 +20,7 @@ import pytest
 from fruitmap import _pool, mapping, spherefit
 from fruitmap._checks import config_digest, json_digest
 from fruitmap.dataset import DatasetError, extract_instance_clouds
-from fruitmap.mapping import (
-    MergeConfig,
-    TrackStore,
-    build_side_map,
-    cross_side_transform,
-    integrate_observation,
-    merge_maps,
-    transform_map,
-)
+from fruitmap.mapping import MergeConfig, build_side_map
 from fruitmap.records import (
     BranchMap,
     EvalConfig,
@@ -44,6 +36,13 @@ from fruitmap.spherefit import (
     FitConfig,
     InsufficientPointsError,
     derive_seed,
+)
+from fruitmap.tracks import (
+    TrackStore,
+    cross_side_transform,
+    integrate_observation,
+    merge_maps,
+    transform_map,
 )
 
 

@@ -15,8 +15,8 @@ from fruitmap.geometry import (
     project,
     rotation_about_axis,
 )
-from fruitmap.mapping import TrackStore, integrate_observation
 from fruitmap.records import BranchMap, FruitletTrack, GroundTruth, GroundTruthFruitlet
+from fruitmap.tracks import TrackStore, integrate_observation
 
 CASES = 1000
 

@@ -551,8 +551,8 @@ class TestSimulateDataset:
             assert not np.array_equal(d0[both], d1[both])
 
     def test_fiducial_encodes_the_cross_side_relation(self, small_dataset):
-        fid_a = small_dataset.fiducials["A"]
-        fid_b = small_dataset.fiducials["B"]
+        fid_a = RigidTransform.from_flat16(small_dataset.fiducials["A"])
+        fid_b = RigidTransform.from_flat16(small_dataset.fiducials["B"])
         b_to_a = fid_a.compose(fid_b.inverse())
         to_b = SIDE_FROM_SCENE["B"]
         for fruit in small_dataset.ground_truth.fruitlets:
@@ -604,11 +604,7 @@ class TestExportDataset:
                 assert fa.depth.tobytes() == fb.depth.tobytes()
                 assert np.array_equal(fa.masks, fb.masks)
                 assert np.allclose(fa.pose.matrix4(), fb.pose.matrix4(), atol=0)
-            assert np.allclose(
-                ds.fiducials[side].matrix4(),
-                loaded.fiducials[side].matrix4(),
-                atol=0,
-            )
+            assert loaded.fiducials[side] == ds.fiducials[side]
         truth = load_ground_truth(tmp_path / "scan" / "ground_truth.json")
         assert truth == ds.ground_truth == small_dataset.ground_truth
 
